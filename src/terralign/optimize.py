@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .footprints import MIN_GROUP_SIZE, ShotGroup
 from .metrics import MetricKind, distance_many
@@ -215,14 +214,6 @@ class _Tracker:
         self.best_f = math.inf
         self.best_x = (0.0, 0.0)
 
-    def __call__(self, dx: float, dy: float) -> float:
-        value = float(self._f(float(dx), float(dy)))
-        self.n += 1
-        if value < self.best_f and self.bounds.contains(dx, dy):
-            self.best_f = value
-            self.best_x = (float(dx), float(dy))
-        return value
-
     def batch(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
         if self._batch is not None:
@@ -234,7 +225,8 @@ class _Tracker:
             np.abs(points[:, 1]) <= self.bounds.max_abs_dy
         )
         if np.any(in_bounds):
-            masked = np.where(in_bounds, values, math.inf)
+            # NaN never wins, as in a scalar `value < best_f` test
+            masked = np.where(in_bounds & ~np.isnan(values), values, math.inf)
             i = int(np.argmin(masked))  # first occurrence on ties
             if masked[i] < self.best_f:
                 self.best_f = float(masked[i])
@@ -276,13 +268,6 @@ def grid_search(f: Callable, bounds: Bounds = Bounds(), step: float = DEFAULT_GR
     return tracker.solution("grid", converged=True)
 
 
-def central_diff_gradient(f: Callable, dx: float, dy: float, h: float) -> np.ndarray:
-    """Two-sided finite-difference gradient; exact for quadratics."""
-    gx = (f(dx + h, dy) - f(dx - h, dy)) / (2.0 * h)
-    gy = (f(dx, dy + h) - f(dx, dy - h)) / (2.0 * h)
-    return np.array([gx, gy], dtype=np.float64)
-
-
 def five_point_starts(bounds: Bounds) -> list[tuple[float, float]]:
     """Origin plus the four half-window diagonal corners."""
     hx = bounds.max_abs_dx / 2.0
@@ -295,11 +280,17 @@ def optimize_lbfgsb(
 ) -> DisplacementSolution:
     """Bound-constrained quasi-Newton descent with finite-difference gradients.
 
-    The returned point is the best in-bounds evaluation across all starts
-    (the best iterate even without convergence). The objective is piecewise
-    constant at raster-cell granularity, so the default differencing step
-    spans at least one cell to recover a usable secant slope.
+    Each iterate (x, y) costs one batched call of 5 evaluations, in the
+    order (x, y), (x+h, y), (x-h, y), (x, y+h), (x, y-h): the value and the
+    four probes of a two-sided difference gradient. `evaluations` counts the
+    gradient probes. The returned point is the best in-bounds evaluation
+    across all starts, probes included (the best iterate even without
+    convergence). The objective is piecewise constant at raster-cell
+    granularity, so the default differencing step spans at least one cell
+    to recover a usable secant slope.
     """
+    from scipy.optimize import minimize  # deferred: costs most of `import terralign`
+
     cfg = cfg or OptimizerConfig()
     lb = cfg.lbfgsb
     tracker = _Tracker(f, bounds)
@@ -313,13 +304,19 @@ def optimize_lbfgsb(
     if not starts:
         raise ValueError("multistart list must not be empty")
 
+    def value_and_gradient(v: np.ndarray) -> tuple[float, np.ndarray]:
+        x, y = v
+        values = tracker.batch(np.array([[x, y], [x + h, y], [x - h, y], [x, y + h], [x, y - h]]))
+        grad = np.array([(values[1] - values[2]) / (2.0 * h), (values[3] - values[4]) / (2.0 * h)])
+        return float(values[0]), grad
+
     converged = False
     for start_idx, start in enumerate(starts):
         best_before = tracker.best_f
         res = minimize(
-            fun=lambda v: tracker(v[0], v[1]),
+            fun=value_and_gradient,
             x0=np.asarray(start, dtype=np.float64),
-            jac=lambda v: central_diff_gradient(tracker, v[0], v[1], h),
+            jac=True,
             method="L-BFGS-B",
             bounds=[
                 (-bounds.max_abs_dx, bounds.max_abs_dx),

@@ -8,6 +8,7 @@ are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -40,8 +41,9 @@ class AggregationKind(str, Enum):
 # histogrammed at this resolution and the densest bin wins (ties -> lower bin).
 MODE_BIN_M = 0.1
 
-# Cap on temporary array size in the vectorised buffer query.
-_CHUNK_ELEMENTS = 4_000_000
+# Cap on temporary array size in the vectorised buffer query. Each row is
+# computed independently of the chunking, so this trades only speed and memory.
+_CHUNK_ELEMENTS = 65_536
 
 
 @dataclass
@@ -67,7 +69,8 @@ class RasterGrid:
     crs_tag: str = ""
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
+        # contiguous, so the buffer kernel can gather from a flat view
+        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
         if self.values.ndim != 2 or self.values.size == 0:
             raise ValueError("values must be a non-empty 2-D array")
         if not (math.isfinite(self.cell_size_x) and self.cell_size_x > 0):
@@ -169,7 +172,7 @@ def aggregate_buffer_points(
     if xs.shape != ys.shape:
         raise ValueError("xs and ys must have the same length")
 
-    offs_r, offs_c = _stencil_offsets(grid, radius)
+    offs_r, offs_c = _stencil_offsets(grid.cell_size_x, abs(grid.cell_size_y), radius)
     out = np.empty(xs.shape[0], dtype=np.float64)
     chunk = max(1, _CHUNK_ELEMENTS // max(1, offs_r.size))
     for start in range(0, xs.shape[0], chunk):
@@ -180,15 +183,16 @@ def aggregate_buffer_points(
     return out
 
 
-def _stencil_offsets(grid: RasterGrid, radius: float) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=64)
+def _stencil_offsets(csx: float, csy: float, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Relative (row, col) offsets of cells that could fall in the buffer.
 
     The stencil is anchored at the cell containing the buffer center, so cells
     whose nearest possible center distance already exceeds the radius are
-    pruned up front (roughly the square's corners).
+    pruned up front (roughly the square's corners). Keyed on the cell sizes
+    (|cell_size_y| for csy) rather than the unhashable grid; the cached arrays
+    are shared by every caller, hence read-only.
     """
-    csx = grid.cell_size_x
-    csy = abs(grid.cell_size_y)
     kx = int(math.ceil(radius / csx)) + 1
     ky = int(math.ceil(radius / csy)) + 1
     dr, dc = np.meshgrid(np.arange(-ky, ky + 1), np.arange(-kx, kx + 1), indexing="ij")
@@ -199,7 +203,11 @@ def _stencil_offsets(grid: RasterGrid, radius: float) -> tuple[np.ndarray, np.nd
     min_dx = np.maximum(np.abs(dc) - 1, 0) * csx
     min_dy = np.maximum(np.abs(dr) - 1, 0) * csy
     keep = min_dx * min_dx + min_dy * min_dy <= radius * radius
-    return dr[keep], dc[keep]
+    dr = dr[keep]
+    dc = dc[keep]
+    dr.setflags(write=False)
+    dc.setflags(write=False)
+    return dr, dc
 
 
 def _buffer_stats_chunk(
@@ -226,7 +234,8 @@ def _buffer_stats_chunk(
     ddy = cy_cell - ys[:, None]
     within = ddx * ddx + ddy * ddy <= radius * radius
 
-    vals = grid.values[rows.clip(0, grid.n_rows - 1), cols.clip(0, grid.n_cols - 1)]
+    # off-grid slots gather cell 0; `in_bounds` masks them out below
+    vals = grid.values.ravel().take(np.where(in_bounds, rows * grid.n_cols + cols, 0))
     valid = in_bounds & within & np.isfinite(vals)
 
     if agg is AggregationKind.MEAN:

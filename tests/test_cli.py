@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import terralign
 from terralign.cli import main
 from terralign.geotiff import write_geotiff
 
@@ -34,6 +39,14 @@ def write_flat_scene(tmp_path, crs_dem="", crs_geoid=None, sensitivity=0.98):
         geoid_path = tmp_path / "geoid.tif"
         write_geotiff(geoid, geoid_path)
     return dem_path, fps_path, geoid_path
+
+
+def test_cli_import_defers_scipy_optimize():
+    src = str(Path(terralign.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, terralign.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_help_exits_zero(capsys):

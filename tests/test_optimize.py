@@ -14,7 +14,6 @@ from terralign import (
     OptimizerConfig,
     TerrainSpec,
     TrackSpec,
-    central_diff_gradient,
     correct_dataset,
     correct_group,
     derive_group_seed,
@@ -84,6 +83,11 @@ def test_grid_off_lattice_quadratic_takes_nearest_point():
 def test_grid_constant_objective_first_wins():
     sol = grid_search(lambda dx, dy: 7.0)
     assert (sol.dx, sol.dy) == (-25.0, -25.0)
+
+
+def test_grid_nan_values_never_win():
+    sol = grid_search(lambda dx, dy: math.nan if dx == -25.0 else (dx - 10.0) ** 2 + (dy + 5.0) ** 2)
+    assert (sol.dx, sol.dy, sol.objective_value) == (10.0, -5.0, 0.0)
 
 
 def test_grid_rejects_oversized_step():
@@ -166,15 +170,16 @@ def test_lbfgsb_quadratic_family(rng):
         assert math.hypot(sol.dx - a, sol.dy - b) <= 1e-3
 
 
-def test_finite_difference_gradient_on_quadratics(rng):
-    for _ in range(100):
-        a, b = rng.uniform(-15.0, 15.0, 2)
-        x, y = rng.uniform(-20.0, 20.0, 2)
-        f = lambda dx, dy: (dx - a) ** 2 + (dy - b) ** 2
-        grad = central_diff_gradient(f, x, y, h=1e-4)
-        want = np.array([2.0 * (x - a), 2.0 * (y - b)])
-        # central differences are exact on quadratics up to roundoff
-        np.testing.assert_allclose(grad, want, rtol=1e-6, atol=1e-6)
+def test_lbfgsb_probe_order_per_iterate():
+    rec = Recorder(lambda dx, dy: (dx - 7.3) ** 2 + (dy + 2.6) ** 2)
+    sol = optimize_lbfgsb(rec)
+    h = 1.0  # no cell_size on the objective: the step floor applies
+    assert rec.points[0][:2] == (0.0, 0.0)
+    assert len(rec.points) == sol.evaluations and sol.evaluations % 5 == 0
+    for i in range(0, len(rec.points), 5):
+        (x, y, _), *probes = rec.points[i : i + 5]
+        # value, +x, -x, +y, -y: the order first-wins ties depend on
+        assert [p[:2] for p in probes] == [(x + h, y), (x - h, y), (x, y + h), (x, y - h)]
 
 
 def test_five_point_starts_layout():
@@ -346,6 +351,61 @@ def test_correct_group_lbfgsb_recovers_within_one_meter():
     terrain, group = planted_scene()
     sol, _ = correct_group(group, terrain, method="lbfgsb", metric="euclidean")
     assert math.hypot(sol.dx - (-8.0), sol.dy - 3.0) <= 1.0
+
+
+def scalar_probe_lbfgsb(f, cfg, bounds=Bounds()):
+    """Reference L-BFGS-B: the value and each central-difference probe are
+    separate scalar calls, and the first strictly better in-bounds value wins."""
+    from scipy.optimize import minimize
+
+    lb = cfg.lbfgsb
+    h = max(f.cell_size, 1.0)
+    seen = []
+
+    def g(dx, dy):
+        seen.append((f(float(dx), float(dy)), float(dx), float(dy)))
+        return seen[-1][0]
+
+    def best():
+        inside = [s for s in seen if bounds.contains(s[1], s[2])]
+        return min(inside, key=lambda s: s[0], default=(math.inf, 0.0, 0.0))
+
+    converged = False
+    starts = five_point_starts(bounds) if lb.starts == 5 else [(0.0, 0.0)]
+    for i, start in enumerate(starts):
+        before = best()[0]
+        res = minimize(
+            lambda v: g(v[0], v[1]),
+            np.asarray(start, dtype=np.float64),
+            jac=lambda v: np.array([
+                (g(v[0] + h, v[1]) - g(v[0] - h, v[1])) / (2.0 * h),
+                (g(v[0], v[1] + h) - g(v[0], v[1] - h)) / (2.0 * h),
+            ]),
+            method="L-BFGS-B",
+            bounds=[(-bounds.max_abs_dx, bounds.max_abs_dx), (-bounds.max_abs_dy, bounds.max_abs_dy)],
+            options={"maxiter": lb.max_iter, "ftol": lb.tol, "gtol": lb.tol, "maxcor": lb.history},
+        )
+        if i == 0 or best()[0] < before:
+            converged = res.status == 0
+    value, dx, dy = best()
+    return dx, dy, value, len(seen), converged
+
+
+def test_lbfgsb_batched_probes_match_scalar_paths():
+    """One 5-row batch per iterate gives the bits of five scalar calls, both
+    through the tracker's fallback and against the scalar-probe reference."""
+    for seed, planted in ((11, (8.0, -3.0)), (5, (-14.0, 9.0)), (23, (2.5, 17.0))):
+        terrain, group = planted_scene(seed=seed, planted=planted)
+        f = make_objective(ObjectiveSpec(group=group, dem=terrain, metric=MetricKind.EUCLIDEAN))
+        scalar = lambda dx, dy: f(dx, dy)  # no .batch: the tracker calls it row by row
+        scalar.cell_size = f.cell_size
+        for starts in (1, 5):
+            cfg = OptimizerConfig(lbfgsb=LbfgsbConfig(starts=starts))
+            got = [
+                (s.dx, s.dy, s.objective_value, s.evaluations, s.converged)
+                for s in (optimize_lbfgsb(f, cfg=cfg), optimize_lbfgsb(scalar, cfg=cfg))
+            ]
+            assert got[0] == got[1] == scalar_probe_lbfgsb(f, cfg)
 
 
 def test_correct_group_skips_undersized():

@@ -1,6 +1,7 @@
 """Raster sampling, buffer aggregation, and file round trips."""
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from terralign import (
     sample_points,
     write_raster,
 )
+from terralign import raster
 from terralign.geotiff import read_geotiff, write_geotiff
 
 from conftest import flat_grid, make_grid, ramp_grid
@@ -161,6 +163,86 @@ def test_aggregate_points_matches_scalar_loop(rng):
             assert math.isnan(batch[i])
         else:
             assert batch[i] == one
+
+
+def reference_buffer(grid, cx, cy, radius):
+    """MEAN, MEDIAN and MODE of the finite cells whose centers lie within
+    `radius` of (cx, cy), by a plain loop over every cell."""
+    members = []
+    for r in range(grid.n_rows):
+        for c in range(grid.n_cols):
+            ddx = grid.origin_x + (c + 0.5) * grid.cell_size_x - cx
+            ddy = grid.origin_y + (r + 0.5) * grid.cell_size_y - cy
+            v = float(grid.values[r, c])
+            if ddx * ddx + ddy * ddy <= radius * radius and math.isfinite(v):
+                members.append(v)
+    if not members:
+        return math.nan, math.nan, math.nan
+    # documented MODE rule: 0.1 m bins, densest wins, ties to the lower bin,
+    # report the winning bin's member mean
+    bins = {}
+    for v in members:
+        bins.setdefault(math.floor(v * (1.0 / raster.MODE_BIN_M)), []).append(v)
+    winner = min(bins, key=lambda b: (-len(bins[b]), b))
+    mode = math.fsum(bins[winner]) / len(bins[winner])
+    return math.fsum(members) / len(members), statistics.median(members), mode
+
+
+def kernel_scene(rng):
+    """Anisotropic 3 m x 2 m grid with nodata cells, and buffer centers in the
+    interior, on each edge, partly off-grid and fully off-grid."""
+    values = np.round(rng.normal(100.0, 0.6, (23, 31)), 2)  # shared 0.1 m bins
+    values[rng.random(values.shape) < 0.08] = np.nan
+    values[4:9, 20:26] = np.nan
+    grid = RasterGrid(-50.0, 20.0, 3.0, -2.0, values, nodata=-9999.0)
+    x0, y0, x1, y1 = grid.extent
+    n = 12
+    interior = np.column_stack([rng.uniform(x0 + 8, x1 - 8, n), rng.uniform(y0 + 8, y1 - 8, n)])
+    along_x = rng.uniform(x0, x1, n)
+    along_y = rng.uniform(y0, y1, n)
+    edges = np.concatenate([
+        np.column_stack([np.full(n, x0), along_y]),
+        np.column_stack([np.full(n, x1), along_y]),
+        np.column_stack([along_x, np.full(n, y0)]),
+        np.column_stack([along_x, np.full(n, y1)]),
+    ])
+    partly = np.column_stack([np.full(n, x0 - 2.5), along_y])
+    off = np.array([[x0 - 30.0, y0], [x1 + 30.0, y1], [(x0 + x1) / 2, y1 + 40.0]])
+    centers = np.concatenate([interior, edges, partly, off])
+    return grid, centers[:, 0], centers[:, 1]
+
+
+@pytest.mark.parametrize("radius", [1.2, 5.0, 9.5])
+def test_aggregate_points_match_brute_force_reference(rng, radius):
+    grid, xs, ys = kernel_scene(rng)
+    want = np.array([reference_buffer(grid, x, y, radius) for x, y in zip(xs, ys)])
+    assert np.isnan(want[-3:]).all()  # fully off-grid
+    assert np.isfinite(want[:-3, 0]).any()
+    for col, agg in enumerate(AggregationKind):
+        got = aggregate_buffer_points(grid, xs, ys, radius, agg)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want[:, col]))
+        np.testing.assert_allclose(got, want[:, col], rtol=1e-12, atol=1e-12)
+
+
+def test_aggregate_points_independent_of_chunk_size(rng, monkeypatch):
+    grid, xs, ys = kernel_scene(rng)
+    for agg in AggregationKind:
+        default = aggregate_buffer_points(grid, xs, ys, 5.0, agg)
+        for chunk in (1, 64):
+            monkeypatch.setattr(raster, "_CHUNK_ELEMENTS", chunk)
+            np.testing.assert_array_equal(aggregate_buffer_points(grid, xs, ys, 5.0, agg), default)
+        monkeypatch.undo()
+
+
+def test_stencil_offsets_cached_read_only():
+    grid = make_grid(np.zeros((8, 8)), cell=2.0)
+    aggregate_buffer_points(grid, np.array([4.0]), np.array([4.0]), 3.0)
+    offs_r, offs_c = raster._stencil_offsets(2.0, 2.0, 3.0)
+    assert raster._stencil_offsets(2.0, 2.0, 3.0)[0] is offs_r
+    for offs in (offs_r, offs_c):
+        assert not offs.flags.writeable
+        with pytest.raises(ValueError):
+            offs[0] = 0
 
 
 def test_check_crs():
