@@ -14,12 +14,15 @@ import json
 import logging
 import math
 import sys
+from enum import Enum
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
+from typing import get_origin
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, config_from_dict, dump_config, parse_toml
+from .config import ConfigError, RunConfig, config_from_dict, config_keys, dump_config, parse_toml
 from .evaluate import (
     OffsetSummary,
     ReportRow,
@@ -36,8 +39,8 @@ from .footprints import (
     parse_footprints,
     prepare_groups,
 )
-from .metrics import MetricError, MetricKind
-from .optimize import METHOD_NAMES, Bounds, correct_dataset
+from .metrics import MetricError
+from .optimize import correct_dataset
 from .raster import (
     AggregationKind,
     RasterError,
@@ -75,7 +78,6 @@ CORRECTED_EXTRA_COLUMNS = (
     "metric",
 )
 
-_METRIC_NAMES = tuple(m.value for m in MetricKind)
 _AGG_NAMES = tuple(a.value for a in AggregationKind)
 
 
@@ -92,50 +94,42 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# flag names that differ from the config key's leaf name
+_FLAG_NAMES = {
+    "dem_path": "dem",
+    "geoid_path": "geoid",
+    "footprints_path": "footprints",
+    "output_dir": "out",
+    "max_abs_dx": "max_dx",
+    "max_abs_dy": "max_dy",
+}
+
+
+def _comma_list(text: str) -> list[str]:
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
 def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dem", help="reference DEM raster (GeoTIFF or ESRI ASCII)")
-    p.add_argument("--geoid", help="geoid undulation raster in the same CRS")
-    p.add_argument("--footprints", help="footprint CSV")
-    p.add_argument("--out", help="output directory")
+    """One flag per config key: `--<leaf>`, or `--<section>-<leaf>` in optimizer subsections."""
     p.add_argument("--config", help="TOML-style config file; flags override it")
-    p.add_argument("--methods", help=f"comma list from {{{','.join(METHOD_NAMES)}}}")
-    p.add_argument("--metrics", help=f"comma list from {{{','.join(_METRIC_NAMES)}}}")
-    p.add_argument("--radius", type=float, help="footprint buffer radius in meters")
-    p.add_argument("--agg", choices=_AGG_NAMES, help="buffer aggregation statistic")
-    p.add_argument("--workers", type=int, help="parallel workers over shot groups")
-    p.add_argument("--seed", type=int, help="global random seed")
-    p.add_argument("--max-dx", type=float, help="search half-window on dx (m)")
-    p.add_argument("--max-dy", type=float, help="search half-window on dy (m)")
-
-    q = p.add_argument_group("quality filters")
-    q.add_argument("--min-elev", type=float)
-    q.add_argument("--max-elev", type=float)
-    q.add_argument("--min-sensitivity", type=float)
-    q.add_argument("--max-dem-diff", type=float)
-    q.add_argument("--outlier-window", type=int)
-    q.add_argument("--outlier-k", type=float)
-    q.add_argument("--require-tree-cover", action="store_const", const=True, default=None)
-
-    o = p.add_argument_group("optimizer settings")
-    o.add_argument("--grid-step", type=float)
-    o.add_argument("--lbfgsb-max-iter", type=int)
-    o.add_argument("--lbfgsb-tol", type=float)
-    o.add_argument("--lbfgsb-fd-step", type=float)
-    o.add_argument("--lbfgsb-starts", type=int, choices=(1, 5))
-    o.add_argument("--lbfgsb-history", type=int)
-    o.add_argument("--ga-pop", type=int)
-    o.add_argument("--ga-generations", type=int)
-    o.add_argument("--ga-crossover-rate", type=float)
-    o.add_argument("--ga-mutation-rate", type=float)
-    o.add_argument("--ga-tournament-size", type=int)
-    o.add_argument("--ga-blend-alpha", type=float)
-    o.add_argument("--ga-mutation-sigma", type=float)
-    o.add_argument("--ga-elitism", type=int)
-    o.add_argument("--pso-swarm", type=int)
-    o.add_argument("--pso-iterations", type=int)
-    o.add_argument("--pso-cognitive", type=float)
-    o.add_argument("--pso-social", type=float)
-    o.add_argument("--pso-inertia", type=float)
+    for key, tp, default in config_keys():
+        section, _, leaf = key.rpartition(".")
+        if tp is bool and default:
+            continue  # a store-true flag cannot turn a default-on filter off
+        prefix = section.split(".")[1] + "_" if "." in section else ""
+        flag = "--" + (prefix + _FLAG_NAMES.get(leaf, leaf)).replace("_", "-")
+        kwargs: dict = {"dest": key, "help": f"config key {key}"}
+        if tp is bool:
+            kwargs.update(action="store_const", const=True)
+        elif get_origin(tp) is None and issubclass(tp, Enum):
+            kwargs["choices"] = [e.value for e in tp]
+        else:
+            kwargs["metavar"] = flag[2:].upper().replace("-", "_")
+            if get_origin(tp) is list:
+                kwargs["type"] = _comma_list
+            elif tp in (int, float):
+                kwargs["type"] = tp
+        p.add_argument(flag, **kwargs)
 
 
 def build_parser() -> _Parser:
@@ -148,7 +142,7 @@ def build_parser() -> _Parser:
 
     p_correct = sub.add_parser("correct", help="run the full correction pipeline")
     _add_common_run_flags(p_correct)
-    p_correct.set_defaults(func=cmd_correct)
+    p_correct.set_defaults(func=partial(_run, timed=False))
 
     p_eval = sub.add_parser("evaluate", help="recompute statistics from a corrected CSV")
     p_eval.add_argument("--corrected", required=True, help="corrected CSV from `correct`")
@@ -179,97 +173,26 @@ def build_parser() -> _Parser:
 
     p_bench = sub.add_parser("bench", help="method x metric sweep with wall-clock timings")
     _add_common_run_flags(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
+    p_bench.set_defaults(func=partial(_run, timed=True))
 
     return parser
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
+    data: dict = {}
     if args.config:
         path = Path(args.config)
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
         try:
-            cfg = config_from_dict(parse_toml(path.read_text()))
+            data = parse_toml(path.read_text())
         except ConfigError as exc:
             raise UsageError(f"{path}: {exc}") from exc
-    else:
-        cfg = RunConfig()
-
-    def take(flag_value, setter):
-        if flag_value is not None:
-            setter(flag_value)
-
-    take(args.dem, lambda v: setattr(cfg, "dem_path", v))
-    take(args.geoid, lambda v: setattr(cfg, "geoid_path", v))
-    take(args.footprints, lambda v: setattr(cfg, "footprints_path", v))
-    take(args.out, lambda v: setattr(cfg, "output_dir", v))
-    take(args.radius, lambda v: setattr(cfg, "radius", v))
-    take(args.workers, lambda v: setattr(cfg, "workers", v))
-    take(args.seed, lambda v: setattr(cfg, "seed", v))
-    if args.methods is not None:
-        cfg.methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if args.metrics is not None:
-        cfg.metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    if args.agg is not None:
-        cfg.agg = AggregationKind(args.agg)
-    if args.max_dx is not None or args.max_dy is not None:
-        cfg.bounds = Bounds(
-            cfg.bounds.max_abs_dx if args.max_dx is None else args.max_dx,
-            cfg.bounds.max_abs_dy if args.max_dy is None else args.max_dy,
-        )
-
-    q = cfg.quality
-    take(args.min_elev, lambda v: setattr(q, "min_elev", v))
-    take(args.max_elev, lambda v: setattr(q, "max_elev", v))
-    take(args.min_sensitivity, lambda v: setattr(q, "min_sensitivity", v))
-    take(args.max_dem_diff, lambda v: setattr(q, "max_dem_diff", v))
-    take(args.outlier_window, lambda v: setattr(q, "outlier_window", v))
-    take(args.outlier_k, lambda v: setattr(q, "outlier_k", v))
-    take(args.require_tree_cover, lambda v: setattr(q, "require_tree_cover", v))
-
-    opt = cfg.optimizer
-    take(args.grid_step, lambda v: setattr(opt, "grid_step", v))
-    lb = opt.lbfgsb
-    take(args.lbfgsb_max_iter, lambda v: setattr(lb, "max_iter", v))
-    take(args.lbfgsb_tol, lambda v: setattr(lb, "tol", v))
-    take(args.lbfgsb_fd_step, lambda v: setattr(lb, "fd_step", v))
-    take(args.lbfgsb_starts, lambda v: setattr(lb, "starts", v))
-    take(args.lbfgsb_history, lambda v: setattr(lb, "history", v))
-    ga = opt.ga
-    take(args.ga_pop, lambda v: setattr(ga, "pop", v))
-    take(args.ga_generations, lambda v: setattr(ga, "generations", v))
-    take(args.ga_crossover_rate, lambda v: setattr(ga, "crossover_rate", v))
-    take(args.ga_mutation_rate, lambda v: setattr(ga, "mutation_rate", v))
-    take(args.ga_tournament_size, lambda v: setattr(ga, "tournament_size", v))
-    take(args.ga_blend_alpha, lambda v: setattr(ga, "blend_alpha", v))
-    take(args.ga_mutation_sigma, lambda v: setattr(ga, "mutation_sigma", v))
-    take(args.ga_elitism, lambda v: setattr(ga, "elitism", v))
-    pso = opt.pso
-    take(args.pso_swarm, lambda v: setattr(pso, "swarm", v))
-    take(args.pso_iterations, lambda v: setattr(pso, "iterations", v))
-    take(args.pso_cognitive, lambda v: setattr(pso, "cognitive", v))
-    take(args.pso_social, lambda v: setattr(pso, "social", v))
-    take(args.pso_inertia, lambda v: setattr(pso, "inertia", v))
-
+    # flags left out are None; bool keys that default to true have no flag
+    flags = {key: getattr(args, key, None) for key, _, _ in config_keys()}
+    flags = {key: value for key, value in flags.items() if value is not None}
     try:
-        q.__post_init__()
-        lb.__post_init__()
-        ga.__post_init__()
-        pso.__post_init__()
-        opt.__post_init__()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-    opt.seed = cfg.seed
-    for m in cfg.methods:
-        if m not in METHOD_NAMES:
-            raise UsageError(f"unknown method {m!r}; expected one of {METHOD_NAMES}")
-    for m in cfg.metrics:
-        if m not in _METRIC_NAMES:
-            raise UsageError(f"unknown metric {m!r}; expected one of {_METRIC_NAMES}")
-    try:
-        cfg.validate()
+        cfg = config_from_dict(data, flags)
     except ConfigError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -324,27 +247,6 @@ def _load_pipeline(cfg: RunConfig):
     if stats.n_after_attach == 0:
         raise DataError(f"no footprints left after preprocessing; {stats.empty_stage()} removed the last row")
     return dem, groups, stats
-
-
-def _run_sweep(cfg: RunConfig, dem, groups):
-    results = []
-    for method in cfg.methods:
-        for metric in cfg.metrics:
-            logger.info("correcting with method=%s metric=%s", method, metric)
-            results.append(
-                correct_dataset(
-                    groups,
-                    dem,
-                    method=method,
-                    metric=metric,
-                    cfg=cfg.optimizer,
-                    bounds=cfg.bounds,
-                    radius=cfg.radius,
-                    agg=cfg.agg,
-                    workers=cfg.workers,
-                )
-            )
-    return results
 
 
 def _write_corrected_csv(path: Path, result) -> None:
@@ -403,37 +305,35 @@ def _write_reports(out_dir: Path, rows, with_timing: bool) -> None:
     (out_dir / "report.txt").write_text(rows_to_text(rows, with_timing=with_timing))
 
 
-def cmd_correct(args: argparse.Namespace) -> int:
+def _run(args: argparse.Namespace, timed: bool) -> int:
+    """`correct` (timed=False) and `bench` (timed=True): the same pipeline and outputs."""
     cfg = _build_config(args)
     dem, groups, _ = _load_pipeline(cfg)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    results = _run_sweep(cfg, dem, groups)
+    results = []
+    for method in cfg.methods:
+        for metric in cfg.metrics:
+            logger.info("correcting with method=%s metric=%s", method, metric)
+            results.append(
+                correct_dataset(
+                    groups, dem, method=method, metric=metric, cfg=cfg.optimizer,
+                    bounds=cfg.bounds, radius=cfg.radius, agg=cfg.agg, workers=cfg.workers,
+                )
+            )
     for result in results:
         name = f"corrected_{result.method}_{result.metric}.csv"
         _write_corrected_csv(out_dir / name, result)
         logger.info("wrote %s", out_dir / name)
 
     rows = compare_methods(results, groups)
-    # timings stay out of `correct` reports so equal seeds give equal bytes
-    _write_reports(out_dir, rows, with_timing=False)
+    # only `bench` reports carry timings, so equal seeds give `correct` equal bytes
+    _write_reports(out_dir, rows, with_timing=timed)
     (out_dir / "effective_config.toml").write_text(dump_config(cfg))
+    if timed:
+        sys.stderr.write(rows_to_text(rows, with_timing=True))
     logger.info("reports written to %s", out_dir)
-    return EXIT_OK
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    dem, groups, _ = _load_pipeline(cfg)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    results = _run_sweep(cfg, dem, groups)
-    rows = compare_methods(results, groups)
-    _write_reports(out_dir, rows, with_timing=True)
-    (out_dir / "effective_config.toml").write_text(dump_config(cfg))
-    sys.stderr.write(rows_to_text(rows, with_timing=True))
     return EXIT_OK
 
 

@@ -1,24 +1,35 @@
-"""Run configuration: a small TOML-style file format plus CLI merging.
+"""Run configuration: `RunConfig` and its nested dataclasses are the schema.
 
-Only the subset this package writes is parsed back: [section.sub] headers,
-scalar keys (quoted strings, integers, floats, booleans) and flat arrays.
-CLI flags override file values; the merged result is echoed back into the
-output directory so a run can be reproduced from its artifacts.
+A key is a dotted field path (`optimizer.ga.pop`) and each nested dataclass
+is a [section]. `config_from_dict` type-checks a parsed file plus flag
+overrides against the field annotations, `config_keys` lists the keys the
+CLI turns into flags, and `dump_config` writes `effective_config.toml`, so a
+run can be reproduced from its artifacts. Only the TOML subset written here
+is parsed: [section.sub] headers, quoted strings, integers, floats,
+booleans and flat arrays.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
-from typing import Any
+import types
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import Enum
+from typing import Any, Iterator, Mapping, Union, get_args, get_origin, get_type_hints
 
 from .footprints import QualityRules
-from .optimize import Bounds, GaConfig, LbfgsbConfig, OptimizerConfig, PsoConfig
+from .metrics import MetricKind
+from .optimize import METHOD_NAMES, Bounds, OptimizerConfig
 from .raster import AggregationKind
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.]+)\]$")
 _KEY_RE = re.compile(r"^([A-Za-z0-9_]+)\s*=\s*(.+)$")
+
+_METRIC_NAMES = tuple(m.value for m in MetricKind)
+
+# fields that are not config keys: the solvers' seed is the top-level seed
+_NOT_KEYS = frozenset({"optimizer.seed"})
 
 
 class ConfigError(ValueError):
@@ -27,29 +38,37 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """The whole run configuration; field order is the key order of `dump_config`."""
+
     dem_path: str = ""
     geoid_path: str | None = None
     footprints_path: str = ""
     output_dir: str = ""
     methods: list[str] = field(default_factory=lambda: ["grid"])
     metrics: list[str] = field(default_factory=lambda: ["euclidean"])
-    quality: QualityRules = field(default_factory=QualityRules)
     bounds: Bounds = field(default_factory=Bounds)
+    quality: QualityRules = field(default_factory=QualityRules)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     radius: float = 12.5
     agg: AggregationKind = AggregationKind.MEAN
     workers: int = 1
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        self.optimizer.seed = self.seed
+
     def validate(self) -> None:
-        if not self.methods:
-            raise ConfigError("at least one method is required")
-        if not self.metrics:
-            raise ConfigError("at least one metric is required")
+        lists = (("methods", self.methods, METHOD_NAMES), ("metrics", self.metrics, _METRIC_NAMES))
+        for key, names, known in lists:
+            if not names:
+                raise ConfigError(f"{key}: at least one is required")
+            for name in names:
+                if name not in known:
+                    raise ConfigError(f"{key}: unknown name {name!r}; expected one of {known}")
         if self.radius <= 0:
-            raise ConfigError("radius must be positive")
+            raise ConfigError("radius: must be positive")
         if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+            raise ConfigError("workers: must be >= 1")
 
 
 def _parse_string(raw: str, lineno: int) -> tuple[str, str]:
@@ -140,57 +159,85 @@ def parse_toml(text: str) -> dict:
     return root
 
 
-def _apply(obj: Any, data: dict, path: str) -> None:
-    """Overwrite dataclass fields from a dict, rejecting unknown keys."""
-    known = {f.name: f for f in fields(obj)}
-    for key, value in data.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key: {path}{key}")
-        current = getattr(obj, key)
-        if isinstance(value, dict):
-            _apply(current, value, f"{path}{key}.")
-        else:
-            setattr(obj, key, value)
-    post = getattr(obj, "__post_init__", None)
-    if post is not None:
-        try:
-            post()
-        except ValueError as exc:
-            raise ConfigError(f"invalid value under {path or 'top level'}: {exc}") from exc
+def _keys(cls: type, prefix: str) -> Iterator[tuple[str, str, Any]]:
+    """(dotted key, field name, resolved type) of each config key of a dataclass."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        key = prefix + f.name
+        if key not in _NOT_KEYS:
+            yield key, f.name, hints[f.name]
 
 
-def config_from_dict(data: dict) -> RunConfig:
-    """Build a RunConfig from a parsed config dict."""
-    cfg = RunConfig()
-    data = dict(data)
-    optimizer = data.pop("optimizer", None)
-    quality = data.pop("quality", None)
-    bounds = data.pop("bounds", None)
-    _apply(cfg, data, "")
-    if quality is not None:
-        _apply(cfg.quality, quality, "quality.")
-    if bounds is not None:
-        # Bounds is frozen: rebuild instead of mutating
-        unknown = set(bounds) - {"max_abs_dx", "max_abs_dy"}
-        if unknown:
-            raise ConfigError(f"unknown config key: bounds.{sorted(unknown)[0]}")
+def _strip_optional(tp: Any) -> Any:
+    """X for an `X | None` annotation, else the annotation itself."""
+    if get_origin(tp) in (Union, types.UnionType):
+        (tp,) = [arg for arg in get_args(tp) if arg is not type(None)]
+    return tp
+
+
+def _check(tp: Any, value: Any, key: str) -> Any:
+    """Return `value` as the annotated type `tp`, or raise ConfigError naming `key`."""
+    base = _strip_optional(tp)
+    if value is None and base is not tp:
+        return None
+    tp = base
+    origin = get_origin(tp)
+    if origin is list:
+        (item,) = get_args(tp)
+        if isinstance(value, list):
+            return [_check(item, v, key) for v in value]
+    elif origin is None and issubclass(tp, Enum):
         try:
-            cfg.bounds = Bounds(
-                bounds.get("max_abs_dx", cfg.bounds.max_abs_dx),
-                bounds.get("max_abs_dy", cfg.bounds.max_abs_dy),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid value under bounds: {exc}") from exc
-    if optimizer is not None:
-        _apply(cfg.optimizer, optimizer, "optimizer.")
-    if isinstance(cfg.agg, str):
-        try:
-            cfg.agg = AggregationKind(cfg.agg)
-        except ValueError as exc:
-            raise ConfigError(f"unknown aggregation {cfg.agg!r}") from exc
-    cfg.methods = [str(m) for m in cfg.methods]
-    cfg.metrics = [str(m) for m in cfg.metrics]
-    cfg.optimizer.seed = cfg.seed
+            return tp(value)
+        except ValueError:
+            choices = ", ".join(str(e.value) for e in tp)
+            raise ConfigError(f"{key}: expected one of {choices}, got {value!r}") from None
+    elif tp is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    elif tp is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+    elif isinstance(value, tp):
+        return value
+    name = str(tp) if get_origin(tp) else tp.__name__
+    raise ConfigError(f"{key}: expected {name}, got {value!r}")
+
+
+def _build(cls: type, data: Any, overrides: dict[str, Any], prefix: str) -> Any:
+    """Build `cls` from `data`, popping the `overrides` it uses."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{prefix[:-1]}: expected a [{prefix[:-1]}] section, got {data!r}")
+    kwargs: dict[str, Any] = {}
+    names = set()
+    for key, name, tp in _keys(cls, prefix):
+        names.add(name)
+        if is_dataclass(tp):
+            kwargs[name] = _build(tp, data.get(name, {}), overrides, key + ".")
+        elif key in overrides:
+            kwargs[name] = _check(tp, overrides.pop(key), key)
+        elif name in data:
+            kwargs[name] = _check(tp, data[name], key)
+    unknown = sorted(set(data) - names)
+    if unknown:
+        raise ConfigError(f"unknown config key: {prefix}{unknown[0]}")
+    try:
+        return cls(**kwargs)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{prefix[:-1] or 'config'}: {exc}") from exc
+
+
+def config_from_dict(data: dict, overrides: Mapping[str, Any] | None = None) -> RunConfig:
+    """Build a validated RunConfig: defaults, then `data`, then `overrides`.
+
+    `data` is nested like the TOML file; `overrides` maps dotted keys to
+    values. An unknown key, a value of the wrong type or a value that a
+    section rejects raises ConfigError naming the key.
+    """
+    overrides = dict(overrides or {})
+    cfg = _build(RunConfig, data, overrides, "")
+    if overrides:
+        raise ConfigError(f"unknown config key: {sorted(overrides)[0]}")
     cfg.validate()
     return cfg
 
@@ -199,7 +246,24 @@ def load_config(text: str) -> RunConfig:
     return config_from_dict(parse_toml(text))
 
 
+def config_keys(cfg: Any = None, prefix: str = "") -> Iterator[tuple[str, Any, Any]]:
+    """(dotted key, type, value) of every settable leaf, in field order.
+
+    The type of an `X | None` field is X. Values come from `cfg`, a
+    RunConfig() by default.
+    """
+    cfg = RunConfig() if cfg is None else cfg
+    for key, name, tp in _keys(type(cfg), prefix):
+        value = getattr(cfg, name)
+        if is_dataclass(tp):
+            yield from config_keys(value, key + ".")
+        else:
+            yield key, _strip_optional(tp), value
+
+
 def _fmt(value: Any) -> str:
+    if isinstance(value, Enum):
+        value = value.value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -215,75 +279,16 @@ def _fmt(value: Any) -> str:
 
 
 def dump_config(cfg: RunConfig) -> str:
-    """Serialize the effective configuration; parse_toml round-trips it."""
-    lines = [
-        f"dem_path = {_fmt(cfg.dem_path)}",
-    ]
-    if cfg.geoid_path is not None:
-        lines.append(f"geoid_path = {_fmt(cfg.geoid_path)}")
-    lines += [
-        f"footprints_path = {_fmt(cfg.footprints_path)}",
-        f"output_dir = {_fmt(cfg.output_dir)}",
-        f"methods = {_fmt(cfg.methods)}",
-        f"metrics = {_fmt(cfg.metrics)}",
-        f"radius = {_fmt(cfg.radius)}",
-        f"agg = {_fmt(cfg.agg.value)}",
-        f"workers = {_fmt(cfg.workers)}",
-        f"seed = {_fmt(cfg.seed)}",
-        "",
-        "[bounds]",
-        f"max_abs_dx = {_fmt(cfg.bounds.max_abs_dx)}",
-        f"max_abs_dy = {_fmt(cfg.bounds.max_abs_dy)}",
-        "",
-        "[quality]",
-    ]
-    q = cfg.quality
-    lines += [
-        f"min_elev = {_fmt(q.min_elev)}",
-        f"max_elev = {_fmt(q.max_elev)}",
-        f"require_degrade_zero = {_fmt(q.require_degrade_zero)}",
-        f"require_quality_one = {_fmt(q.require_quality_one)}",
-        f"min_sensitivity = {_fmt(q.min_sensitivity)}",
-        f"require_positive_rh100 = {_fmt(q.require_positive_rh100)}",
-        f"require_tree_cover = {_fmt(q.require_tree_cover)}",
-        f"max_dem_diff = {_fmt(q.max_dem_diff)}",
-        f"outlier_window = {_fmt(q.outlier_window)}",
-        f"outlier_k = {_fmt(q.outlier_k)}",
-        "",
-        "[optimizer]",
-        f"grid_step = {_fmt(cfg.optimizer.grid_step)}",
-        "",
-        "[optimizer.lbfgsb]",
-        f"max_iter = {_fmt(cfg.optimizer.lbfgsb.max_iter)}",
-        f"tol = {_fmt(cfg.optimizer.lbfgsb.tol)}",
-    ]
-    if cfg.optimizer.lbfgsb.fd_step is not None:
-        lines.append(f"fd_step = {_fmt(cfg.optimizer.lbfgsb.fd_step)}")
-    lines += [
-        f"starts = {_fmt(cfg.optimizer.lbfgsb.starts)}",
-        f"history = {_fmt(cfg.optimizer.lbfgsb.history)}",
-        "",
-        "[optimizer.ga]",
-    ]
-    g = cfg.optimizer.ga
-    lines += [
-        f"pop = {_fmt(g.pop)}",
-        f"generations = {_fmt(g.generations)}",
-        f"crossover_rate = {_fmt(g.crossover_rate)}",
-        f"mutation_rate = {_fmt(g.mutation_rate)}",
-        f"tournament_size = {_fmt(g.tournament_size)}",
-        f"blend_alpha = {_fmt(g.blend_alpha)}",
-        f"mutation_sigma = {_fmt(g.mutation_sigma)}",
-        f"elitism = {_fmt(g.elitism)}",
-        "",
-        "[optimizer.pso]",
-    ]
-    p = cfg.optimizer.pso
-    lines += [
-        f"swarm = {_fmt(p.swarm)}",
-        f"iterations = {_fmt(p.iterations)}",
-        f"cognitive = {_fmt(p.cognitive)}",
-        f"social = {_fmt(p.social)}",
-        f"inertia = {_fmt(p.inertia)}",
-    ]
-    return "\n".join(lines) + "\n"
+    """Serialize the effective configuration; parse_toml round-trips it.
+
+    Keys are written in field order under their [section], top-level keys
+    first; a section starts where its first key falls. None values are left
+    out.
+    """
+    sections: dict[str, list[str]] = {}
+    for key, _, value in config_keys(cfg):
+        section, _, name = key.rpartition(".")
+        lines = sections.setdefault(section, [f"[{section}]"] if section else [])
+        if value is not None:
+            lines.append(f"{name} = {_fmt(value)}")
+    return "\n\n".join("\n".join(lines) for lines in sections.values()) + "\n"

@@ -8,6 +8,7 @@ reproduces the grid bit for bit.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -48,8 +49,8 @@ def read_ascii_grid(path: str | Path) -> RasterGrid:
     cellsize = header["cellsize"]
     if n_cols <= 0 or n_rows <= 0:
         raise RasterFormatError(f"{path}: non-positive grid dimensions")
-    if cellsize <= 0:
-        raise RasterFormatError(f"{path}: non-positive cellsize")
+    if not (0 < cellsize < math.inf):
+        raise RasterFormatError(f"{path}: cellsize must be positive and finite, got {cellsize}")
 
     if "xllcorner" in header:
         xll = header["xllcorner"]

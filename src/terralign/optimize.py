@@ -46,46 +46,41 @@ class Bounds:
         return abs(dx) <= self.max_abs_dx and abs(dy) <= self.max_abs_dy
 
 
-@dataclass
-class ObjectiveSpec:
-    group: ShotGroup
-    dem: RasterGrid
-    metric: MetricKind | str = MetricKind.EUCLIDEAN
-    radius: float = 12.5
-    agg: AggregationKind = AggregationKind.MEAN
-    oob_penalty: float = DEFAULT_OOB_PENALTY
-
-    def __post_init__(self) -> None:
-        self.metric = MetricKind(self.metric)
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if not math.isfinite(self.oob_penalty) or self.oob_penalty <= 0:
-            raise ValueError("oob_penalty must be a positive finite value")
-        n = len(self.group.footprints)
-        if n < 1:
-            raise ValueError(f"group {self.group.key}: empty group has no objective")
-        if self.metric == MetricKind.CORRELATION and n < 2:
-            raise ValueError(f"group {self.group.key}: correlation needs >= 2 footprints")
-
-
 class Objective:
-    """Callable objective f(dx, dy) with a vectorized batch path.
+    """Objective f(dx, dy) of one shot group, with a vectorized batch path.
 
     batch() scores many candidate displacements in one raster pass; its
     per-row results are bitwise-identical to scalar calls.
     """
 
-    def __init__(self, spec: ObjectiveSpec) -> None:
-        pos = spec.group.positions
+    def __init__(
+        self,
+        group: ShotGroup,
+        dem: RasterGrid,
+        metric: MetricKind | str = MetricKind.EUCLIDEAN,
+        radius: float = 12.5,
+        agg: AggregationKind = AggregationKind.MEAN,
+        oob_penalty: float = DEFAULT_OOB_PENALTY,
+    ) -> None:
+        self.metric = MetricKind(metric)
+        if radius <= 0:
+            raise ValueError("radius must be positive")
+        if not math.isfinite(oob_penalty) or oob_penalty <= 0:
+            raise ValueError("oob_penalty must be a positive finite value")
+        n = len(group.footprints)
+        if n < 1:
+            raise ValueError(f"group {group.key}: empty group has no objective")
+        if self.metric == MetricKind.CORRELATION and n < 2:
+            raise ValueError(f"group {group.key}: correlation needs >= 2 footprints")
+        pos = group.positions
         self.xs = pos[:, 0]
         self.ys = pos[:, 1]
-        self.elev = spec.group.elevations
-        self.metric = MetricKind(spec.metric)
-        self.dem = spec.dem
-        self.radius = spec.radius
-        self.agg = spec.agg
-        self.oob_penalty = spec.oob_penalty
-        self.cell_size = max(spec.dem.cell_size_x, abs(spec.dem.cell_size_y))
+        self.elev = group.elevations
+        self.dem = dem
+        self.radius = radius
+        self.agg = agg
+        self.oob_penalty = oob_penalty
+        self.cell_size = max(dem.cell_size_x, abs(dem.cell_size_y))
         self.n_footprints = self.elev.shape[0]
 
     def __call__(self, dx: float, dy: float) -> float:
@@ -112,10 +107,6 @@ class Objective:
         return out
 
 
-def make_objective(spec: ObjectiveSpec) -> Objective:
-    return Objective(spec)
-
-
 @dataclass
 class DisplacementSolution:
     dx: float
@@ -132,7 +123,6 @@ class LbfgsbConfig:
     max_iter: int = 100
     tol: float = 1e-6
     fd_step: float | None = None  # None: max(DEM cell size, 1.0 m)
-    multistart: list[tuple[float, float]] | None = None  # None: derived from `starts`
     starts: int = 1  # 1 = origin only, 5 = origin + half-window corners
     history: int = 10
 
@@ -188,11 +178,12 @@ class PsoConfig:
 
 @dataclass
 class OptimizerConfig:
+    # first, so that [optimizer] precedes its subsections in effective_config.toml
+    grid_step: float = DEFAULT_GRID_STEP_M
     lbfgsb: LbfgsbConfig = field(default_factory=LbfgsbConfig)
     ga: GaConfig = field(default_factory=GaConfig)
     pso: PsoConfig = field(default_factory=PsoConfig)
-    seed: int = 0
-    grid_step: float = DEFAULT_GRID_STEP_M
+    seed: int = 0  # not a config key: RunConfig copies its top-level seed here
 
     def __post_init__(self) -> None:
         if self.grid_step <= 0:
@@ -295,14 +286,7 @@ def optimize_lbfgsb(
     lb = cfg.lbfgsb
     tracker = _Tracker(f, bounds)
     h = lb.fd_step if lb.fd_step is not None else max(getattr(f, "cell_size", 1.0), 1.0)
-    if lb.multistart is not None:
-        starts = lb.multistart
-    elif lb.starts == 5:
-        starts = five_point_starts(bounds)
-    else:
-        starts = [(0.0, 0.0)]
-    if not starts:
-        raise ValueError("multistart list must not be empty")
+    starts = five_point_starts(bounds) if lb.starts == 5 else [(0.0, 0.0)]
 
     def value_and_gradient(v: np.ndarray) -> tuple[float, np.ndarray]:
         x, y = v
@@ -486,7 +470,7 @@ def correct_group(
         )
         return sol, ShotGroup(key=group.key, footprints=list(group.footprints))
 
-    f = make_objective(ObjectiveSpec(group=group, dem=dem, metric=metric, radius=radius, agg=agg))
+    f = Objective(group, dem, metric=metric, radius=radius, agg=agg)
     if method == "grid":
         sol = grid_search(f, bounds, cfg.grid_step)
     elif method == "lbfgsb":

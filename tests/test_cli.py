@@ -1,5 +1,6 @@
 """End-to-end CLI workflows and exit-code contracts."""
 
+import argparse
 import csv
 import json
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import terralign
-from terralign.cli import main
+from terralign.cli import build_parser, main
 from terralign.geotiff import write_geotiff
 
 from conftest import flat_grid, make_grid
@@ -52,6 +53,24 @@ def test_cli_import_defers_scipy_optimize():
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "correct" in capsys.readouterr().out
+
+
+def test_run_flags_keep_their_option_strings():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    expected = [
+        "--agg", "--config", "--dem", "--footprints", "--ga-blend-alpha", "--ga-crossover-rate",
+        "--ga-elitism", "--ga-generations", "--ga-mutation-rate", "--ga-mutation-sigma", "--ga-pop",
+        "--ga-tournament-size", "--geoid", "--grid-step", "--help", "--lbfgsb-fd-step",
+        "--lbfgsb-history", "--lbfgsb-max-iter", "--lbfgsb-starts", "--lbfgsb-tol", "--max-dem-diff",
+        "--max-dx", "--max-dy", "--max-elev", "--methods", "--metrics", "--min-elev",
+        "--min-sensitivity", "--out", "--outlier-k", "--outlier-window", "--pso-cognitive",
+        "--pso-inertia", "--pso-iterations", "--pso-social", "--pso-swarm", "--radius",
+        "--require-tree-cover", "--seed", "--workers", "-h",
+    ]
+    for command in ("correct", "bench"):
+        actions = sub.choices[command]._actions
+        assert sorted(s for a in actions for s in a.option_strings) == expected
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -238,7 +257,7 @@ def test_evaluate_matches_correct_report(tmp_path):
     assert a == b
 
 
-def test_bench_reports_timings(tmp_path):
+def test_bench_reports_timings(tmp_path, capsys):
     dem, fps, _ = write_flat_scene(tmp_path)
     out = tmp_path / "bench"
     assert run([
@@ -247,3 +266,5 @@ def test_bench_reports_timings(tmp_path):
     lines = (out / "report.csv").read_text().splitlines()
     assert not lines[2].endswith(",")  # real wall time present
     assert float(lines[2].split(",")[-1]) >= 0.0
+    assert (out / "corrected_grid_euclidean.csv").exists()
+    assert "wall_time_s" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import pytest
 
 from terralign import (
     AggregationKind,
+    Bounds,
     ConfigError,
     RunConfig,
     config_from_dict,
@@ -11,6 +12,7 @@ from terralign import (
     load_config,
     parse_toml,
 )
+from terralign.cli import main
 
 
 def test_parse_toml_scalars_and_sections():
@@ -128,3 +130,95 @@ def test_dump_config_omits_unset_optionals():
 def test_load_config_requires_method_and_metric():
     with pytest.raises(ConfigError):
         load_config("methods = []\n")
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        pytest.param('workers = "2"\n', "workers", id="int-from-string"),
+        pytest.param('radius = "x"\n', "radius", id="float-from-string"),
+        pytest.param('[bounds]\nmax_abs_dx = "a"\n', "bounds.max_abs_dx", id="frozen-section"),
+        pytest.param("[optimizer]\nseed = 3\n", "optimizer.seed", id="solver-seed"),
+        pytest.param('methods = "grid"\n', "methods", id="list-from-string"),
+        pytest.param('methods = ["sgd"]\n', "methods", id="unknown-method"),
+        pytest.param("[optimizer.ga]\npop = 2.5\n", "optimizer.ga.pop", id="int-from-float"),
+        pytest.param(
+            "[optimizer.lbfgsb]\nmultistart = [1.0, 2.0]\n", "optimizer.lbfgsb.multistart", id="multistart"
+        ),
+    ],
+)
+def test_bad_config_value_names_the_key(tmp_path, capsys, text, key):
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        load_config(text)
+    path = tmp_path / "run.toml"
+    path.write_text(text)
+    assert main(["correct", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+    assert "Traceback" not in err
+
+
+def test_config_ints_become_floats_and_flags_override():
+    cfg = config_from_dict(
+        {"radius": 10, "bounds": {"max_abs_dx": 5}}, {"bounds.max_abs_dy": 7.5, "radius": 11.0}
+    )
+    assert cfg.radius == 11.0 and cfg.bounds == Bounds(5.0, 7.5)
+    assert isinstance(cfg.bounds.max_abs_dx, float)
+    with pytest.raises(ConfigError, match="bogus"):
+        config_from_dict({}, {"bogus": 1})
+
+
+def test_dump_config_defaults_golden():
+    assert dump_config(RunConfig()) == """\
+dem_path = ""
+footprints_path = ""
+output_dir = ""
+methods = ["grid"]
+metrics = ["euclidean"]
+radius = 12.5
+agg = "mean"
+workers = 1
+seed = 0
+
+[bounds]
+max_abs_dx = 25.0
+max_abs_dy = 25.0
+
+[quality]
+min_elev = 0.0
+max_elev = 2500.0
+require_degrade_zero = true
+require_quality_one = true
+min_sensitivity = 0.95
+require_positive_rh100 = true
+require_tree_cover = false
+max_dem_diff = 50.0
+outlier_window = 7
+outlier_k = 2.0
+
+[optimizer]
+grid_step = 5.0
+
+[optimizer.lbfgsb]
+max_iter = 100
+tol = 1e-06
+starts = 1
+history = 10
+
+[optimizer.ga]
+pop = 50
+generations = 100
+crossover_rate = 0.8
+mutation_rate = 0.1
+tournament_size = 3
+blend_alpha = 0.5
+mutation_sigma = 2.5
+elitism = 1
+
+[optimizer.pso]
+swarm = 50
+iterations = 100
+cognitive = 1.5
+social = 1.5
+inertia = 0.5
+"""

@@ -10,7 +10,7 @@ from terralign import (
     GaConfig,
     LbfgsbConfig,
     MetricKind,
-    ObjectiveSpec,
+    Objective,
     OptimizerConfig,
     TerrainSpec,
     TrackSpec,
@@ -22,7 +22,6 @@ from terralign import (
     gen_track,
     grid_search,
     lattice_points,
-    make_objective,
     optimize_ga,
     optimize_lbfgsb,
     optimize_pso,
@@ -296,17 +295,32 @@ def test_objective_flat_dem_is_zero_everywhere():
     dem = flat_grid(128)
     group = make_group([50.0, 60.0, 70.0], [60.0, 60.0, 60.0], [100.0] * 3)
     for metric in (MetricKind.EUCLIDEAN, MetricKind.MANHATTAN, MetricKind.AREA):
-        f = make_objective(ObjectiveSpec(group=group, dem=dem, metric=metric))
+        f = Objective(group, dem, metric=metric)
         assert f(0.0, 0.0) == 0.0
         assert f(7.3, -12.1) == 0.0
-    f_corr = make_objective(ObjectiveSpec(group=group, dem=dem, metric=MetricKind.CORRELATION))
+    f_corr = Objective(group, dem, metric=MetricKind.CORRELATION)
     assert f_corr(3.0, 3.0) == 2.0  # zero-variance reference hits the worst case
+
+
+def test_objective_rejects_bad_arguments():
+    dem = flat_grid(16)
+    group = make_group([5.0, 6.0], [5.0, 5.0], [100.0] * 2)
+    with pytest.raises(ValueError, match="radius"):
+        Objective(group, dem, radius=0.0)
+    with pytest.raises(ValueError, match="oob_penalty"):
+        Objective(group, dem, oob_penalty=math.inf)
+    with pytest.raises(ValueError, match="empty group"):
+        Objective(make_group([], [], []), dem)
+    with pytest.raises(ValueError, match="correlation"):
+        Objective(make_group([5.0], [5.0], [100.0]), dem, metric="correlation")
+    with pytest.raises(ValueError):
+        Objective(group, dem, metric="cosine")
 
 
 def test_objective_penalizes_off_dem_positions():
     dem = flat_grid(40)
     group = make_group([5.0, 10.0, 15.0], [20.0, 20.0, 20.0], [100.0] * 3)
-    f = make_objective(ObjectiveSpec(group=group, dem=dem, metric=MetricKind.EUCLIDEAN))
+    f = Objective(group, dem, metric=MetricKind.EUCLIDEAN)
     val = f(-25.0, 0.0)  # pushes the first buffers fully west of the raster
     assert val >= 1e9
     assert f(0.0, 0.0) == 0.0
@@ -320,7 +334,7 @@ def test_objective_batch_matches_scalar_bitwise(rng):
     ys = rng.uniform(150.0, 330.0, 8)
     elevs = rng.normal(100.0, 10.0, 8)
     group = make_group(xs, ys, elevs)
-    f = make_objective(ObjectiveSpec(group=group, dem=terrain, metric=MetricKind.EUCLIDEAN))
+    f = Objective(group, terrain, metric=MetricKind.EUCLIDEAN)
     pts = rng.uniform(-25.0, 25.0, (64, 2))
     batch = f.batch(pts)
     for i, (dx, dy) in enumerate(pts):
@@ -396,7 +410,7 @@ def test_lbfgsb_batched_probes_match_scalar_paths():
     through the tracker's fallback and against the scalar-probe reference."""
     for seed, planted in ((11, (8.0, -3.0)), (5, (-14.0, 9.0)), (23, (2.5, 17.0))):
         terrain, group = planted_scene(seed=seed, planted=planted)
-        f = make_objective(ObjectiveSpec(group=group, dem=terrain, metric=MetricKind.EUCLIDEAN))
+        f = Objective(group, terrain, metric=MetricKind.EUCLIDEAN)
         scalar = lambda dx, dy: f(dx, dy)  # no .batch: the tracker calls it row by row
         scalar.cell_size = f.cell_size
         for starts in (1, 5):

@@ -277,6 +277,14 @@ def test_ascii_nodata_cell_queries_as_nan(tmp_path):
     assert sample_point(back, 0.5, 0.5) == 100.0
 
 
+@pytest.mark.parametrize("cellsize", ["nan", "inf"])
+def test_ascii_non_finite_cellsize_is_format_error(tmp_path, cellsize):
+    path = tmp_path / "grid.asc"
+    path.write_text(f"ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize {cellsize}\n1 2\n3 4\n")
+    with pytest.raises(RasterFormatError, match="cellsize"):
+        load_raster(path)
+
+
 def test_geotiff_round_trip_bit_identical(tmp_path, rng):
     values = rng.normal(250.0, 40.0, (17, 11))
     values[0, 0] = np.nan

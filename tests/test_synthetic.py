@@ -7,7 +7,7 @@ import pytest
 
 from terralign import (
     MetricKind,
-    ObjectiveSpec,
+    Objective,
     OptimizerConfig,
     TerrainSpec,
     TrackError,
@@ -15,7 +15,6 @@ from terralign import (
     correct_group,
     gen_terrain,
     gen_track,
-    make_objective,
     plant_offset,
     run_recovery_experiment,
 )
@@ -145,7 +144,7 @@ def test_noiseless_ramp_objective_zero_at_negated_offset():
     terrain = gen_terrain(TerrainSpec(kind="ramp", n_rows=220, n_cols=220, cell_size=1.0, relief=100.0))
     spec = TrackSpec(n_footprints=10, spacing=15.0, heading=90.0, planted_dx=-8.0, planted_dy=0.0, seed=3)
     observed = plant_offset(gen_track(terrain, spec), spec)
-    f = make_objective(ObjectiveSpec(group=observed, dem=terrain, metric=MetricKind.EUCLIDEAN))
+    f = Objective(observed, terrain, metric=MetricKind.EUCLIDEAN)
     assert f(8.0, 0.0) <= 1e-6 * 100.0
     assert f(8.0, 0.0) < f(0.0, 0.0)
 
