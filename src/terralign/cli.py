@@ -249,42 +249,20 @@ def _load_pipeline(cfg: RunConfig):
     return dem, groups, stats
 
 
-def _write_corrected_csv(path: Path, result) -> None:
-    base_columns: list[str] | None = None
-    for group in result.original_groups:
-        for fp in group.footprints:
-            if fp.raw:
-                base_columns = list(fp.raw.keys())
-            break
-        if base_columns:
-            break
-    if base_columns is None:
-        base_columns = list(REQUIRED_COLUMNS)
+def _write_corrected_csv(path: Path, groups, result) -> None:
+    """One row per footprint of `groups`: its input columns, then the correction.
 
-    def base_value(fp, col: str) -> str:
-        if fp.raw and col in fp.raw:
-            return fp.raw[col]
-        return {
-            "shot_number": fp.shot_number,
-            "beam": fp.beam,
-            "x": _fmt_float(fp.x),
-            "y": _fmt_float(fp.y),
-            "elev_lowestmode": _fmt_float(fp.elev_lowestmode),
-            "degrade_flag": str(fp.degrade_flag),
-            "quality_flag": str(fp.quality_flag),
-            "sensitivity": _fmt_float(fp.sensitivity),
-            "rh100": _fmt_float(fp.rh100),
-        }.get(col, "")
-
+    Every footprint comes from `parse_footprints`, so `raw` holds every
+    input column, in header order.
+    """
+    columns = list(next(fp for g in groups for fp in g.footprints).raw)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(base_columns + list(CORRECTED_EXTRA_COLUMNS))
-        for sol, original, corrected in zip(
-            result.solutions, result.original_groups, result.corrected_groups
-        ):
+        writer.writerow(columns + list(CORRECTED_EXTRA_COLUMNS))
+        for sol, original, corrected in zip(result.solutions, groups, result.corrected_groups):
             for fp_before, fp_after in zip(original.footprints, corrected.footprints):
                 writer.writerow(
-                    [base_value(fp_before, c) for c in base_columns]
+                    [fp_before.raw[c] for c in columns]
                     + [
                         original.key,
                         _fmt_float(sol.dx),
@@ -317,14 +295,11 @@ def _run(args: argparse.Namespace, timed: bool) -> int:
         for metric in cfg.metrics:
             logger.info("correcting with method=%s metric=%s", method, metric)
             results.append(
-                correct_dataset(
-                    groups, dem, method=method, metric=metric, cfg=cfg.optimizer,
-                    bounds=cfg.bounds, radius=cfg.radius, agg=cfg.agg, workers=cfg.workers,
-                )
+                correct_dataset(groups, dem, method=method, metric=metric, cfg=cfg, workers=cfg.workers)
             )
     for result in results:
         name = f"corrected_{result.method}_{result.metric}.csv"
-        _write_corrected_csv(out_dir / name, result)
+        _write_corrected_csv(out_dir / name, groups, result)
         logger.info("wrote %s", out_dir / name)
 
     rows = compare_methods(results, groups)

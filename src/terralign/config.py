@@ -1,5 +1,9 @@
 """Run configuration: `RunConfig` and its nested dataclasses are the schema.
 
+This module owns every settings type (search bounds, quality rules, solver
+settings) and imports no terralign module but `metrics` and `raster`, so
+the modules that read the settings can all name `RunConfig`.
+
 A key is a dotted field path (`optimizer.ga.pop`) and each nested dataclass
 is a [section]. `config_from_dict` type-checks a parsed file plus flag
 overrides against the field annotations, `config_keys` lists the keys the
@@ -17,9 +21,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from typing import Any, Iterator, Mapping, Union, get_args, get_origin, get_type_hints
 
-from .footprints import QualityRules
 from .metrics import MetricKind
-from .optimize import METHOD_NAMES, Bounds, OptimizerConfig
 from .raster import AggregationKind
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -28,12 +30,123 @@ _KEY_RE = re.compile(r"^([A-Za-z0-9_]+)\s*=\s*(.+)$")
 
 _METRIC_NAMES = tuple(m.value for m in MetricKind)
 
-# fields that are not config keys: the solvers' seed is the top-level seed
-_NOT_KEYS = frozenset({"optimizer.seed"})
-
 
 class ConfigError(ValueError):
     """Raised for unreadable config files or unknown keys."""
+
+
+METHOD_NAMES = ("grid", "lbfgsb", "ga", "pso")
+
+DEFAULT_WINDOW_M = 25.0
+DEFAULT_GRID_STEP_M = 5.0
+
+
+@dataclass(frozen=True)
+class Bounds:
+    max_abs_dx: float = DEFAULT_WINDOW_M
+    max_abs_dy: float = DEFAULT_WINDOW_M
+
+    def __post_init__(self) -> None:
+        if self.max_abs_dx <= 0 or self.max_abs_dy <= 0:
+            raise ValueError("bounds must be positive")
+
+    def contains(self, dx: float, dy: float) -> bool:
+        return abs(dx) <= self.max_abs_dx and abs(dy) <= self.max_abs_dy
+
+
+@dataclass
+class QualityRules:
+    min_elev: float = 0.0
+    max_elev: float = 2500.0
+    require_degrade_zero: bool = True
+    require_quality_one: bool = True
+    min_sensitivity: float = 0.95
+    require_positive_rh100: bool = True
+    require_tree_cover: bool = False
+    max_dem_diff: float = 50.0
+    outlier_window: int = 7
+    outlier_k: float = 2.0
+
+    def __post_init__(self) -> None:
+        if not self.min_elev < self.max_elev:
+            raise ValueError("min_elev must be below max_elev")
+        if self.outlier_window % 2 == 0 or self.outlier_window < 3:
+            raise ValueError("outlier_window must be odd and >= 3")
+        if self.outlier_k <= 0:
+            raise ValueError("outlier_k must be positive")
+        if self.max_dem_diff <= 0:
+            raise ValueError("max_dem_diff must be positive")
+
+
+@dataclass
+class LbfgsbConfig:
+    max_iter: int = 100
+    tol: float = 1e-6
+    fd_step: float | None = None  # None: max(DEM cell size, 1.0 m)
+    starts: int = 1  # 1 = origin only, 5 = origin + half-window corners
+    history: int = 10
+
+    def __post_init__(self) -> None:
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
+        if self.fd_step is not None and self.fd_step <= 0:
+            raise ValueError("fd_step must be positive")
+        if self.starts not in (1, 5):
+            raise ValueError("starts must be 1 or 5")
+        if self.history < 1:
+            raise ValueError("history must be positive")
+
+
+@dataclass
+class GaConfig:
+    pop: int = 50
+    generations: int = 100
+    crossover_rate: float = 0.8
+    mutation_rate: float = 0.1
+    tournament_size: int = 3
+    blend_alpha: float = 0.5
+    mutation_sigma: float = 2.5
+    elitism: int = 1
+
+    def __post_init__(self) -> None:
+        if self.pop < 2 or self.generations < 1 or self.tournament_size < 1:
+            raise ValueError("population, generations and tournament size must be positive")
+        if not (0.0 <= self.crossover_rate <= 1.0 and 0.0 <= self.mutation_rate <= 1.0):
+            raise ValueError("rates must lie in [0, 1]")
+        if self.blend_alpha < 0 or self.mutation_sigma < 0:
+            raise ValueError("blend_alpha and mutation_sigma must be non-negative")
+        if not 0 <= self.elitism < self.pop:
+            raise ValueError("elitism must be in [0, pop)")
+
+
+@dataclass
+class PsoConfig:
+    swarm: int = 50
+    iterations: int = 100
+    cognitive: float = 1.5
+    social: float = 1.5
+    inertia: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.swarm < 1 or self.iterations < 1:
+            raise ValueError("swarm and iterations must be positive")
+        if self.cognitive < 0 or self.social < 0 or self.inertia < 0:
+            raise ValueError("coefficients must be non-negative")
+
+
+@dataclass
+class OptimizerConfig:
+    # first, so that [optimizer] precedes its subsections in effective_config.toml
+    grid_step: float = DEFAULT_GRID_STEP_M
+    lbfgsb: LbfgsbConfig = field(default_factory=LbfgsbConfig)
+    ga: GaConfig = field(default_factory=GaConfig)
+    pso: PsoConfig = field(default_factory=PsoConfig)
+
+    def __post_init__(self) -> None:
+        if self.grid_step <= 0:
+            raise ValueError("grid_step must be positive")
 
 
 @dataclass
@@ -53,9 +166,6 @@ class RunConfig:
     agg: AggregationKind = AggregationKind.MEAN
     workers: int = 1
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        self.optimizer.seed = self.seed
 
     def validate(self) -> None:
         lists = (("methods", self.methods, METHOD_NAMES), ("metrics", self.metrics, _METRIC_NAMES))
@@ -163,9 +273,7 @@ def _keys(cls: type, prefix: str) -> Iterator[tuple[str, str, Any]]:
     """(dotted key, field name, resolved type) of each config key of a dataclass."""
     hints = get_type_hints(cls)
     for f in fields(cls):
-        key = prefix + f.name
-        if key not in _NOT_KEYS:
-            yield key, f.name, hints[f.name]
+        yield prefix + f.name, f.name, hints[f.name]
 
 
 def _strip_optional(tp: Any) -> Any:

@@ -44,6 +44,9 @@ def read_ascii_grid(path: str | Path) -> RasterGrid:
     for key in ("ncols", "nrows", "cellsize"):
         if key not in header:
             raise RasterFormatError(f"{path}: missing required ASCII grid header {key!r}")
+    for key in ("ncols", "nrows"):
+        if not header[key].is_integer():  # also false for nan and inf
+            raise RasterFormatError(f"{path}: {key} must be an integer, got {header[key]}")
     n_cols = int(header["ncols"])
     n_rows = int(header["nrows"])
     cellsize = header["cellsize"]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -96,79 +97,67 @@ class ReportRow:
     wall_time_s: float = math.nan
 
 
-def _surviving_shots(groups: Sequence[ShotGroup]) -> set:
-    return {
-        fp.shot_number
-        for g in groups
-        for fp in g.footprints
-        if fp.ref_elev is not None
-    }
+def _has_ref(groups: Sequence[ShotGroup]) -> np.ndarray:
+    return np.array([fp.ref_elev is not None for g in groups for fp in g.footprints], dtype=bool)
 
 
-def _collect_pairs(groups: Sequence[ShotGroup], shots: set) -> tuple[np.ndarray, np.ndarray]:
-    elev = []
-    ref = []
-    for g in groups:
-        for fp in g.footprints:
-            if fp.shot_number in shots and fp.ref_elev is not None:
-                elev.append(fp.gedi_dem)
-                ref.append(fp.ref_elev)
-    return np.asarray(elev, dtype=np.float64), np.asarray(ref, dtype=np.float64)
+def _pairs(groups: Sequence[ShotGroup], keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    kept = list(compress((fp for g in groups for fp in g.footprints), keep))
+    elev = np.asarray([fp.gedi_dem for fp in kept], dtype=np.float64)
+    ref = np.asarray([fp.ref_elev for fp in kept], dtype=np.float64)
+    return elev, ref
 
 
-def compare_methods(results: Sequence, original_groups: Sequence[ShotGroup]) -> list[ReportRow]:
+def compare_methods(results: Sequence, groups: Sequence[ShotGroup]) -> list[ReportRow]:
     """Build one report row per result plus the leading "original" row.
 
-    Results may be CorrectionResult objects or (label, CorrectionResult)
-    pairs; a label overrides the method name in the table. All results must
-    cover the same shot groups.
+    `groups` are the groups every result corrected; each result's corrected
+    groups must match them in keys and sizes, footprint for footprint. MAE
+    and `n_footprints` count, by position, the footprints with a reference
+    elevation before correction and in every result.
     """
-    labeled = []
-    for item in results:
-        if isinstance(item, tuple):
-            label, result = item
-        else:
-            label, result = item.method, item
-        labeled.append((label, result))
-
-    base_keys = [g.key for g in original_groups]
-    for label, result in labeled:
-        keys = [g.key for g in result.original_groups]
+    base_keys = [g.key for g in groups]
+    base_sizes = [len(g) for g in groups]
+    for result in results:
+        keys = [g.key for g in result.corrected_groups]
         if keys != base_keys:
             differing = sorted(set(keys).symmetric_difference(base_keys))
             raise ValueError(
-                f"result {label!r} covers different shot groups; differing keys: "
+                f"result {result.method!r} covers different shot groups; differing keys: "
                 + ", ".join(differing)
             )
+        if [len(g) for g in result.corrected_groups] != base_sizes:
+            raise ValueError(f"result {result.method!r} has group sizes unlike the input groups")
 
-    shots = _surviving_shots(original_groups)
-    for _, result in labeled:
-        shots &= _surviving_shots(result.corrected_groups)
-    if not shots:
+    keep = _has_ref(groups)
+    for result in results:
+        keep &= _has_ref(result.corrected_groups)
+    n_kept = int(np.count_nonzero(keep))
+    if n_kept == 0:
         raise ValueError("no footprints survive in every compared result")
 
-    elev0, ref0 = _collect_pairs(original_groups, shots)
+    elev0, ref0 = _pairs(groups, keep)
     nan = math.nan
     rows = [
         ReportRow(
             method=ORIGINAL_LABEL,
             metric="",
             mae_m=mae(elev0, ref0),
-            offsets=OffsetSummary(nan, nan, nan, nan, nan, nan, len(original_groups)),
-            n_footprints=len(shots),
+            offsets=OffsetSummary(nan, nan, nan, nan, nan, nan, len(groups)),
+            n_footprints=n_kept,
             wall_time_s=nan,
         )
     ]
-    for label, result in labeled:
-        elev, ref = _collect_pairs(result.corrected_groups, shots)
+    for result in results:
+        elev, ref = _pairs(result.corrected_groups, keep)
         corrected_sols = [s for s in result.solutions if not s.skipped]
         rows.append(
             ReportRow(
-                method=label,
+                method=result.method,
                 metric=result.metric,
                 mae_m=mae(elev, ref),
                 offsets=displacement_stats(corrected_sols),
-                n_footprints=len(shots),
+                n_footprints=n_kept,
                 wall_time_s=result.wall_time_s,
             )
         )

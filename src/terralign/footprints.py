@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import QualityRules
 from .raster import AggregationKind, RasterGrid, aggregate_buffer_points, check_crs, sample_points
 
 logger = logging.getLogger(__name__)
@@ -88,30 +89,6 @@ class ShotGroup:
             [math.nan if fp.ref_elev is None else fp.ref_elev for fp in self.footprints],
             dtype=np.float64,
         )
-
-
-@dataclass
-class QualityRules:
-    min_elev: float = 0.0
-    max_elev: float = 2500.0
-    require_degrade_zero: bool = True
-    require_quality_one: bool = True
-    min_sensitivity: float = 0.95
-    require_positive_rh100: bool = True
-    require_tree_cover: bool = False
-    max_dem_diff: float = 50.0
-    outlier_window: int = 7
-    outlier_k: float = 2.0
-
-    def __post_init__(self) -> None:
-        if not self.min_elev < self.max_elev:
-            raise ValueError("min_elev must be below max_elev")
-        if self.outlier_window % 2 == 0 or self.outlier_window < 3:
-            raise ValueError("outlier_window must be odd and >= 3")
-        if self.outlier_k <= 0:
-            raise ValueError("outlier_k must be positive")
-        if self.max_dem_diff <= 0:
-            raise ValueError("max_dem_diff must be positive")
 
 
 @dataclass

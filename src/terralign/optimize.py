@@ -15,35 +15,20 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import DEFAULT_GRID_STEP_M, METHOD_NAMES, Bounds, OptimizerConfig, RunConfig
 from .footprints import MIN_GROUP_SIZE, ShotGroup
 from .metrics import MetricKind, distance_many
 from .raster import AggregationKind, RasterGrid, aggregate_buffer_points
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_WINDOW_M = 25.0
-DEFAULT_GRID_STEP_M = 5.0
 DEFAULT_OOB_PENALTY = 1e9
-
-METHOD_NAMES = ("grid", "lbfgsb", "ga", "pso")
-
-
-@dataclass(frozen=True)
-class Bounds:
-    max_abs_dx: float = DEFAULT_WINDOW_M
-    max_abs_dy: float = DEFAULT_WINDOW_M
-
-    def __post_init__(self) -> None:
-        if self.max_abs_dx <= 0 or self.max_abs_dy <= 0:
-            raise ValueError("bounds must be positive")
-
-    def contains(self, dx: float, dy: float) -> bool:
-        return abs(dx) <= self.max_abs_dx and abs(dy) <= self.max_abs_dy
 
 
 class Objective:
@@ -116,78 +101,6 @@ class DisplacementSolution:
     converged: bool
     method: str
     skipped: bool = False
-
-
-@dataclass
-class LbfgsbConfig:
-    max_iter: int = 100
-    tol: float = 1e-6
-    fd_step: float | None = None  # None: max(DEM cell size, 1.0 m)
-    starts: int = 1  # 1 = origin only, 5 = origin + half-window corners
-    history: int = 10
-
-    def __post_init__(self) -> None:
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.fd_step is not None and self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
-        if self.starts not in (1, 5):
-            raise ValueError("starts must be 1 or 5")
-        if self.history < 1:
-            raise ValueError("history must be positive")
-
-
-@dataclass
-class GaConfig:
-    pop: int = 50
-    generations: int = 100
-    crossover_rate: float = 0.8
-    mutation_rate: float = 0.1
-    tournament_size: int = 3
-    blend_alpha: float = 0.5
-    mutation_sigma: float = 2.5
-    elitism: int = 1
-
-    def __post_init__(self) -> None:
-        if self.pop < 2 or self.generations < 1 or self.tournament_size < 1:
-            raise ValueError("population, generations and tournament size must be positive")
-        if not (0.0 <= self.crossover_rate <= 1.0 and 0.0 <= self.mutation_rate <= 1.0):
-            raise ValueError("rates must lie in [0, 1]")
-        if self.blend_alpha < 0 or self.mutation_sigma < 0:
-            raise ValueError("blend_alpha and mutation_sigma must be non-negative")
-        if not 0 <= self.elitism < self.pop:
-            raise ValueError("elitism must be in [0, pop)")
-
-
-@dataclass
-class PsoConfig:
-    swarm: int = 50
-    iterations: int = 100
-    cognitive: float = 1.5
-    social: float = 1.5
-    inertia: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.swarm < 1 or self.iterations < 1:
-            raise ValueError("swarm and iterations must be positive")
-        if self.cognitive < 0 or self.social < 0 or self.inertia < 0:
-            raise ValueError("coefficients must be non-negative")
-
-
-@dataclass
-class OptimizerConfig:
-    # first, so that [optimizer] precedes its subsections in effective_config.toml
-    grid_step: float = DEFAULT_GRID_STEP_M
-    lbfgsb: LbfgsbConfig = field(default_factory=LbfgsbConfig)
-    ga: GaConfig = field(default_factory=GaConfig)
-    pso: PsoConfig = field(default_factory=PsoConfig)
-    seed: int = 0  # not a config key: RunConfig copies its top-level seed here
-
-    def __post_init__(self) -> None:
-        if self.grid_step <= 0:
-            raise ValueError("grid_step must be positive")
 
 
 class _Tracker:
@@ -323,7 +236,8 @@ def optimize_ga(
     f: Callable,
     bounds: Bounds = Bounds(),
     cfg: OptimizerConfig | None = None,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> DisplacementSolution:
     """Real-coded genetic algorithm on (dx, dy); returns the best ever seen.
 
@@ -334,7 +248,6 @@ def optimize_ga(
     """
     cfg = cfg or OptimizerConfig()
     g = cfg.ga
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     tracker = _Tracker(f, bounds)
     lo = np.array([-bounds.max_abs_dx, -bounds.max_abs_dy])
     hi = np.array([bounds.max_abs_dx, bounds.max_abs_dy])
@@ -382,7 +295,8 @@ def optimize_pso(
     f: Callable,
     bounds: Bounds = Bounds(),
     cfg: OptimizerConfig | None = None,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> DisplacementSolution:
     """Global-best particle swarm with velocity clamping.
 
@@ -391,7 +305,6 @@ def optimize_pso(
     """
     cfg = cfg or OptimizerConfig()
     p = cfg.pso
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     tracker = _Tracker(f, bounds)
     lo = np.array([-bounds.max_abs_dx, -bounds.max_abs_dy])
     hi = np.array([bounds.max_abs_dx, bounds.max_abs_dy])
@@ -437,7 +350,6 @@ class CorrectionResult:
     method: str
     metric: str
     solutions: list[DisplacementSolution]
-    original_groups: list[ShotGroup]
     corrected_groups: list[ShotGroup]
     n_skipped: int
     wall_time_s: float
@@ -448,42 +360,40 @@ def correct_group(
     dem: RasterGrid,
     method: str = "grid",
     metric: MetricKind | str = MetricKind.EUCLIDEAN,
-    cfg: OptimizerConfig | None = None,
-    bounds: Bounds = Bounds(),
-    radius: float = 12.5,
-    agg: AggregationKind = AggregationKind.MEAN,
-    min_group_size: int = MIN_GROUP_SIZE,
+    cfg: RunConfig | None = None,
 ) -> tuple[DisplacementSolution, ShotGroup]:
     """Solve one group's displacement and shift its footprints.
 
-    Undersized groups are skipped with a zero offset. Corrected footprints
-    get ref_elev recomputed at the shifted position; None where the shifted
-    buffer has no DEM coverage.
+    Reads `radius`, `agg`, `bounds`, `optimizer` and `seed` from `cfg`. GA
+    and PSO draw from a generator seeded by `derive_group_seed(cfg.seed,
+    group.key)`. Groups below MIN_GROUP_SIZE are skipped with a zero
+    offset. Corrected footprints get ref_elev recomputed at the shifted
+    position; None where the shifted buffer has no DEM coverage.
     """
     if method not in METHOD_NAMES:
         raise ValueError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
-    cfg = cfg or OptimizerConfig()
-    if len(group) < min_group_size:
+    cfg = cfg or RunConfig()
+    if len(group) < MIN_GROUP_SIZE:
         sol = DisplacementSolution(
             dx=0.0, dy=0.0, objective_value=0.0, evaluations=0,
             converged=False, method=method, skipped=True,
         )
         return sol, ShotGroup(key=group.key, footprints=list(group.footprints))
 
-    f = Objective(group, dem, metric=metric, radius=radius, agg=agg)
+    f = Objective(group, dem, metric=metric, radius=cfg.radius, agg=cfg.agg)
     if method == "grid":
-        sol = grid_search(f, bounds, cfg.grid_step)
+        sol = grid_search(f, cfg.bounds, cfg.optimizer.grid_step)
     elif method == "lbfgsb":
-        sol = optimize_lbfgsb(f, bounds, cfg)
+        sol = optimize_lbfgsb(f, cfg.bounds, cfg.optimizer)
     else:
         rng = np.random.default_rng(derive_group_seed(cfg.seed, group.key))
         solver = optimize_ga if method == "ga" else optimize_pso
-        sol = solver(f, bounds, cfg, rng)
+        sol = solver(f, cfg.bounds, cfg.optimizer, rng=rng)
 
     pos = group.positions
     new_x = pos[:, 0] + sol.dx
     new_y = pos[:, 1] + sol.dy
-    refs = aggregate_buffer_points(dem, new_x, new_y, radius, agg)
+    refs = aggregate_buffer_points(dem, new_x, new_y, cfg.radius, cfg.agg)
     corrected = [
         replace(fp, x=float(x), y=float(y), ref_elev=float(r) if math.isfinite(r) else None)
         for fp, x, y, r in zip(group.footprints, new_x, new_y, refs)
@@ -496,28 +406,21 @@ def correct_dataset(
     dem: RasterGrid,
     method: str = "grid",
     metric: MetricKind | str = MetricKind.EUCLIDEAN,
-    cfg: OptimizerConfig | None = None,
-    bounds: Bounds = Bounds(),
-    radius: float = 12.5,
-    agg: AggregationKind = AggregationKind.MEAN,
+    cfg: RunConfig | None = None,
     workers: int = 1,
-    min_group_size: int = MIN_GROUP_SIZE,
 ) -> CorrectionResult:
-    """Correct every group; output is schedule-independent for a fixed seed."""
-    cfg = cfg or OptimizerConfig()
+    """Correct every group with `correct_group`, on `workers` threads.
 
-    def work(group: ShotGroup) -> tuple[DisplacementSolution, ShotGroup]:
-        return correct_group(
-            group, dem, method=method, metric=metric, cfg=cfg,
-            bounds=bounds, radius=radius, agg=agg, min_group_size=min_group_size,
-        )
-
+    `cfg.workers` is not read here: the caller passes `workers`. Output is
+    schedule-independent for a fixed `cfg.seed`.
+    """
+    solve = partial(correct_group, dem=dem, method=method, metric=metric, cfg=cfg)
     start = time.perf_counter()
     if workers <= 1:
-        outcomes = [work(g) for g in groups]
+        outcomes = [solve(g) for g in groups]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, groups))
+            outcomes = list(pool.map(solve, groups))
     wall = time.perf_counter() - start
 
     solutions = [sol for sol, _ in outcomes]
@@ -529,7 +432,6 @@ def correct_dataset(
         method=method,
         metric=str(MetricKind(metric).value),
         solutions=solutions,
-        original_groups=list(groups),
         corrected_groups=corrected,
         n_skipped=n_skipped,
         wall_time_s=wall,

@@ -15,10 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .evaluate import mae
 from .footprints import Footprint, ShotGroup, attach_reference
 from .metrics import MetricKind
-from .optimize import Bounds, OptimizerConfig, correct_group
+from .optimize import correct_group
 from .raster import AggregationKind, RasterGrid, aggregate_buffer_points
 
 BASE_ELEVATION_M = 100.0
@@ -304,18 +305,18 @@ def run_recovery_experiment(
     track_spec: TrackSpec,
     methods: Sequence[str],
     metrics: Sequence[str],
-    cfg: OptimizerConfig | None = None,
-    bounds: Bounds = Bounds(),
-    radius: float = 12.5,
-    agg: AggregationKind = AggregationKind.MEAN,
+    cfg: RunConfig | None = None,
 ) -> ExperimentReport:
-    """Plant an offset, run every method x metric, measure the recovery."""
-    cfg = cfg or OptimizerConfig()
+    """Plant an offset, run every method x metric, measure the recovery.
+
+    Reads `radius`, `agg`, `bounds`, `optimizer` and `seed` from `cfg`.
+    """
+    cfg = cfg or RunConfig()
     terrain = gen_terrain(terrain_spec)
-    truth = gen_track(terrain, track_spec, radius, agg)
+    truth = gen_track(terrain, track_spec, cfg.radius, cfg.agg)
     observed = plant_offset(truth, track_spec)
     # no 50 m exclusion here: synthetic elevations are honest by construction
-    observed = attach_reference(observed, terrain, radius, agg, max_dem_diff=math.inf)
+    observed = attach_reference(observed, terrain, cfg.radius, cfg.agg, max_dem_diff=math.inf)
     elev = observed.elevations
     mae_before = mae(elev, observed.ref_elevs)
 
@@ -323,10 +324,7 @@ def run_recovery_experiment(
     for method in methods:
         for metric in metrics:
             start = time.perf_counter()
-            sol, corrected = correct_group(
-                observed, terrain, method=method, metric=metric,
-                cfg=cfg, bounds=bounds, radius=radius, agg=agg,
-            )
+            sol, corrected = correct_group(observed, terrain, method=method, metric=metric, cfg=cfg)
             wall = time.perf_counter() - start
             kept = [fp for fp in corrected.footprints if fp.ref_elev is not None]
             if kept:

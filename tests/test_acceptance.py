@@ -22,6 +22,7 @@ from terralign import (
     MetricKind,
     OptimizerConfig,
     QualityRules,
+    RunConfig,
     TerrainSpec,
     TrackSpec,
     aggregate_buffer_points,
@@ -106,7 +107,7 @@ def corpus():
     t0 = time.perf_counter()
     bounds = Bounds()
     lattice = lattice_points(bounds, 0.5)
-    cfg5 = OptimizerConfig(lbfgsb=LbfgsbConfig(starts=5))
+    cfg5 = RunConfig(optimizer=OptimizerConfig(lbfgsb=LbfgsbConfig(starts=5)))
     rng = np.random.default_rng(777)
     scenes = []
     for i in range(N_SCENES):

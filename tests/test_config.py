@@ -73,7 +73,6 @@ def test_config_from_dict_full():
     assert cfg.optimizer.grid_step == 2.5
     assert cfg.optimizer.ga.pop == 30
     assert cfg.optimizer.lbfgsb.starts == 5
-    assert cfg.optimizer.seed == 5  # kept in lockstep with the top-level seed
 
 
 def test_config_unknown_key_rejected():
@@ -104,7 +103,6 @@ def test_dump_config_round_trip():
     cfg.output_dir = "run"
     cfg.metrics = ["euclidean", "correlation"]
     cfg.seed = 17
-    cfg.optimizer.seed = 17
     cfg.optimizer.ga.mutation_sigma = 3.25
     cfg.quality.require_tree_cover = True
     text = dump_config(cfg)

@@ -10,6 +10,7 @@ from terralign import (
     MetricKind,
     OffsetSummary,
     ReportRow,
+    ShotGroup,
     compare_methods,
     correct_dataset,
     displacement_stats,
@@ -152,6 +153,24 @@ def test_compare_methods_mismatched_groups_error():
     with pytest.raises(ValueError) as err:
         compare_methods([result], groups)
     assert "0000000003" in str(err.value)
+
+
+def test_compare_methods_counts_duplicate_shot_numbers_by_position():
+    dem, (group,) = groups_on_flat(n_groups=1, n_fps=6)
+    group.footprints[5].shot_number = group.footprints[4].shot_number
+    result = correct_dataset([group], dem, method="grid", metric="euclidean")
+    rows = compare_methods([result], [group])
+    # elevations 100.0 .. 100.5 over a flat 100 m DEM: MAE 0.25 over all 6 pairs
+    assert [r.n_footprints for r in rows] == [6, 6]
+    assert [r.mae_m for r in rows] == pytest.approx([0.25, 0.25], rel=1e-12)
+
+
+def test_compare_methods_rejects_resized_groups():
+    dem, groups = groups_on_flat()
+    shrunk = [groups[0], ShotGroup(groups[1].key, groups[1].footprints[:-1]), groups[2]]
+    result = correct_dataset(shrunk, dem, method="grid", metric="euclidean")
+    with pytest.raises(ValueError, match="group sizes"):
+        compare_methods([result], groups)
 
 
 def test_compare_methods_byte_stable():

@@ -12,6 +12,7 @@ from terralign import (
     MetricKind,
     Objective,
     OptimizerConfig,
+    RunConfig,
     TerrainSpec,
     TrackSpec,
     correct_dataset,
@@ -201,13 +202,13 @@ def test_lbfgsb_multistart_escapes_poor_basin():
 
 
 def test_ga_bowl_seed_1():
-    sol = optimize_ga(lambda dx, dy: dx * dx + dy * dy, cfg=OptimizerConfig(seed=1))
+    sol = optimize_ga(lambda dx, dy: dx * dx + dy * dy, rng=np.random.default_rng(1))
     assert sol.objective_value <= 0.1
     assert sol.converged and sol.method == "ga"
 
 
 def test_pso_bowl_seed_1():
-    sol = optimize_pso(lambda dx, dy: dx * dx + dy * dy, cfg=OptimizerConfig(seed=1))
+    sol = optimize_pso(lambda dx, dy: dx * dx + dy * dy, rng=np.random.default_rng(1))
     assert sol.objective_value <= 0.1
     assert sol.converged and sol.method == "pso"
 
@@ -215,10 +216,10 @@ def test_pso_bowl_seed_1():
 def test_ga_and_pso_bitwise_deterministic():
     f = lambda dx, dy: (dx - 3.7) ** 2 + (dy + 8.1) ** 2
     for solver in (optimize_ga, optimize_pso):
-        a = solver(f, cfg=OptimizerConfig(seed=9))
-        b = solver(f, cfg=OptimizerConfig(seed=9))
+        a = solver(f, rng=np.random.default_rng(9))
+        b = solver(f, rng=np.random.default_rng(9))
         assert (a.dx, a.dy, a.objective_value) == (b.dx, b.dy, b.objective_value)
-        c = solver(f, cfg=OptimizerConfig(seed=10))
+        c = solver(f, rng=np.random.default_rng(10))
         assert (a.dx, a.dy) != (c.dx, c.dy)
 
 
@@ -228,9 +229,8 @@ def test_ga_pso_quadratic_family(rng):
         a = float(rng.uniform(-20.0, 20.0))
         b = float(rng.uniform(-20.0, 20.0))
         f = lambda dx, dy: (dx - a) ** 2 + (dy - b) ** 2
-        cfg = OptimizerConfig(seed=trial)
         for name, solver in (("ga", optimize_ga), ("pso", optimize_pso)):
-            sol = solver(f, cfg=cfg)
+            sol = solver(f, rng=np.random.default_rng(trial))
             hits[name].append(math.hypot(sol.dx - a, sol.dy - b))
     assert max(hits["ga"]) <= 0.5
     assert max(hits["pso"]) <= 0.5
@@ -240,9 +240,9 @@ def test_ga_best_monotone_in_budget():
     f = lambda dx, dy: (dx - 11.0) ** 2 + (dy - 4.0) ** 2 + 3.0 * math.sin(dx) * math.sin(dy)
     values = []
     for gens in (5, 10, 20, 40):
-        cfg = OptimizerConfig(seed=2)
+        cfg = OptimizerConfig()
         cfg.ga.generations = gens
-        values.append(optimize_ga(f, cfg=cfg).objective_value)
+        values.append(optimize_ga(f, cfg=cfg, rng=np.random.default_rng(2)).objective_value)
     # same seed means longer runs replay the shorter prefix, so best never worsens
     assert all(v2 <= v1 for v1, v2 in zip(values, values[1:]))
 
@@ -251,24 +251,24 @@ def test_pso_gbest_monotone_in_budget():
     f = lambda dx, dy: (dx - 11.0) ** 2 + (dy - 4.0) ** 2 + 3.0 * math.sin(dx) * math.sin(dy)
     values = []
     for iters in (5, 10, 20, 40):
-        cfg = OptimizerConfig(seed=2)
+        cfg = OptimizerConfig()
         cfg.pso.iterations = iters
-        values.append(optimize_pso(f, cfg=cfg).objective_value)
+        values.append(optimize_pso(f, cfg=cfg, rng=np.random.default_rng(2)).objective_value)
     assert all(v2 <= v1 for v1, v2 in zip(values, values[1:]))
 
 
 def test_all_solvers_respect_bounds_exactly(rng):
     bounds = Bounds(7.0, 13.0)
+    cfg = OptimizerConfig()
     for seed in range(10):
         a = float(rng.uniform(-40.0, 40.0))
         b = float(rng.uniform(-40.0, 40.0))
         f = lambda dx, dy: (dx - a) ** 2 + (dy - b) ** 2
-        cfg = OptimizerConfig(seed=seed)
         for sol in (
             grid_search(f, bounds, cfg.grid_step),
             optimize_lbfgsb(f, bounds, cfg),
-            optimize_ga(f, bounds, cfg),
-            optimize_pso(f, bounds, cfg),
+            optimize_ga(f, bounds, cfg, rng=np.random.default_rng(seed)),
+            optimize_pso(f, bounds, cfg, rng=np.random.default_rng(seed)),
         ):
             assert abs(sol.dx) <= bounds.max_abs_dx
             assert abs(sol.dy) <= bounds.max_abs_dy
@@ -277,12 +277,12 @@ def test_all_solvers_respect_bounds_exactly(rng):
 def test_solution_not_worse_than_any_recorded_evaluation():
     bounds = Bounds()
     f = lambda dx, dy: (dx - 6.2) ** 2 + (dy + 9.9) ** 2 + 2.0 * math.cos(dx * dy / 7.0)
-    cfg = OptimizerConfig(seed=4)
+    cfg = OptimizerConfig()
     for solver in (
         lambda g: grid_search(g, bounds, cfg.grid_step),
         lambda g: optimize_lbfgsb(g, bounds, cfg),
-        lambda g: optimize_ga(g, bounds, cfg),
-        lambda g: optimize_pso(g, bounds, cfg),
+        lambda g: optimize_ga(g, bounds, cfg, rng=np.random.default_rng(4)),
+        lambda g: optimize_pso(g, bounds, cfg, rng=np.random.default_rng(4)),
     ):
         rec = Recorder(f)
         sol = solver(rec)
@@ -466,7 +466,7 @@ def test_correct_dataset_worker_count_invariant():
         )
         groups.append(plant_offset(gen_track(terrain, spec), spec))
     for method in ("ga", "pso"):
-        cfg = OptimizerConfig(seed=7)
+        cfg = RunConfig(seed=7)
         serial = correct_dataset(groups, terrain, method=method, metric="manhattan", cfg=cfg, workers=1)
         pooled = correct_dataset(groups, terrain, method=method, metric="manhattan", cfg=cfg, workers=8)
         for a, b in zip(serial.solutions, pooled.solutions):
@@ -483,7 +483,7 @@ def test_derive_group_seed_stable_and_distinct():
 
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
-        OptimizerConfig(seed=0, grid_step=0.0)
+        OptimizerConfig(grid_step=0.0)
     with pytest.raises(ValueError):
         GaConfig(crossover_rate=1.5)
     with pytest.raises(ValueError):

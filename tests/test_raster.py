@@ -277,11 +277,22 @@ def test_ascii_nodata_cell_queries_as_nan(tmp_path):
     assert sample_point(back, 0.5, 0.5) == 100.0
 
 
-@pytest.mark.parametrize("cellsize", ["nan", "inf"])
-def test_ascii_non_finite_cellsize_is_format_error(tmp_path, cellsize):
+@pytest.mark.parametrize(
+    ("key", "value"),
+    [
+        pytest.param("cellsize", "nan", id="nan"),
+        pytest.param("cellsize", "inf", id="inf"),
+        pytest.param("ncols", "nan", id="ncols-nan"),
+        pytest.param("ncols", "inf", id="ncols-inf"),
+        pytest.param("ncols", "2.5", id="ncols-fraction"),
+        pytest.param("nrows", "inf", id="nrows-inf"),
+    ],
+)
+def test_ascii_non_finite_cellsize_is_format_error(tmp_path, key, value):
+    header = {"ncols": "2", "nrows": "2", "xllcorner": "0", "yllcorner": "0", "cellsize": "1", key: value}
     path = tmp_path / "grid.asc"
-    path.write_text(f"ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize {cellsize}\n1 2\n3 4\n")
-    with pytest.raises(RasterFormatError, match="cellsize"):
+    path.write_text("".join(f"{k} {v}\n" for k, v in header.items()) + "1 2\n3 4\n")
+    with pytest.raises(RasterFormatError, match=key):
         load_raster(path)
 
 

@@ -8,7 +8,7 @@ import pytest
 from terralign import (
     MetricKind,
     Objective,
-    OptimizerConfig,
+    RunConfig,
     TerrainSpec,
     TrackError,
     TrackSpec,
@@ -202,7 +202,7 @@ def test_recovery_experiment_report_bytes_deterministic():
         TerrainSpec(kind="fractal", n_rows=220, n_cols=220, cell_size=2.0, relief=120.0, seed=12),
         TrackSpec(n_footprints=8, spacing=25.0, heading=200.0, planted_dx=-5.0, planted_dy=7.0, seed=12),
     )
-    kwargs = dict(methods=["grid", "ga"], metrics=["euclidean", "area"], cfg=OptimizerConfig(seed=5))
+    kwargs = dict(methods=["grid", "ga"], metrics=["euclidean", "area"], cfg=RunConfig(seed=5))
     a = run_recovery_experiment(*args, **kwargs)
     b = run_recovery_experiment(*args, **kwargs)
     assert a.to_csv() == b.to_csv()
