@@ -426,13 +426,25 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ref_before = aggregate_buffer_points(dem, x, y, args.radius, agg)
     ref_after = aggregate_buffer_points(dem, xc, yc, args.radius, agg)
     usable = np.isfinite(elev) & np.isfinite(ref_before) & np.isfinite(ref_after)
-    if not np.any(usable):
-        raise DataError("no footprint has DEM coverage at both original and corrected positions")
 
+    # As in `compare_methods`: the k-th row of every (method, metric)
+    # combination is one footprint, and it counts only when it is usable in
+    # every combination, so every report row covers the same footprints.
     combos: dict[tuple[str, str], list[int]] = {}
     for i, rec in enumerate(records):
-        if usable[i]:
-            combos.setdefault((rec["method"], rec["metric"]), []).append(i)
+        combos.setdefault((rec["method"], rec["metric"]), []).append(i)
+    if len({len(idx) for idx in combos.values()}) > 1:
+        counts = ", ".join(f"{m}/{k} {len(idx)}" for (m, k), idx in combos.items())
+        raise DataError(
+            f"{corrected_path}: (method, metric) combinations have different row counts: {counts}"
+        )
+    keep = usable[np.array(list(combos.values()))].all(axis=0)
+    if not np.any(keep):
+        raise DataError(
+            "no footprint has DEM coverage at both original and corrected positions"
+            " in every (method, metric) combination"
+        )
+    combos = {combo: [i for i, k in zip(idx, keep) if k] for combo, idx in combos.items()}
 
     rows = []
     first = next(iter(combos.values()))

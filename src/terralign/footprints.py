@@ -189,6 +189,7 @@ def parse_footprints(lines: Iterable[str], source: str = "<stream>") -> tuple[li
                 sensitivity=sens,
                 rh100=rh100,
                 tree_cover=tree_cover,
+                gedi_dem=elev,
                 raw={k: (row.get(k) or "") for k in reader.fieldnames},
             )
         )
@@ -265,11 +266,16 @@ def apply_geoid(
 ) -> list[Footprint]:
     """Set gedi_dem = elev_lowestmode minus the geoid undulation at (x, y).
 
-    With no geoid grid the elevations pass through unchanged. Footprints
-    whose undulation query lands on nodata are dropped.
+    With no geoid grid the elevations pass through unchanged: footprints
+    whose gedi_dem already equals elev_lowestmode (as `parse_footprints`
+    sets it) are returned as they are, the rest as copies. Footprints whose
+    undulation query lands on nodata are dropped.
     """
     if geoid is None:
-        return [replace(fp, gedi_dem=fp.elev_lowestmode) for fp in fps]
+        return [
+            fp if fp.gedi_dem == fp.elev_lowestmode else replace(fp, gedi_dem=fp.elev_lowestmode)
+            for fp in fps
+        ]
     check_crs(geoid.crs_tag, footprint_crs, context="geoid vs footprints")
     if not fps:
         return []

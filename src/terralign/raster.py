@@ -155,6 +155,13 @@ def aggregate_buffer_points(
 ) -> np.ndarray:
     """Circular-buffer aggregation for many centers at once.
 
+    Each center is scored over a cached stencil of cell offsets. Cell-center
+    distances are computed once per axis and squared; rows and columns off
+    the grid get an inf squared distance, so the `<= radius**2` test is also
+    the bounds test. The sums and medians run over the same stencil layout
+    and order as a per-cell computation, so the outputs are bit-identical to
+    one that computes every (center, cell) distance and bounds test apart.
+
     Args:
         grid: source raster.
         xs, ys: 1-D arrays of buffer center coordinates (m).
@@ -219,38 +226,41 @@ def _buffer_stats_chunk(
     offs_r: np.ndarray,
     offs_c: np.ndarray,
 ) -> np.ndarray:
-    colf = (xs - grid.origin_x) / grid.cell_size_x
-    rowf = (ys - grid.origin_y) / grid.cell_size_y
-    c0 = np.floor(colf).astype(np.int64)
-    r0 = np.floor(rowf).astype(np.int64)
+    c0 = np.floor((xs - grid.origin_x) / grid.cell_size_x).astype(np.int64)
+    r0 = np.floor((ys - grid.origin_y) / grid.cell_size_y).astype(np.int64)
 
-    rows = r0[:, None] + offs_r[None, :]
-    cols = c0[:, None] + offs_c[None, :]
-    in_bounds = (rows >= 0) & (rows < grid.n_rows) & (cols >= 0) & (cols < grid.n_cols)
+    # Squared cell-centre distances per axis, one row per offset (so stencil
+    # gathers copy whole rows), inf off the grid so that the radius test
+    # below is also the bounds test.
+    kx, ky = int(offs_c.max()), int(offs_r.max())
+    cols = c0 + np.arange(-kx, kx + 1)[:, None]
+    rows = r0 + np.arange(-ky, ky + 1)[:, None]
+    ddx = grid.origin_x + (cols + 0.5) * grid.cell_size_x - xs
+    ddy = grid.origin_y + (rows + 0.5) * grid.cell_size_y - ys
+    ddx *= ddx
+    ddy *= ddy
+    ddx[(cols < 0) | (cols >= grid.n_cols)] = np.inf
+    ddy[(rows < 0) | (rows >= grid.n_rows)] = np.inf
+    within = (ddx[offs_c + kx] + ddy[offs_r + ky] <= radius * radius).T
 
-    cx_cell = grid.origin_x + (cols + 0.5) * grid.cell_size_x
-    cy_cell = grid.origin_y + (rows + 0.5) * grid.cell_size_y
-    ddx = cx_cell - xs[:, None]
-    ddy = cy_cell - ys[:, None]
-    within = ddx * ddx + ddy * ddy <= radius * radius
+    # masked-out slots may gather any cell; `within` drops them
+    flat = (r0 * grid.n_cols + c0)[:, None] + (offs_r * grid.n_cols + offs_c)
+    vals = grid.values.ravel().take(flat, mode="clip")
+    valid = ~np.isnan(vals)
+    valid &= within
+    counts = valid.sum(axis=1)
 
-    # off-grid slots gather cell 0; `in_bounds` masks them out below
-    vals = grid.values.ravel().take(np.where(in_bounds, rows * grid.n_cols + cols, 0))
-    valid = in_bounds & within & np.isfinite(vals)
-
+    # Reduce `vals` in place: it is C-ordered like the per-cell gather, so row
+    # sums round the same way. (`within` is its transpose, F-ordered.)
     if agg is AggregationKind.MEAN:
-        counts = valid.sum(axis=1)
-        sums = np.where(valid, vals, 0.0).sum(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-        return out
+        np.copyto(vals, 0.0, where=~valid)
+        return np.where(counts > 0, vals.sum(axis=1) / np.maximum(counts, 1), np.nan)
     if agg is AggregationKind.MEDIAN:
-        masked = np.where(valid, vals, np.nan)
-        counts = valid.sum(axis=1)
+        np.copyto(vals, np.nan, where=~valid)
         out = np.full(xs.shape[0], np.nan)
         has = counts > 0
         if has.any():
-            out[has] = np.nanmedian(masked[has], axis=1)
+            out[has] = np.nanmedian(vals[has], axis=1)
         return out
     # MODE: histogram member values at MODE_BIN_M; the densest bin wins, ties
     # break toward the lower bin, and the bin's member mean is reported.

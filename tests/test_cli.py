@@ -257,6 +257,58 @@ def test_evaluate_matches_correct_report(tmp_path):
     assert a == b
 
 
+def two_combination_csv(tmp_path):
+    """Simulated scene, plus the grid/euclidean and grid/area corrected CSVs
+    of one `correct` run joined into one file's header and rows."""
+    scene = tmp_path / "scene"
+    out = tmp_path / "run"
+    assert run([
+        "simulate", "--out", scene, "--rows", 192, "--cols", 192, "--cell-size", 3,
+        "--relief", 130, "--n-footprints", 9, "--spacing", 25, "--dx", 5, "--dy", -3,
+    ]) == 0
+    assert run([
+        "correct", "--dem", scene / "terrain.asc", "--footprints", scene / "footprints.csv",
+        "--out", out, "--methods", "grid", "--metrics", "euclidean,area",
+    ]) == 0
+    header, *rows = (out / "corrected_grid_euclidean.csv").read_text().splitlines()
+    rows += (out / "corrected_grid_area.csv").read_text().splitlines()[1:]
+    return scene / "terrain.asc", header, rows
+
+
+def test_evaluate_counts_footprints_usable_in_every_combination(tmp_path):
+    dem_path, header, rows = two_combination_csv(tmp_path)
+    n = len(rows) // 2
+    columns = header.split(",")
+    # footprint 2 loses DEM coverage in the grid/area combination only
+    cells = rows[n + 2].split(",")
+    cells[columns.index("x_corrected")] = "-1000000.0"
+    rows[n + 2] = ",".join(cells)
+    corrected = tmp_path / "joined.csv"
+    corrected.write_text("\n".join([header] + rows) + "\n")
+    assert run(["evaluate", "--corrected", corrected, "--dem", dem_path, "--out", tmp_path / "eval"]) == 0
+
+    report = list(csv.DictReader((tmp_path / "eval" / "report.csv").open()))
+    assert [(r["method"], r["metric"]) for r in report] == [
+        ("original", ""), ("grid", "euclidean"), ("grid", "area"),
+    ]
+    assert {r["n_footprints"] for r in report} == {str(n - 1)}
+    table = list(csv.DictReader([header] + rows[:n]))
+    del table[2]
+    x = np.array([float(r["x"]) for r in table])
+    y = np.array([float(r["y"]) for r in table])
+    elev = np.array([float(r["elev_lowestmode"]) for r in table])
+    ref = terralign.aggregate_buffer_points(terralign.load_raster(dem_path), x, y, 12.5)
+    assert report[0]["mae_m"] == f"{np.mean(np.abs(elev - ref)):.6f}"
+
+
+def test_evaluate_rejects_combinations_of_different_sizes(tmp_path, capsys):
+    dem_path, header, rows = two_combination_csv(tmp_path)
+    corrected = tmp_path / "joined.csv"
+    corrected.write_text("\n".join([header] + rows[:-1]) + "\n")
+    assert run(["evaluate", "--corrected", corrected, "--dem", dem_path, "--out", tmp_path / "eval"]) == 2
+    assert "different row counts" in capsys.readouterr().err
+
+
 def test_bench_reports_timings(tmp_path, capsys):
     dem, fps, _ = write_flat_scene(tmp_path)
     out = tmp_path / "bench"

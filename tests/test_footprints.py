@@ -200,6 +200,17 @@ def test_apply_geoid_none_passthrough():
     fps = [make_footprint(0, elev=123.0, gedi_dem=None)]
     out = apply_geoid(fps, None)
     assert out[0].gedi_dem == 123.0
+    assert fps[0].gedi_dem is None  # a copy, never the caller's object
+
+
+def test_apply_geoid_none_passes_parsed_footprints_through():
+    fps, _ = parse_footprints(io.StringIO(CSV_HEADER + row(elev=101.5) + row(elev=99.0)))
+    assert [fp.gedi_dem for fp in fps] == [101.5, 99.0]
+    out = apply_geoid(fps, None)
+    assert all(a is b for a, b in zip(out, fps)) and len(out) == 2
+    with_geoid = apply_geoid(fps, flat_grid(16, value=1.0))
+    assert [fp.gedi_dem for fp in with_geoid] == [100.5, 98.0]
+    assert [fp.gedi_dem for fp in fps] == [101.5, 99.0]
 
 
 def test_group_by_shot_prefix_partition():

@@ -224,14 +224,88 @@ def test_aggregate_points_match_brute_force_reference(rng, radius):
         np.testing.assert_allclose(got, want[:, col], rtol=1e-12, atol=1e-12)
 
 
-def test_aggregate_points_independent_of_chunk_size(rng, monkeypatch):
+def frozen_buffer_kernel(grid, xs, ys, radius, agg):
+    """The per-cell buffer kernel that the separable one replaced, frozen with
+    its stencil so that the output bits stay pinned: every (center, stencil
+    cell) pair computes its own indices, bounds test and distances."""
+    csx, csy = grid.cell_size_x, abs(grid.cell_size_y)
+    kx = int(math.ceil(radius / csx)) + 1
+    ky = int(math.ceil(radius / csy)) + 1
+    dr, dc = np.meshgrid(np.arange(-ky, ky + 1), np.arange(-kx, kx + 1), indexing="ij")
+    dr, dc = dr.ravel(), dc.ravel()
+    min_dx = np.maximum(np.abs(dc) - 1, 0) * csx
+    min_dy = np.maximum(np.abs(dr) - 1, 0) * csy
+    keep = min_dx * min_dx + min_dy * min_dy <= radius * radius
+    offs_r, offs_c = dr[keep], dc[keep]
+
+    c0 = np.floor((xs - grid.origin_x) / grid.cell_size_x).astype(np.int64)
+    r0 = np.floor((ys - grid.origin_y) / grid.cell_size_y).astype(np.int64)
+    rows = r0[:, None] + offs_r[None, :]
+    cols = c0[:, None] + offs_c[None, :]
+    in_bounds = (rows >= 0) & (rows < grid.n_rows) & (cols >= 0) & (cols < grid.n_cols)
+    ddx = grid.origin_x + (cols + 0.5) * grid.cell_size_x - xs[:, None]
+    ddy = grid.origin_y + (rows + 0.5) * grid.cell_size_y - ys[:, None]
+    within = ddx * ddx + ddy * ddy <= radius * radius
+    vals = grid.values.ravel().take(np.where(in_bounds, rows * grid.n_cols + cols, 0))
+    valid = in_bounds & within & np.isfinite(vals)
+    counts = valid.sum(axis=1)
+    out = np.full(xs.shape[0], np.nan)
+    has = counts > 0
+    if agg is AggregationKind.MEAN:
+        out[has] = np.where(valid, vals, 0.0).sum(axis=1)[has] / counts[has]
+    elif agg is AggregationKind.MEDIAN:
+        out[has] = np.nanmedian(np.where(valid, vals, np.nan)[has], axis=1)
+    else:
+        for i in np.flatnonzero(has):
+            member = vals[i][valid[i]]
+            bins = np.floor(member * (1.0 / raster.MODE_BIN_M)).astype(np.int64)
+            uniq, n = np.unique(bins, return_counts=True)
+            out[i] = member[bins == uniq[np.argmax(n)]].mean()
+    return out
+
+
+def bit_exact_scene(rng):
+    """`kernel_scene` plus centers on cell edges and corners, and centers far
+    off the grid (|x| or |y| up to 1e9)."""
     grid, xs, ys = kernel_scene(rng)
+    x0, _, _, y1 = grid.extent
+    i = rng.integers(0, grid.n_cols + 1, 40)
+    j = rng.integers(0, grid.n_rows, 40)
+    # vertical cell edges at row centers, then cell corners
+    edge_x = np.concatenate([x0 + 3.0 * i, x0 + 3.0 * i])
+    edge_y = np.concatenate([y1 - 2.0 * j - 1.0, y1 - 2.0 * j])
+    far_x = np.array([1e9, -1e9, 0.0, 0.0, 1e9, -1e9, x0 + 1.0, 5e8])
+    far_y = np.array([10.0, 10.0, 1e9, -1e9, 1e9, -1e9, -1e9, y1])
+    return grid, np.concatenate([xs, edge_x, far_x]), np.concatenate([ys, edge_y, far_y])
+
+
+# 2.5 and 4.5 equal cell-center distances from the edge centers (1.5 m and
+# 2 m, 4.5 m and 0 m), so they test ties at `<=`.
+@pytest.mark.parametrize("radius", [1.2, 2.5, 4.5, 5.0, 9.5])
+@pytest.mark.parametrize("agg", list(AggregationKind))
+def test_aggregate_points_bit_exact_against_frozen_kernel(rng, monkeypatch, radius, agg):
+    grid, xs, ys = bit_exact_scene(rng)
+    want = frozen_buffer_kernel(grid, xs, ys, radius, agg)
+    assert np.isnan(want[-8:]).all() and np.isfinite(want).any()
+    for chunk in (1, 64, raster._CHUNK_ELEMENTS):
+        monkeypatch.setattr(raster, "_CHUNK_ELEMENTS", chunk)
+        np.testing.assert_array_equal(aggregate_buffer_points(grid, xs, ys, radius, agg), want)
+
+
+@pytest.mark.parametrize("radius", [2.5, 4.5])
+def test_bit_exact_scene_has_radius_ties(rng, radius):
+    grid, xs, ys = bit_exact_scene(rng)
+    at = frozen_buffer_kernel(grid, xs, ys, radius, AggregationKind.MEAN)
+    below = frozen_buffer_kernel(grid, xs, ys, math.nextafter(radius, 0.0), AggregationKind.MEAN)
+    assert (np.nan_to_num(at) != np.nan_to_num(below)).any()
+
+
+def test_all_off_grid_batch_is_all_nan():
+    grid = make_grid(np.ones((6, 5)), cell=4.0)
+    xs = np.array([-1e9, 1e9, -30.0, 60.0, 2.0])
+    ys = np.array([2.0, 2.0, -1e9, 1e9, -5.0])
     for agg in AggregationKind:
-        default = aggregate_buffer_points(grid, xs, ys, 5.0, agg)
-        for chunk in (1, 64):
-            monkeypatch.setattr(raster, "_CHUNK_ELEMENTS", chunk)
-            np.testing.assert_array_equal(aggregate_buffer_points(grid, xs, ys, 5.0, agg), default)
-        monkeypatch.undo()
+        assert np.isnan(aggregate_buffer_points(grid, xs, ys, 3.0, agg)).all()
 
 
 def test_stencil_offsets_cached_read_only():
