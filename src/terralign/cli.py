@@ -384,6 +384,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.radius) and args.radius > 0):
+        raise UsageError(f"radius: must be positive and finite, got {args.radius!r}")
     corrected_path = Path(args.corrected)
     if not corrected_path.exists():
         raise DataError(f"corrected CSV not found: {corrected_path}")

@@ -15,6 +15,7 @@ booleans and flat arrays.
 
 from __future__ import annotations
 
+import math
 import re
 import types
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -49,9 +50,6 @@ class Bounds:
     def __post_init__(self) -> None:
         if self.max_abs_dx <= 0 or self.max_abs_dy <= 0:
             raise ValueError("bounds must be positive")
-
-    def contains(self, dx: float, dy: float) -> bool:
-        return abs(dx) <= self.max_abs_dx and abs(dy) <= self.max_abs_dy
 
 
 @dataclass
@@ -302,7 +300,13 @@ def _check(tp: Any, value: Any, key: str) -> Any:
             raise ConfigError(f"{key}: expected one of {choices}, got {value!r}") from None
     elif tp is float:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
+            try:
+                number = float(value)
+            except OverflowError:  # an int beyond the float range
+                number = math.inf
+            if not math.isfinite(number):
+                raise ConfigError(f"{key}: expected a finite float, got {value!r}")
+            return number
     elif tp is int:
         if isinstance(value, int) and not isinstance(value, bool):
             return value

@@ -34,12 +34,7 @@ class AggregationKind(str, Enum):
 
     MEAN = "mean"
     MEDIAN = "median"
-    MODE = "mode"
 
-
-# Bin width used by the MODE aggregation; continuous elevations are
-# histogrammed at this resolution and the densest bin wins (ties -> lower bin).
-MODE_BIN_M = 0.1
 
 # Cap on temporary array size in the vectorised buffer query. Each row is
 # computed independently of the chunking, so this trades only speed and memory.
@@ -110,12 +105,6 @@ def check_crs(tag_a: str, tag_b: str, context: str = "") -> None:
         raise CrsMismatchError(f"CRS mismatch{where}: {tag_a!r} vs {tag_b!r}")
 
 
-def sample_point(grid: RasterGrid, x: float, y: float) -> float:
-    """Value of the cell containing (x, y); NaN outside the extent or on nodata."""
-    out = sample_points(grid, np.array([x], dtype=float), np.array([y], dtype=float))
-    return float(out[0])
-
-
 def sample_points(grid: RasterGrid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Vectorised cell lookup; returns float64 with NaN where undefined."""
     xs = np.asarray(xs, dtype=float)
@@ -126,24 +115,6 @@ def sample_points(grid: RasterGrid, xs: np.ndarray, ys: np.ndarray) -> np.ndarra
     out = np.full(xs.shape, np.nan)
     out[inside] = grid.values[rows[inside], cols[inside]]
     return out
-
-
-def aggregate_buffer(
-    grid: RasterGrid,
-    cx: float,
-    cy: float,
-    radius: float,
-    agg: AggregationKind = AggregationKind.MEAN,
-) -> float:
-    """Aggregate of all non-nodata cells whose centers lie within `radius` of (cx, cy).
-
-    Returns NaN when no cell qualifies (empty buffer, fully off-grid, or all
-    member cells nodata). Partial coverage aggregates over the remaining cells.
-    """
-    out = aggregate_buffer_points(
-        grid, np.array([cx], dtype=float), np.array([cy], dtype=float), radius, agg
-    )
-    return float(out[0])
 
 
 def aggregate_buffer_points(
@@ -255,24 +226,11 @@ def _buffer_stats_chunk(
     if agg is AggregationKind.MEAN:
         np.copyto(vals, 0.0, where=~valid)
         return np.where(counts > 0, vals.sum(axis=1) / np.maximum(counts, 1), np.nan)
-    if agg is AggregationKind.MEDIAN:
-        np.copyto(vals, np.nan, where=~valid)
-        out = np.full(xs.shape[0], np.nan)
-        has = counts > 0
-        if has.any():
-            out[has] = np.nanmedian(vals[has], axis=1)
-        return out
-    # MODE: histogram member values at MODE_BIN_M; the densest bin wins, ties
-    # break toward the lower bin, and the bin's member mean is reported.
+    np.copyto(vals, np.nan, where=~valid)  # MEDIAN
     out = np.full(xs.shape[0], np.nan)
-    for i in range(xs.shape[0]):
-        member = vals[i][valid[i]]
-        if member.size == 0:
-            continue
-        bins = np.floor(member * (1.0 / MODE_BIN_M)).astype(np.int64)
-        uniq, counts = np.unique(bins, return_counts=True)
-        winner = uniq[np.argmax(counts)]  # np.unique sorts, argmax takes first max
-        out[i] = member[bins == winner].mean()
+    has = counts > 0
+    if has.any():
+        out[has] = np.nanmedian(vals[has], axis=1)
     return out
 
 

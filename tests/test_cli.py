@@ -309,6 +309,32 @@ def test_evaluate_rejects_combinations_of_different_sizes(tmp_path, capsys):
     assert "different row counts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["correct", "bench", "evaluate"])
+def test_agg_mode_is_usage_error(tmp_path, capsys, command):
+    dem, fps, _ = write_flat_scene(tmp_path)
+    inputs = ["--corrected", fps] if command == "evaluate" else ["--footprints", fps]
+    assert run([command, "--dem", dem, *inputs, "--out", tmp_path / "o", "--agg", "mode"]) == 1
+    err = capsys.readouterr().err
+    assert "--agg" in err and "'mode'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_evaluate_rejects_bad_radius_as_usage_error(tmp_path, capsys):
+    dem, fps, _ = write_flat_scene(tmp_path)
+    assert run(["correct", "--dem", dem, "--footprints", fps, "--out", tmp_path / "run"]) == 0
+    corrected = tmp_path / "run" / "corrected_grid_euclidean.csv"
+    for radius in ("0", "-2", "nan", "inf"):
+        capsys.readouterr()
+        rc = run([
+            "evaluate", "--corrected", corrected, "--dem", dem, "--out", tmp_path / "eval",
+            f"--radius={radius}",
+        ])
+        assert rc == 1, radius
+        err = capsys.readouterr().err
+        assert err.startswith("error: radius: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "eval").exists()
+
+
 def test_bench_reports_timings(tmp_path, capsys):
     dem, fps, _ = write_flat_scene(tmp_path)
     out = tmp_path / "bench"

@@ -1,5 +1,7 @@
 """Config file parsing, validation, and round-tripping."""
 
+import argparse
+
 import pytest
 
 from terralign import (
@@ -12,7 +14,8 @@ from terralign import (
     load_config,
     parse_toml,
 )
-from terralign.cli import main
+from terralign.cli import build_parser, main
+from terralign.config import config_keys
 
 
 def test_parse_toml_scalars_and_sections():
@@ -143,6 +146,8 @@ def test_load_config_requires_method_and_metric():
         pytest.param(
             "[optimizer.lbfgsb]\nmultistart = [1.0, 2.0]\n", "optimizer.lbfgsb.multistart", id="multistart"
         ),
+        pytest.param('agg = "mode"\n', "agg", id="agg-mode"),
+        pytest.param("radius = 1" + "0" * 400 + "\n", "radius", id="int-beyond-float"),
     ],
 )
 def test_bad_config_value_names_the_key(tmp_path, capsys, text, key):
@@ -154,6 +159,31 @@ def test_bad_config_value_names_the_key(tmp_path, capsys, text, key):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and key in err
     assert "Traceback" not in err
+
+
+FLOAT_KEYS = [key for key, tp, _ in config_keys() if tp is float]
+
+
+def run_flag(key):
+    """The `correct` flag that sets config key `key`."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (action,) = [a for a in sub.choices["correct"]._actions if a.dest == key]
+    return action.option_strings[0]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_names_the_key(tmp_path, capsys, key, value):
+    section, _, leaf = key.rpartition(".")
+    text = (f"[{section}]\n" if section else "") + f"{leaf} = {value}\n"
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        load_config(text)
+    path = tmp_path / "run.toml"
+    path.write_text(text)
+    for argv in (["--config", str(path)], [f"{run_flag(key)}={value}"]):
+        assert main(["correct", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
 
 
 def test_config_ints_become_floats_and_flags_override():

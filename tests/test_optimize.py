@@ -381,7 +381,9 @@ def scalar_probe_lbfgsb(f, cfg, bounds=Bounds()):
         return seen[-1][0]
 
     def best():
-        inside = [s for s in seen if bounds.contains(s[1], s[2])]
+        inside = [
+            s for s in seen if abs(s[1]) <= bounds.max_abs_dx and abs(s[2]) <= bounds.max_abs_dy
+        ]
         return min(inside, key=lambda s: s[0], default=(math.inf, 0.0, 0.0))
 
     converged = False

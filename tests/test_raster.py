@@ -11,11 +11,9 @@ from terralign import (
     CrsMismatchError,
     RasterFormatError,
     RasterGrid,
-    aggregate_buffer,
     aggregate_buffer_points,
     check_crs,
     load_raster,
-    sample_point,
     sample_points,
     write_raster,
 )
@@ -25,21 +23,31 @@ from terralign.geotiff import read_geotiff, write_geotiff
 from conftest import flat_grid, make_grid, ramp_grid
 
 
+def sample_one(grid, x, y):
+    """`sample_points` on a one-element batch."""
+    return float(sample_points(grid, np.array([x]), np.array([y]))[0])
+
+
+def aggregate_one(grid, cx, cy, radius, agg):
+    """`aggregate_buffer_points` on a one-element batch."""
+    return float(aggregate_buffer_points(grid, np.array([cx]), np.array([cy]), radius, agg)[0])
+
+
 def test_sample_point_constant_grid():
     grid = flat_grid(8)
-    assert sample_point(grid, 3.3, 4.7) == 100.0
+    assert sample_one(grid, 3.3, 4.7) == 100.0
 
 
 def test_sample_point_outside_extent_is_nan():
     grid = flat_grid(8)
-    assert math.isnan(sample_point(grid, 9.0, 4.0))
-    assert math.isnan(sample_point(grid, 4.0, -0.5))
+    assert math.isnan(sample_one(grid, 9.0, 4.0))
+    assert math.isnan(sample_one(grid, 4.0, -0.5))
 
 
 def test_sample_point_hand_indexed_2x2():
     # origin (0, 10), 5 m cells: (7.5, 7.5) falls in row 0, column 1
     grid = RasterGrid(0.0, 10.0, 5.0, -5.0, np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert sample_point(grid, 7.5, 7.5) == 2.0
+    assert sample_one(grid, 7.5, 7.5) == 2.0
 
 
 def test_sample_points_vector_matches_scalar(rng):
@@ -48,7 +56,7 @@ def test_sample_points_vector_matches_scalar(rng):
     ys = rng.uniform(-2.0, 34.0, 200)
     batch = sample_points(grid, xs, ys)
     for i in range(xs.size):
-        one = sample_point(grid, xs[i], ys[i])
+        one = sample_one(grid, xs[i], ys[i])
         if math.isnan(one):
             assert math.isnan(batch[i])
         else:
@@ -57,19 +65,19 @@ def test_sample_points_vector_matches_scalar(rng):
 
 def test_aggregate_buffer_constant_field():
     grid = flat_grid(64)
-    assert aggregate_buffer(grid, 30.0, 30.0, 12.5, AggregationKind.MEAN) == 100.0
+    assert aggregate_one(grid, 30.0, 30.0, 12.5, AggregationKind.MEAN) == 100.0
 
 
 def test_aggregate_buffer_linear_ramp_mean_near_center_value():
     grid = ramp_grid(200)
-    got = aggregate_buffer(grid, 50.0, 100.0, 12.5, AggregationKind.MEAN)
+    got = aggregate_one(grid, 50.0, 100.0, 12.5, AggregationKind.MEAN)
     # a buffer mean of a linear field equals the center value up to cell quantization
     assert got == pytest.approx(50.0, abs=0.5)
 
 
 def test_aggregate_buffer_empty_selection_is_nan():
     grid = flat_grid(16)
-    assert math.isnan(aggregate_buffer(grid, 100.0, 100.0, 5.0, AggregationKind.MEAN))
+    assert math.isnan(aggregate_one(grid, 100.0, 100.0, 5.0, AggregationKind.MEAN))
 
 
 def test_aggregate_buffer_nodata_region():
@@ -77,17 +85,17 @@ def test_aggregate_buffer_nodata_region():
     values[:16, :] = np.nan
     grid = make_grid(values)
     # buffer fully inside the nodata half
-    assert math.isnan(aggregate_buffer(grid, 16.0, 28.0, 3.0, AggregationKind.MEAN))
+    assert math.isnan(aggregate_one(grid, 16.0, 28.0, 3.0, AggregationKind.MEAN))
     # partially covered buffer aggregates the remaining cells
-    assert aggregate_buffer(grid, 16.0, 16.0, 3.0, AggregationKind.MEAN) == 100.0
+    assert aggregate_one(grid, 16.0, 16.0, 3.0, AggregationKind.MEAN) == 100.0
 
 
 def test_aggregate_buffer_rejects_bad_radius():
     grid = flat_grid(8)
     with pytest.raises(ValueError):
-        aggregate_buffer(grid, 4.0, 4.0, 0.0, AggregationKind.MEAN)
+        aggregate_one(grid, 4.0, 4.0, 0.0, AggregationKind.MEAN)
     with pytest.raises(ValueError):
-        aggregate_buffer(grid, 4.0, 4.0, -1.0, AggregationKind.MEAN)
+        aggregate_one(grid, 4.0, 4.0, -1.0, AggregationKind.MEAN)
 
 
 def test_aggregate_buffer_mean_within_member_range(rng):
@@ -95,7 +103,7 @@ def test_aggregate_buffer_mean_within_member_range(rng):
     for _ in range(200):
         cx, cy = rng.uniform(5.0, 43.0, 2)
         radius = rng.uniform(0.8, 10.0)
-        got = aggregate_buffer(grid, cx, cy, radius, AggregationKind.MEAN)
+        got = aggregate_one(grid, cx, cy, radius, AggregationKind.MEAN)
         if math.isnan(got):
             continue
         rows, cols = np.indices(grid.values.shape)
@@ -115,28 +123,13 @@ def test_aggregate_buffer_median_matches_enumeration(rng):
     for _ in range(1000):
         cx, cy = rng.uniform(2.0, 46.0, 2)
         radius = rng.uniform(0.8, 8.0)
-        got = aggregate_buffer(grid, cx, cy, radius, AggregationKind.MEDIAN)
+        got = aggregate_one(grid, cx, cy, radius, AggregationKind.MEDIAN)
         member = (ux - cx) ** 2 + (uy - cy) ** 2 <= radius**2
         vals = grid.values[member]
         if vals.size == 0:
             assert math.isnan(got)
         else:
             assert got == pytest.approx(np.median(vals), rel=1e-12)
-
-
-def test_aggregate_buffer_mode_bins_at_decimeter():
-    values = np.full((16, 16), 100.0)
-    values[8:, :] = 100.04  # same 0.1 m bin as 100.0
-    grid = make_grid(values)
-    got = aggregate_buffer(grid, 8.0, 8.0, 6.0, AggregationKind.MODE)
-    assert 100.0 <= got <= 100.04
-
-
-def test_aggregate_buffer_mode_tie_takes_lower_bin():
-    values = np.array([[100.0, 100.0], [200.0, 200.0]])
-    grid = make_grid(values, cell=10.0)
-    got = aggregate_buffer(grid, 10.0, 10.0, 20.0, AggregationKind.MODE)
-    assert got == 100.0
 
 
 def test_tiny_radius_reduces_to_sample_point(rng):
@@ -148,8 +141,8 @@ def test_tiny_radius_reduces_to_sample_point(rng):
         col = rng.integers(0, 24)
         cx = grid.origin_x + (col + 0.5) * grid.cell_size_x + rng.uniform(-0.2, 0.2)
         cy = grid.origin_y + (row + 0.5) * grid.cell_size_y + rng.uniform(-0.2, 0.2)
-        point = sample_point(grid, cx, cy)
-        assert point == aggregate_buffer(grid, cx, cy, 0.45, AggregationKind.MEAN)
+        point = sample_one(grid, cx, cy)
+        assert point == aggregate_one(grid, cx, cy, 0.45, AggregationKind.MEAN)
 
 
 def test_aggregate_points_matches_scalar_loop(rng):
@@ -158,7 +151,7 @@ def test_aggregate_points_matches_scalar_loop(rng):
     ys = rng.uniform(0.0, 40.0, 500)
     batch = aggregate_buffer_points(grid, xs, ys, 4.0, AggregationKind.MEAN)
     for i in range(xs.size):
-        one = aggregate_buffer(grid, xs[i], ys[i], 4.0, AggregationKind.MEAN)
+        one = aggregate_one(grid, xs[i], ys[i], 4.0, AggregationKind.MEAN)
         if math.isnan(one):
             assert math.isnan(batch[i])
         else:
@@ -166,7 +159,7 @@ def test_aggregate_points_matches_scalar_loop(rng):
 
 
 def reference_buffer(grid, cx, cy, radius):
-    """MEAN, MEDIAN and MODE of the finite cells whose centers lie within
+    """MEAN and MEDIAN of the finite cells whose centers lie within
     `radius` of (cx, cy), by a plain loop over every cell."""
     members = []
     for r in range(grid.n_rows):
@@ -177,21 +170,14 @@ def reference_buffer(grid, cx, cy, radius):
             if ddx * ddx + ddy * ddy <= radius * radius and math.isfinite(v):
                 members.append(v)
     if not members:
-        return math.nan, math.nan, math.nan
-    # documented MODE rule: 0.1 m bins, densest wins, ties to the lower bin,
-    # report the winning bin's member mean
-    bins = {}
-    for v in members:
-        bins.setdefault(math.floor(v * (1.0 / raster.MODE_BIN_M)), []).append(v)
-    winner = min(bins, key=lambda b: (-len(bins[b]), b))
-    mode = math.fsum(bins[winner]) / len(bins[winner])
-    return math.fsum(members) / len(members), statistics.median(members), mode
+        return math.nan, math.nan
+    return math.fsum(members) / len(members), statistics.median(members)
 
 
 def kernel_scene(rng):
     """Anisotropic 3 m x 2 m grid with nodata cells, and buffer centers in the
     interior, on each edge, partly off-grid and fully off-grid."""
-    values = np.round(rng.normal(100.0, 0.6, (23, 31)), 2)  # shared 0.1 m bins
+    values = np.round(rng.normal(100.0, 0.6, (23, 31)), 2)  # many repeated values
     values[rng.random(values.shape) < 0.08] = np.nan
     values[4:9, 20:26] = np.nan
     grid = RasterGrid(-50.0, 20.0, 3.0, -2.0, values, nodata=-9999.0)
@@ -253,14 +239,8 @@ def frozen_buffer_kernel(grid, xs, ys, radius, agg):
     has = counts > 0
     if agg is AggregationKind.MEAN:
         out[has] = np.where(valid, vals, 0.0).sum(axis=1)[has] / counts[has]
-    elif agg is AggregationKind.MEDIAN:
-        out[has] = np.nanmedian(np.where(valid, vals, np.nan)[has], axis=1)
     else:
-        for i in np.flatnonzero(has):
-            member = vals[i][valid[i]]
-            bins = np.floor(member * (1.0 / raster.MODE_BIN_M)).astype(np.int64)
-            uniq, n = np.unique(bins, return_counts=True)
-            out[i] = member[bins == uniq[np.argmax(n)]].mean()
+        out[has] = np.nanmedian(np.where(valid, vals, np.nan)[has], axis=1)
     return out
 
 
@@ -347,8 +327,8 @@ def test_ascii_nodata_cell_queries_as_nan(tmp_path):
     path = tmp_path / "grid.asc"
     write_raster(grid, path)
     back = load_raster(path)
-    assert math.isnan(sample_point(back, 1.5, 1.5))
-    assert sample_point(back, 0.5, 0.5) == 100.0
+    assert math.isnan(sample_one(back, 1.5, 1.5))
+    assert sample_one(back, 0.5, 0.5) == 100.0
 
 
 @pytest.mark.parametrize(
