@@ -313,6 +313,19 @@ def _run(args: argparse.Namespace, timed: bool) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    for name, value, low in (
+        ("cell-size", args.cell_size, "positive"),
+        ("spacing", args.spacing, "positive"),
+        ("relief", args.relief, "non-negative"),
+        ("noise-sd", args.noise_sd, "non-negative"),
+        ("heading", args.heading, None),
+        ("dx", args.dx, None),
+        ("dy", args.dy, None),
+    ):
+        if not math.isfinite(value):
+            raise UsageError(f"{name}: must be finite, got {value!r}")
+        if (low == "positive" and value <= 0) or (low == "non-negative" and value < 0):
+            raise UsageError(f"{name}: must be {low}, got {value!r}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     terrain_spec = TerrainSpec(

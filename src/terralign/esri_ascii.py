@@ -9,7 +9,9 @@ reproduces the grid bit for bit.
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -19,28 +21,59 @@ _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "xllcenter", "yllcen
 
 DEFAULT_NODATA = -9999.0
 
+# Characters of the body read and parsed per batch (so at most half as many
+# values), and the longest line read as a header line: memory beyond the grid
+# itself is bounded however lines wrap.
+_CHUNK_CHARS = 1 << 18
+
 
 def read_ascii_grid(path: str | Path) -> RasterGrid:
+    """Read an ESRI ASCII grid, streaming its body into one float64 array.
+
+    Values may wrap over lines in any way. The body is parsed in batches of
+    at most `_CHUNK_CHARS` characters, and the array is never larger than the
+    file could fill, so peak memory stays near the grid's own size and a
+    header that claims a huge grid cannot force a large allocation.
+    """
     path = Path(path)
     header: dict[str, float] = {}
-    data_start = 0
     try:
         with path.open("r", encoding="ascii", errors="strict") as fh:
-            lines = fh.readlines()
+            while True:
+                line = fh.readline(_CHUNK_CHARS)
+                parts = line.split()
+                cut = len(line) == _CHUNK_CHARS and not line.endswith("\n")  # too long for a header
+                if cut or len(parts) != 2 or parts[0].lower() not in _HEADER_KEYS:
+                    break  # `line` starts the body
+                try:
+                    header[parts[0].lower()] = float(parts[1])
+                except ValueError as exc:
+                    raise RasterFormatError(f"{path}: bad header line {line!r}") from exc
+            n_rows, n_cols, xll, yll, cellsize = _grid_geometry(path, header)
+            # each value takes at least one character and one separator
+            max_values = os.fstat(fh.fileno()).st_size // 2 + 1
+            flat = _read_values(fh, path, line, n_rows * n_cols, max_values)
     except (OSError, UnicodeDecodeError) as exc:
         raise RasterFormatError(f"cannot read ASCII grid {path}: {exc}") from exc
 
-    for i, line in enumerate(lines):
-        parts = line.split()
-        if len(parts) == 2 and parts[0].lower() in _HEADER_KEYS:
-            try:
-                header[parts[0].lower()] = float(parts[1])
-            except ValueError as exc:
-                raise RasterFormatError(f"{path}: bad header line {line!r}") from exc
-            data_start = i + 1
-        else:
-            break
+    values = flat.reshape(n_rows, n_cols)
+    nodata = header.get("nodata_value")
+    if nodata is not None:
+        values[values == nodata] = np.nan
 
+    return RasterGrid(
+        origin_x=xll,
+        origin_y=yll + n_rows * cellsize,
+        cell_size_x=cellsize,
+        cell_size_y=-cellsize,
+        values=values,
+        nodata=nodata,
+        crs_tag="",
+    )
+
+
+def _grid_geometry(path: Path, header: dict[str, float]) -> tuple[int, int, float, float, float]:
+    """(nrows, ncols, x and y of the lower-left corner, cellsize) of a parsed header."""
     for key in ("ncols", "nrows", "cellsize"):
         if key not in header:
             raise RasterFormatError(f"{path}: missing required ASCII grid header {key!r}")
@@ -67,31 +100,37 @@ def read_ascii_grid(path: str | Path) -> RasterGrid:
         yll = header["yllcenter"] - cellsize / 2.0
     else:
         raise RasterFormatError(f"{path}: missing yllcorner/yllcenter")
+    return n_rows, n_cols, xll, yll, cellsize
 
-    body = " ".join(lines[data_start:])
-    try:
-        flat = np.array(body.split(), dtype=np.float64)
-    except ValueError as exc:
-        raise RasterFormatError(f"{path}: non-numeric cell value ({exc})") from exc
-    if flat.size != n_rows * n_cols:
-        raise RasterFormatError(
-            f"{path}: expected {n_rows * n_cols} values, found {flat.size}"
-        )
-    values = flat.reshape(n_rows, n_cols)
 
-    nodata = header.get("nodata_value")
-    if nodata is not None:
-        values = np.where(values == nodata, np.nan, values)
+def _read_values(
+    fh: TextIO, path: Path, text: str, n_values: int, max_values: int
+) -> np.ndarray:
+    """Parse the whitespace-separated values after the header into a flat array.
 
-    return RasterGrid(
-        origin_x=xll,
-        origin_y=yll + n_rows * cellsize,
-        cell_size_x=cellsize,
-        cell_size_y=-cellsize,
-        values=values,
-        nodata=nodata,
-        crs_tag="",
-    )
+    `text` is the start of the body, already read. Past `n_values` the values
+    are only counted, for the error message.
+    """
+    flat = np.empty(min(n_values, max_values), dtype=np.float64)
+    found = 0
+    while True:
+        block = fh.read(_CHUNK_CHARS)
+        text += block
+        tokens = text.split()
+        # a value cut at the end of the block continues in the next one
+        text = tokens.pop() if block and tokens and not text[-1].isspace() else ""
+        end = found + len(tokens)
+        if end <= flat.size:
+            try:
+                flat[found:end] = np.array(tokens, dtype=np.float64)
+            except ValueError as exc:
+                raise RasterFormatError(f"{path}: non-numeric cell value ({exc})") from exc
+        found = end
+        if not block:
+            break
+    if found != n_values:
+        raise RasterFormatError(f"{path}: expected {n_values} values, found {found}")
+    return flat
 
 
 def write_ascii_grid(grid: RasterGrid, path: str | Path) -> None:

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,13 +152,13 @@ def aggregate_buffer_points(
     if xs.shape != ys.shape:
         raise ValueError("xs and ys must have the same length")
 
-    offs_r, offs_c = _stencil_offsets(grid.cell_size_x, abs(grid.cell_size_y), radius)
+    stencil = _stencil_plan(grid.cell_size_x, abs(grid.cell_size_y), radius, grid.n_cols)
     out = np.empty(xs.shape[0], dtype=np.float64)
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, offs_r.size))
+    chunk = max(1, _CHUNK_ELEMENTS // stencil.flat_offsets.size)
     for start in range(0, xs.shape[0], chunk):
         stop = min(start + chunk, xs.shape[0])
         out[start:stop] = _buffer_stats_chunk(
-            grid, xs[start:stop], ys[start:stop], radius, agg, offs_r, offs_c
+            grid, xs[start:stop], ys[start:stop], radius, agg, stencil
         )
     return out
 
@@ -188,14 +190,60 @@ def _stencil_offsets(csx: float, csy: float, radius: float) -> tuple[np.ndarray,
     return dr, dc
 
 
+class _StencilPlan(NamedTuple):
+    """Index arrays of one stencil on grids `n_cols` wide; all read-only."""
+
+    col_steps: np.ndarray  # (2kx+1, 1) column offsets -kx..kx of the per-axis tables
+    row_steps: np.ndarray  # (2ky+1, 1) row offsets -ky..ky
+    ddx_rows: np.ndarray  # (S,) row of the squared x-distance table per stencil cell
+    ddy_rows: np.ndarray  # (S,) row of the squared y-distance table per stencil cell
+    flat_offsets: np.ndarray  # (S,) offset of each stencil cell in the flat grid
+
+
+@functools.lru_cache(maxsize=64)
+def _stencil_plan(csx: float, csy: float, radius: float, n_cols: int) -> _StencilPlan:
+    """What every chunk of a buffer query needs of its stencil, computed once."""
+    offs_r, offs_c = _stencil_offsets(csx, csy, radius)
+    kx, ky = int(offs_c.max()), int(offs_r.max())
+    plan = _StencilPlan(
+        col_steps=np.arange(-kx, kx + 1)[:, None],
+        row_steps=np.arange(-ky, ky + 1)[:, None],
+        ddx_rows=offs_c + kx,
+        ddy_rows=offs_r + ky,
+        flat_offsets=offs_r * n_cols + offs_c,
+    )
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
+# Per-thread work arrays of `_buffer_stats_chunk`, reused across chunks and
+# calls: a fresh (centers x stencil) temporary per chunk would be up to 512 KB,
+# which the allocator may map and unmap on every chunk.
+_scratch = threading.local()
+
+
+def _scratch_array(name: str, shape: tuple[int, int], dtype: type) -> np.ndarray:
+    """A C-ordered view of this thread's `name` buffer, grown when too small.
+
+    The view is valid until this thread's next request for `name`, so nothing
+    returned to a caller may be a view of it.
+    """
+    n = shape[0] * shape[1]
+    buf = getattr(_scratch, name, None)
+    if buf is None or buf.size < n:
+        buf = np.empty(n, dtype=dtype)
+        setattr(_scratch, name, buf)
+    return buf[:n].reshape(shape)
+
+
 def _buffer_stats_chunk(
     grid: RasterGrid,
     xs: np.ndarray,
     ys: np.ndarray,
     radius: float,
     agg: AggregationKind,
-    offs_r: np.ndarray,
-    offs_c: np.ndarray,
+    stencil: _StencilPlan,
 ) -> np.ndarray:
     c0 = np.floor((xs - grid.origin_x) / grid.cell_size_x).astype(np.int64)
     r0 = np.floor((ys - grid.origin_y) / grid.cell_size_y).astype(np.int64)
@@ -203,20 +251,31 @@ def _buffer_stats_chunk(
     # Squared cell-centre distances per axis, one row per offset (so stencil
     # gathers copy whole rows), inf off the grid so that the radius test
     # below is also the bounds test.
-    kx, ky = int(offs_c.max()), int(offs_r.max())
-    cols = c0 + np.arange(-kx, kx + 1)[:, None]
-    rows = r0 + np.arange(-ky, ky + 1)[:, None]
+    cols = c0 + stencil.col_steps
+    rows = r0 + stencil.row_steps
     ddx = grid.origin_x + (cols + 0.5) * grid.cell_size_x - xs
     ddy = grid.origin_y + (rows + 0.5) * grid.cell_size_y - ys
     ddx *= ddx
     ddy *= ddy
     ddx[(cols < 0) | (cols >= grid.n_cols)] = np.inf
     ddy[(rows < 0) | (rows >= grid.n_rows)] = np.inf
-    within = (ddx[offs_c + kx] + ddy[offs_r + ky] <= radius * radius).T
+    shape_t = (stencil.flat_offsets.size, xs.shape[0])
+    # mode="raise" would gather through a hidden temporary; the indices are in
+    # range. The ddy rows pass through the `vals` buffer, unused until later.
+    dist = _scratch_array("dist", shape_t, np.float64)
+    np.take(ddx, stencil.ddx_rows, axis=0, mode="clip", out=dist)
+    dist += np.take(
+        ddy, stencil.ddy_rows, axis=0, mode="clip", out=_scratch_array("vals", shape_t, np.float64)
+    )
+    within = (dist <= radius * radius).T
 
     # masked-out slots may gather any cell; `within` drops them
-    flat = (r0 * grid.n_cols + c0)[:, None] + (offs_r * grid.n_cols + offs_c)
-    vals = grid.values.ravel().take(flat, mode="clip")
+    shape = shape_t[::-1]
+    flat = np.add(
+        (r0 * grid.n_cols + c0)[:, None], stencil.flat_offsets,
+        out=_scratch_array("flat", shape, np.int64),
+    )
+    vals = grid.values.ravel().take(flat, mode="clip", out=_scratch_array("vals", shape, np.float64))
     valid = ~np.isnan(vals)
     valid &= within
     counts = valid.sum(axis=1)

@@ -144,6 +144,22 @@ def test_simulate_writes_scene(tmp_path):
     assert (out / "terrain.asc").exists()
 
 
+SIMULATE_FLOAT_FLAGS = ("cell-size", "spacing", "relief", "noise-sd", "heading", "dx", "dy")
+
+
+@pytest.mark.parametrize(
+    ("flag", "value"),
+    [(flag, value) for flag in SIMULATE_FLOAT_FLAGS for value in ("nan", "inf", "-inf")]
+    + [("cell-size", "0"), ("cell-size", "-4"), ("spacing", "0"), ("relief", "-1"), ("noise-sd", "-0.5")],
+)
+def test_simulate_bad_float_flag_is_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "scene"
+    assert run(["simulate", "--out", out, "--rows", 32, "--cols", 32, f"--{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: must be ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_correct_recovers_simulated_offsets(tmp_path):
     scene = tmp_path / "scene"
     out = tmp_path / "run"

@@ -2,6 +2,9 @@
 
 import math
 import statistics
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from terralign import (
     sample_points,
     write_raster,
 )
-from terralign import raster
+from terralign import esri_ascii, raster
 from terralign.geotiff import read_geotiff, write_geotiff
 
 from conftest import flat_grid, make_grid, ramp_grid
@@ -293,10 +296,52 @@ def test_stencil_offsets_cached_read_only():
     aggregate_buffer_points(grid, np.array([4.0]), np.array([4.0]), 3.0)
     offs_r, offs_c = raster._stencil_offsets(2.0, 2.0, 3.0)
     assert raster._stencil_offsets(2.0, 2.0, 3.0)[0] is offs_r
-    for offs in (offs_r, offs_c):
+    plan = raster._stencil_plan(2.0, 2.0, 3.0, 8)
+    assert raster._stencil_plan(2.0, 2.0, 3.0, 8) is plan
+    np.testing.assert_array_equal(plan.flat_offsets, offs_r * 8 + offs_c)
+    for offs in (offs_r, offs_c, *plan):
         assert not offs.flags.writeable
         with pytest.raises(ValueError):
             offs[0] = 0
+
+
+def test_concurrent_buffer_queries_match_serial_results(rng, monkeypatch):
+    """The kernel's per-thread scratch: threads querying at once, with
+    different centers, radii and stencil sizes, each get their serial result,
+    and no returned array changes under later calls."""
+    grid, xs, ys = bit_exact_scene(rng)
+    jobs = [
+        (xs, ys, 1.2, AggregationKind.MEAN),
+        (xs[::-1], ys[::-1], 9.5, AggregationKind.MEDIAN),
+        (xs[::2], ys[::2], 4.5, AggregationKind.MEAN),
+        (ys[1::2] - 30.0, xs[1::2] + 40.0, 5.0, AggregationKind.MEDIAN),
+    ]
+    for chunk in (1, 64, raster._CHUNK_ELEMENTS):
+        monkeypatch.setattr(raster, "_CHUNK_ELEMENTS", chunk)
+        serial = [aggregate_buffer_points(grid, *job) for job in jobs]
+        kept = [out.copy() for out in serial]
+        mismatches = []
+
+        def query(job, want):
+            for _ in range(30):
+                got = aggregate_buffer_points(grid, *job)
+                if not np.array_equal(got, want, equal_nan=True):
+                    mismatches.append(job[2])
+
+        threads = [threading.Thread(target=query, args=pair) for pair in zip(jobs, kept)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == [], chunk
+        for out, want in zip(serial, kept):
+            np.testing.assert_array_equal(out, want)
 
 
 def test_check_crs():
@@ -348,6 +393,108 @@ def test_ascii_non_finite_cellsize_is_format_error(tmp_path, key, value):
     path.write_text("".join(f"{k} {v}\n" for k, v in header.items()) + "1 2\n3 4\n")
     with pytest.raises(RasterFormatError, match=key):
         load_raster(path)
+
+
+ASCII_HEADER = "ncols 5\nnrows 4\nxllcorner 10\nyllcorner 20\ncellsize 2\n"
+ASCII_VALUES = [-50.0 + 7.3125 * i for i in range(20)]  # exact in binary
+ASCII_TOKENS = [repr(v) for v in ASCII_VALUES]
+SEPARATORS = [" ", "\n", "\t", "  ", "\r\n", " \n\n"]
+
+
+# A batch of 16 characters cuts values, but no line of ASCII_HEADER.
+@pytest.mark.parametrize("chunk", [16, 23, esri_ascii._CHUNK_CHARS])
+@pytest.mark.parametrize(
+    "body",
+    [
+        pytest.param(
+            "\n".join(" ".join(ASCII_TOKENS[i:i + 5]) for i in range(0, 20, 5)) + "\n",
+            id="row-per-line",
+        ),
+        pytest.param("\n".join(ASCII_TOKENS) + "\n", id="row-over-lines"),
+        pytest.param(" ".join(ASCII_TOKENS), id="rows-on-one-line"),
+        pytest.param(
+            "\n" + "".join(t + SEPARATORS[i % 6] for i, t in enumerate(ASCII_TOKENS)), id="ragged"
+        ),
+    ],
+)
+def test_ascii_values_may_wrap_over_lines(tmp_path, monkeypatch, chunk, body):
+    monkeypatch.setattr(esri_ascii, "_CHUNK_CHARS", chunk)
+    path = tmp_path / "grid.asc"
+    path.write_text(ASCII_HEADER + body)
+    grid = load_raster(path)
+    np.testing.assert_array_equal(grid.values, np.reshape(ASCII_VALUES, (4, 5)))
+    assert (grid.origin_x, grid.origin_y) == (10.0, 28.0)
+
+
+@pytest.mark.parametrize("chunk", [32, esri_ascii._CHUNK_CHARS])
+def test_ascii_round_trip_in_small_batches(tmp_path, rng, monkeypatch, chunk):
+    values = rng.normal(100.0, 20.0, (37, 29))
+    values[5, 7] = np.nan
+    grid = make_grid(values, cell=2.5)
+    path = tmp_path / "grid.asc"
+    write_raster(grid, path)
+    monkeypatch.setattr(esri_ascii, "_CHUNK_CHARS", chunk)
+    np.testing.assert_array_equal(load_raster(path).values, grid.values)
+
+
+@pytest.mark.parametrize(
+    ("body", "found"),
+    [
+        pytest.param(" ".join(ASCII_TOKENS[:-1]), 19, id="too-few"),
+        pytest.param("", 0, id="empty"),
+        pytest.param(" ".join(ASCII_TOKENS + ["7"]), 21, id="too-many"),
+        pytest.param("\n".join(ASCII_TOKENS * 3), 60, id="far-too-many"),
+    ],
+)
+def test_ascii_value_count_mismatch_is_format_error(tmp_path, monkeypatch, body, found):
+    monkeypatch.setattr(esri_ascii, "_CHUNK_CHARS", 16)
+    path = tmp_path / "grid.asc"
+    path.write_text(ASCII_HEADER + body)
+    with pytest.raises(RasterFormatError, match=f"expected 20 values, found {found}$"):
+        load_raster(path)
+
+
+def test_ascii_non_numeric_cell_is_format_error(tmp_path):
+    path = tmp_path / "grid.asc"
+    path.write_text(ASCII_HEADER + " ".join(ASCII_TOKENS[:7] + ["x5"] + ASCII_TOKENS[8:]))
+    with pytest.raises(RasterFormatError, match="non-numeric cell value.*'x5'"):
+        load_raster(path)
+
+
+def test_ascii_non_ascii_byte_deep_in_body_is_format_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(esri_ascii, "_CHUNK_CHARS", 1024)
+    rows = [" ".join(["123.456"] * 100) for _ in range(100)]
+    body = "\n".join(rows).encode("ascii")
+    at = len(body) * 3 // 4  # past the first batches, so it is met mid-stream
+    body = body[:at] + b"\xe9" + body[at + 1:]
+    path = tmp_path / "grid.asc"
+    path.write_bytes(b"ncols 100\nnrows 100\nxllcorner 0\nyllcorner 0\ncellsize 1\n" + body)
+    with pytest.raises(RasterFormatError, match="cannot read ASCII grid"):
+        load_raster(path)
+
+
+def test_ascii_center_anchored_header(tmp_path):
+    path = tmp_path / "grid.asc"
+    path.write_text("NCOLS 3\nNROWS 2\nXLLCENTER 11\nYLLCENTER 21\nCELLSIZE 2\n1 2 3\n4 5 6\n")
+    grid = load_raster(path)
+    assert (grid.origin_x, grid.origin_y) == (10.0, 24.0)
+    assert sample_one(grid, 11.0, 23.0) == 1.0
+    assert sample_one(grid, 15.0, 21.0) == 6.0
+
+
+def test_ascii_huge_header_allocates_only_what_the_file_holds(tmp_path):
+    path = tmp_path / "huge.asc"
+    header = "ncols 100000\nnrows 100000\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+    path.write_text(header + " ".join(["1.5"] * 240) + "\n")
+    assert path.stat().st_size <= 1024
+    tracemalloc.start()
+    try:
+        with pytest.raises(RasterFormatError, match="expected 10000000000 values, found 240"):
+            load_raster(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_geotiff_round_trip_bit_identical(tmp_path, rng):
