@@ -17,18 +17,15 @@ import sys
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from types import SimpleNamespace
 from typing import get_origin
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, config_from_dict, config_keys, dump_config, parse_toml
 from .evaluate import (
-    OffsetSummary,
-    ReportRow,
+    Combination,
     compare_methods,
-    displacement_stats,
-    mae,
+    report_rows,
     rows_to_csv,
     rows_to_json,
     rows_to_text,
@@ -211,19 +208,24 @@ def _fmt_float(value: float | None) -> str:
     return repr(float(value))
 
 
-def _load_pipeline(cfg: RunConfig):
-    dem_path = Path(cfg.dem_path)
+def _load_rasters(dem_path: str, geoid_path: str | None):
+    """The DEM and the optional geoid, which must share the DEM's CRS."""
+    dem_path = Path(dem_path)
     if not dem_path.exists():
         raise DataError(f"DEM not found: {dem_path}")
     dem = load_raster(dem_path)
     geoid = None
-    if cfg.geoid_path:
-        geoid_path = Path(cfg.geoid_path)
+    if geoid_path:
+        geoid_path = Path(geoid_path)
         if not geoid_path.exists():
             raise DataError(f"geoid raster not found: {geoid_path}")
         geoid = load_raster(geoid_path)
         check_crs(geoid.crs_tag, dem.crs_tag, context="geoid vs DEM")
+    return dem, geoid
 
+
+def _load_pipeline(cfg: RunConfig):
+    dem, geoid = _load_rasters(cfg.dem_path, cfg.geoid_path)
     fps_path = Path(cfg.footprints_path)
     if not fps_path.exists():
         raise DataError(f"footprint CSV not found: {fps_path}")
@@ -326,21 +328,35 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise UsageError(f"{name}: must be finite, got {value!r}")
         if (low == "positive" and value <= 0) or (low == "non-negative" and value < 0):
             raise UsageError(f"{name}: must be {low}, got {value!r}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    terrain_spec = TerrainSpec(
-        kind=args.terrain,
-        n_rows=args.rows,
-        n_cols=args.cols,
-        cell_size=args.cell_size,
-        relief=args.relief,
-        seed=args.terrain_seed,
-    )
-    terrain = gen_terrain(terrain_spec)
-    write_raster(terrain, out_dir / "terrain.asc")
-
     if args.n_groups < 1:
-        raise UsageError("--n-groups must be >= 1")
+        raise UsageError(f"n-groups: must be >= 1, got {args.n_groups!r}")
+    try:
+        terrain_spec = TerrainSpec(
+            kind=args.terrain,
+            n_rows=args.rows,
+            n_cols=args.cols,
+            cell_size=args.cell_size,
+            relief=args.relief,
+            seed=args.terrain_seed,
+        )
+        specs = [
+            TrackSpec(
+                n_footprints=args.n_footprints,
+                spacing=args.spacing,
+                heading=(args.heading + i * 360.0 / args.n_groups) % 360.0,
+                noise_sd=args.noise_sd,
+                planted_dx=args.dx,
+                planted_dy=args.dy,
+                seed=args.track_seed + i,
+            )
+            for i in range(args.n_groups)
+        ]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    # every track is placed before any file is written, so a TrackError leaves --out as it was
+    terrain = gen_terrain(terrain_spec)
+    tracks = [gen_track(terrain, spec) for spec in specs]
+
     truth: dict = {
         "terrain": {
             "kind": args.terrain,
@@ -353,17 +369,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "groups": {},
     }
     all_rows: list[list[str]] = []
-    for i in range(args.n_groups):
-        spec = TrackSpec(
-            n_footprints=args.n_footprints,
-            spacing=args.spacing,
-            heading=(args.heading + i * 360.0 / args.n_groups) % 360.0,
-            noise_sd=args.noise_sd,
-            planted_dx=args.dx,
-            planted_dy=args.dy,
-            seed=args.track_seed + i,
-        )
-        clean = gen_track(terrain, spec)
+    for spec, clean in zip(specs, tracks):
         observed = plant_offset(clean, spec)
         truth["groups"][clean.key] = {
             "planted_dx": spec.planted_dx,
@@ -387,6 +393,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 ]
             )
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_raster(terrain, out_dir / "terrain.asc")
     with (out_dir / "footprints.csv").open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(REQUIRED_COLUMNS)
@@ -402,14 +411,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     corrected_path = Path(args.corrected)
     if not corrected_path.exists():
         raise DataError(f"corrected CSV not found: {corrected_path}")
-    dem_path = Path(args.dem)
-    if not dem_path.exists():
-        raise DataError(f"DEM not found: {dem_path}")
-    dem = load_raster(dem_path)
-    geoid = None
-    if args.geoid:
-        geoid = load_raster(Path(args.geoid))
-        check_crs(geoid.crs_tag, dem.crs_tag, context="geoid vs DEM")
+    dem, geoid = _load_rasters(args.dem, args.geoid)
     agg = AggregationKind(args.agg)
 
     with corrected_path.open(newline="") as fh:
@@ -427,24 +429,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise DataError(f"{corrected_path}: no data rows")
 
     try:
-        x = np.array([float(r["x"]) for r in records])
-        y = np.array([float(r["y"]) for r in records])
-        xc = np.array([float(r["x_corrected"]) for r in records])
-        yc = np.array([float(r["y_corrected"]) for r in records])
-        elev = np.array([float(r["elev_lowestmode"]) for r in records])
+        columns = ("x", "y", "x_corrected", "y_corrected", "elev_lowestmode", "dx_m", "dy_m")
+        x, y, xc, yc, elev, dx, dy = (np.array([float(r[c]) for r in records]) for c in columns)
     except ValueError as exc:
         raise DataError(f"{corrected_path}: unparseable numeric field: {exc}") from exc
 
-    if geoid is not None:
-        und = sample_points(geoid, x, y)
-        elev = elev - und
-    ref_before = aggregate_buffer_points(dem, x, y, args.radius, agg)
-    ref_after = aggregate_buffer_points(dem, xc, yc, args.radius, agg)
-    usable = np.isfinite(elev) & np.isfinite(ref_before) & np.isfinite(ref_after)
-
-    # As in `compare_methods`: the k-th row of every (method, metric)
-    # combination is one footprint, and it counts only when it is usable in
-    # every combination, so every report row covers the same footprints.
+    # the k-th row of every (method, metric) combination is one footprint
     combos: dict[tuple[str, str], list[int]] = {}
     for i, rec in enumerate(records):
         combos.setdefault((rec["method"], rec["metric"]), []).append(i)
@@ -453,46 +443,26 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise DataError(
             f"{corrected_path}: (method, metric) combinations have different row counts: {counts}"
         )
-    keep = usable[np.array(list(combos.values()))].all(axis=0)
-    if not np.any(keep):
-        raise DataError(
-            "no footprint has DEM coverage at both original and corrected positions"
-            " in every (method, metric) combination"
-        )
-    combos = {combo: [i for i, k in zip(idx, keep) if k] for combo, idx in combos.items()}
-
-    rows = []
     first = next(iter(combos.values()))
-    n_groups = len({records[i]["group_key"] for i in first})
-    rows.append(
-        ReportRow(
-            method="original",
-            metric="",
-            mae_m=mae(elev[first], ref_before[first]),
-            offsets=OffsetSummary(*([math.nan] * 6), n_groups),
-            n_footprints=len(first),
-            wall_time_s=math.nan,
-        )
-    )
+    keys = [records[i]["group_key"] for i in first]
     for (method, metric), idx in combos.items():
-        by_group: dict[str, SimpleNamespace] = {}
-        for i in idx:
-            key = records[i]["group_key"]
-            if key not in by_group:
-                by_group[key] = SimpleNamespace(
-                    dx=float(records[i]["dx_m"]), dy=float(records[i]["dy_m"])
-                )
-        summary = displacement_stats(list(by_group.values()))
-        rows.append(
-            ReportRow(
-                method=method,
-                metric=metric,
-                mae_m=mae(elev[idx], ref_after[idx]),
-                offsets=summary,
-                n_footprints=len(idx),
-                wall_time_s=math.nan,
+        if [records[i]["group_key"] for i in idx] != keys:
+            raise DataError(f"{corrected_path}: group_key differs row by row in {method}/{metric}")
+
+    if geoid is not None:
+        elev = elev - sample_points(geoid, x, y)
+    rows = report_rows(
+        keys,
+        elev[first],
+        aggregate_buffer_points(dem, x[first], y[first], args.radius, agg),
+        [
+            Combination(
+                method, metric, aggregate_buffer_points(dem, xc[idx], yc[idx], args.radius, agg),
+                dx=dx[idx], dy=dy[idx],
             )
-        )
+            for (method, metric), idx in combos.items()
+        ],
+    )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,8 +1,9 @@
 """Evaluation statistics and method-comparison tables.
 
-Rows are comparable across methods because every MAE is computed over the
-footprints that survive in all compared results (their intersection), with
-an "original" row scoring the uncorrected positions.
+Every report row comes from `report_rows`. Rows are comparable across
+methods because every MAE is computed over the footprints that survive in
+all compared results (their intersection), with an "original" row scoring
+the uncorrected positions.
 """
 
 from __future__ import annotations
@@ -10,12 +11,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import compress
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .footprints import ShotGroup
+from .footprints import MIN_GROUP_SIZE, ShotGroup
 
 REPORT_COLUMNS = (
     "method",
@@ -97,24 +97,76 @@ class ReportRow:
     wall_time_s: float = math.nan
 
 
-def _has_ref(groups: Sequence[ShotGroup]) -> np.ndarray:
-    return np.array([fp.ref_elev is not None for g in groups for fp in g.footprints], dtype=bool)
+@dataclass
+class Combination:
+    """One (method, metric) combination, indexed by footprint position.
+
+    `ref_after` is NaN where the corrected position has no reference;
+    `dx` and `dy` hold the offset of each footprint's group.
+    """
+
+    method: str
+    metric: str
+    ref_after: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    wall_time_s: float = math.nan
 
 
-def _pairs(groups: Sequence[ShotGroup], keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    kept = list(compress((fp for g in groups for fp in g.footprints), keep))
-    elev = np.asarray([fp.gedi_dem for fp in kept], dtype=np.float64)
-    ref = np.asarray([fp.ref_elev for fp in kept], dtype=np.float64)
-    return elev, ref
+class _Offset(NamedTuple):
+    dx: float
+    dy: float
+
+
+def report_rows(
+    group_keys: Sequence[str],
+    elev: np.ndarray,
+    ref_before: np.ndarray,
+    combinations: Sequence[Combination],
+) -> list[ReportRow]:
+    """The "original" row, then one row per combination.
+
+    Every argument is indexed by footprint position. MAE and `n_footprints`
+    cover the positions whose elevation, reference before correction and
+    reference in every combination are all finite. A group is the
+    footprints sharing a key: the original row counts every group, and a
+    combination row summarises the offsets of the groups with at least
+    MIN_GROUP_SIZE footprints, the ones the solvers ran on.
+    """
+    keep = np.isfinite(elev) & np.isfinite(ref_before)
+    for combination in combinations:
+        keep &= np.isfinite(combination.ref_after)
+    n_kept = int(np.count_nonzero(keep))
+    if n_kept == 0:
+        raise ValueError("no footprints survive in every compared result")
+
+    members: dict[str, list[int]] = {}
+    for i, key in enumerate(group_keys):
+        members.setdefault(key, []).append(i)
+    solved = [idx[0] for idx in members.values() if len(idx) >= MIN_GROUP_SIZE]
+
+    original = OffsetSummary(*[math.nan] * 6, len(members))
+    entries = [(ORIGINAL_LABEL, "", ref_before, original, math.nan)]
+    for c in combinations:
+        offsets = displacement_stats([_Offset(c.dx[i], c.dy[i]) for i in solved])
+        entries.append((c.method, c.metric, c.ref_after, offsets, c.wall_time_s))
+    return [
+        ReportRow(method, metric, mae(elev[keep], ref[keep]), offsets, n_kept, wall)
+        for method, metric, ref, offsets, wall in entries
+    ]
+
+
+def _column(groups: Sequence[ShotGroup], name: str) -> np.ndarray:
+    """One footprint field over `groups`, in order; None becomes NaN."""
+    return np.array([getattr(fp, name) for g in groups for fp in g.footprints], dtype=np.float64)
 
 
 def compare_methods(results: Sequence, groups: Sequence[ShotGroup]) -> list[ReportRow]:
     """Build one report row per result plus the leading "original" row.
 
     `groups` are the groups every result corrected; each result's corrected
-    groups must match them in keys and sizes, footprint for footprint. MAE
-    and `n_footprints` count, by position, the footprints with a reference
-    elevation before correction and in every result.
+    groups must match them in keys and sizes, footprint for footprint. The
+    rows are scored by `report_rows`.
     """
     base_keys = [g.key for g in groups]
     base_sizes = [len(g) for g in groups]
@@ -129,39 +181,17 @@ def compare_methods(results: Sequence, groups: Sequence[ShotGroup]) -> list[Repo
         if [len(g) for g in result.corrected_groups] != base_sizes:
             raise ValueError(f"result {result.method!r} has group sizes unlike the input groups")
 
-    keep = _has_ref(groups)
-    for result in results:
-        keep &= _has_ref(result.corrected_groups)
-    n_kept = int(np.count_nonzero(keep))
-    if n_kept == 0:
-        raise ValueError("no footprints survive in every compared result")
-
-    elev0, ref0 = _pairs(groups, keep)
-    nan = math.nan
-    rows = [
-        ReportRow(
-            method=ORIGINAL_LABEL,
-            metric="",
-            mae_m=mae(elev0, ref0),
-            offsets=OffsetSummary(nan, nan, nan, nan, nan, nan, len(groups)),
-            n_footprints=n_kept,
-            wall_time_s=nan,
+    combinations = [
+        Combination(
+            result.method, result.metric, _column(result.corrected_groups, "ref_elev"),
+            dx=np.repeat([s.dx for s in result.solutions], base_sizes),
+            dy=np.repeat([s.dy for s in result.solutions], base_sizes),
+            wall_time_s=result.wall_time_s,
         )
+        for result in results
     ]
-    for result in results:
-        elev, ref = _pairs(result.corrected_groups, keep)
-        corrected_sols = [s for s in result.solutions if not s.skipped]
-        rows.append(
-            ReportRow(
-                method=result.method,
-                metric=result.metric,
-                mae_m=mae(elev, ref),
-                offsets=displacement_stats(corrected_sols),
-                n_footprints=n_kept,
-                wall_time_s=result.wall_time_s,
-            )
-        )
-    return rows
+    keys = [g.key for g in groups for _ in g.footprints]
+    return report_rows(keys, _column(groups, "gedi_dem"), _column(groups, "ref_elev"), combinations)
 
 
 def _cell(value, blank: str = "") -> str:

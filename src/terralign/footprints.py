@@ -82,14 +82,6 @@ class ShotGroup:
         """(n, 2) array of footprint x/y coordinates."""
         return np.asarray([(fp.x, fp.y) for fp in self.footprints], dtype=np.float64)
 
-    @property
-    def ref_elevs(self) -> np.ndarray:
-        """Reference elevations; NaN where unset."""
-        return np.asarray(
-            [math.nan if fp.ref_elev is None else fp.ref_elev for fp in self.footprints],
-            dtype=np.float64,
-        )
-
 
 @dataclass
 class ParseStats:

@@ -308,7 +308,8 @@ def load_raster(path: str | Path, kind: str = "raster") -> RasterGrid:
     if not path.is_file():
         raise RasterFormatError(f"{kind} file not found: {path}")
     try:
-        head = path.open("rb").read(4)
+        with path.open("rb") as fh:
+            head = fh.read(4)
     except OSError as exc:
         raise RasterFormatError(f"cannot read {kind} file {path}: {exc}") from exc
     if head[:2] in (b"II", b"MM"):

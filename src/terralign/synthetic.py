@@ -9,17 +9,15 @@ displacement is therefore the negated planted offset.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .config import RunConfig
-from .evaluate import mae
+from .evaluate import compare_methods
 from .footprints import Footprint, ShotGroup, attach_reference
-from .metrics import MetricKind
-from .optimize import correct_group
+from .optimize import correct_dataset
 from .raster import AggregationKind, RasterGrid, aggregate_buffer_points
 
 BASE_ELEVATION_M = 100.0
@@ -310,6 +308,8 @@ def run_recovery_experiment(
     """Plant an offset, run every method x metric, measure the recovery.
 
     Reads `radius`, `agg`, `bounds`, `optimizer` and `seed` from `cfg`.
+    Every combination's MAE before and after correction is taken by
+    `compare_methods`, over the footprints with a reference in all of them.
     """
     cfg = cfg or RunConfig()
     terrain = gen_terrain(terrain_spec)
@@ -317,39 +317,33 @@ def run_recovery_experiment(
     observed = plant_offset(truth, track_spec)
     # no 50 m exclusion here: synthetic elevations are honest by construction
     observed = attach_reference(observed, terrain, cfg.radius, cfg.agg, max_dem_diff=math.inf)
-    elev = observed.elevations
-    mae_before = mae(elev, observed.ref_elevs)
+    results = [
+        correct_dataset([observed], terrain, method=method, metric=metric, cfg=cfg)
+        for method in methods
+        for metric in metrics
+    ]
+    # one footprint set for every MAE, as in the `correct` reports
+    original, *rows = compare_methods(results, [observed])
 
     report = ExperimentReport(terrain=terrain_spec, track=track_spec)
-    for method in methods:
-        for metric in metrics:
-            start = time.perf_counter()
-            sol, corrected = correct_group(observed, terrain, method=method, metric=metric, cfg=cfg)
-            wall = time.perf_counter() - start
-            kept = [fp for fp in corrected.footprints if fp.ref_elev is not None]
-            if kept:
-                mae_after = mae(
-                    np.array([fp.gedi_dem for fp in kept]),
-                    np.array([fp.ref_elev for fp in kept]),
-                )
-            else:
-                mae_after = math.nan
-            report.rows.append(
-                ExperimentRow(
-                    method=method,
-                    metric=MetricKind(metric).value,
-                    planted_dx=track_spec.planted_dx,
-                    planted_dy=track_spec.planted_dy,
-                    dx=sol.dx,
-                    dy=sol.dy,
-                    recovery_error_m=math.hypot(
-                        sol.dx + track_spec.planted_dx, sol.dy + track_spec.planted_dy
-                    ),
-                    objective_value=sol.objective_value,
-                    mae_before_m=mae_before,
-                    mae_after_m=mae_after,
-                    evaluations=sol.evaluations,
-                    wall_time_s=wall,
-                )
+    for result, row in zip(results, rows):
+        (sol,) = result.solutions
+        report.rows.append(
+            ExperimentRow(
+                method=result.method,
+                metric=result.metric,
+                planted_dx=track_spec.planted_dx,
+                planted_dy=track_spec.planted_dy,
+                dx=sol.dx,
+                dy=sol.dy,
+                recovery_error_m=math.hypot(
+                    sol.dx + track_spec.planted_dx, sol.dy + track_spec.planted_dy
+                ),
+                objective_value=sol.objective_value,
+                mae_before_m=original.mae_m,
+                mae_after_m=row.mae_m,
+                evaluations=sol.evaluations,
+                wall_time_s=result.wall_time_s,
             )
+        )
     return report

@@ -160,6 +160,26 @@ def test_simulate_bad_float_flag_is_usage_error(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    ("flag", "value"),
+    [("dx", "30"), ("dy", "-26"), ("n-footprints", "2"), ("rows", "0"), ("cols", "-3"), ("n-groups", "0")],
+)
+def test_simulate_bad_spec_is_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "scene"
+    assert run(["simulate", "--out", out, "--rows", 32, "--cols", 32, f"--{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_simulate_track_that_does_not_fit_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "scene"
+    # 20 footprints 60 m apart cannot cross 32 cells of 5 m
+    assert run(["simulate", "--out", out, "--rows", 32, "--cols", 32]) == 2
+    assert "does not fit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_correct_recovers_simulated_offsets(tmp_path):
     scene = tmp_path / "scene"
     out = tmp_path / "run"
@@ -252,14 +272,49 @@ def test_config_file_with_cli_override(tmp_path):
     assert "pop = 20" in eff
 
 
-def test_evaluate_matches_correct_report(tmp_path):
+REPORT_FILES = ("report.csv", "report.json", "report.txt")
+
+
+def edit_group_rows(path, key, edit):
+    """Rewrite the footprint CSV rows of group `key` with `edit(rows)`."""
+    header, *rows = path.read_text().splitlines()
+    group = [r for r in rows if r.startswith(key)]
+    rest = [r for r in rows if not r.startswith(key)]
+    path.write_text("\n".join([header] + rest + edit(group)) + "\n")
+
+
+def raise_elevations(rows, by=100.0):
+    out = []
+    for row in rows:
+        cells = row.split(",")
+        cells[4] = repr(float(cells[4]) + by)
+        out.append(",".join(cells))
+    return out
+
+
+# (simulated groups, edit of group 0000000002, (original, grid) n_groups)
+EVALUATE_SCENES = {
+    "one-group": (1, None, ("1", "1")),
+    # two footprints: the group is skipped, so its zero offset is not summarised
+    "group-below-min-size": (3, lambda rows: rows[:2], ("3", "2")),
+    # 100 m above the DEM: the 50 m max_dem_diff rule drops every footprint
+    "group-emptied-by-max-dem-diff": (3, raise_elevations, ("2", "2")),
+}
+
+
+@pytest.mark.parametrize("scene_name", sorted(EVALUATE_SCENES))
+def test_evaluate_matches_correct_report(tmp_path, scene_name):
+    n_groups, edit, expected_groups = EVALUATE_SCENES[scene_name]
     scene = tmp_path / "scene"
     out = tmp_path / "run"
     eval_out = tmp_path / "eval"
     assert run([
         "simulate", "--out", scene, "--rows", 192, "--cols", 192, "--cell-size", 3,
         "--relief", 130, "--n-footprints", 9, "--spacing", 25, "--dx", 5, "--dy", -3,
+        "--n-groups", n_groups,
     ]) == 0
+    if edit is not None:
+        edit_group_rows(scene / "footprints.csv", "0000000002", edit)
     assert run([
         "correct", "--dem", scene / "terrain.asc", "--footprints", scene / "footprints.csv",
         "--out", out, "--methods", "grid", "--metrics", "euclidean",
@@ -268,9 +323,10 @@ def test_evaluate_matches_correct_report(tmp_path):
         "evaluate", "--corrected", out / "corrected_grid_euclidean.csv",
         "--dem", scene / "terrain.asc", "--out", eval_out,
     ]) == 0
-    a = (out / "report.csv").read_text()
-    b = (eval_out / "report.csv").read_text()
-    assert a == b
+    report = list(csv.DictReader((out / "report.csv").read_text().splitlines()))
+    assert tuple(r["n_groups"] for r in report) == expected_groups
+    for name in REPORT_FILES:
+        assert (eval_out / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def two_combination_csv(tmp_path):
@@ -289,6 +345,15 @@ def two_combination_csv(tmp_path):
     header, *rows = (out / "corrected_grid_euclidean.csv").read_text().splitlines()
     rows += (out / "corrected_grid_area.csv").read_text().splitlines()[1:]
     return scene / "terrain.asc", header, rows
+
+
+def test_evaluate_joined_csv_reproduces_correct_reports(tmp_path):
+    dem_path, header, rows = two_combination_csv(tmp_path)
+    corrected = tmp_path / "joined.csv"
+    corrected.write_text("\n".join([header] + rows) + "\n")
+    assert run(["evaluate", "--corrected", corrected, "--dem", dem_path, "--out", tmp_path / "eval"]) == 0
+    for name in REPORT_FILES:
+        assert (tmp_path / "eval" / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
 
 
 def test_evaluate_counts_footprints_usable_in_every_combination(tmp_path):
@@ -323,6 +388,18 @@ def test_evaluate_rejects_combinations_of_different_sizes(tmp_path, capsys):
     corrected.write_text("\n".join([header] + rows[:-1]) + "\n")
     assert run(["evaluate", "--corrected", corrected, "--dem", dem_path, "--out", tmp_path / "eval"]) == 2
     assert "different row counts" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_combinations_with_different_group_keys(tmp_path, capsys):
+    dem_path, header, rows = two_combination_csv(tmp_path)
+    columns = header.split(",")
+    cells = rows[-1].split(",")
+    cells[columns.index("group_key")] = "0000000099"
+    rows[-1] = ",".join(cells)
+    corrected = tmp_path / "joined.csv"
+    corrected.write_text("\n".join([header] + rows) + "\n")
+    assert run(["evaluate", "--corrected", corrected, "--dem", dem_path, "--out", tmp_path / "eval"]) == 2
+    assert "group_key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["correct", "bench", "evaluate"])

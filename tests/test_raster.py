@@ -1,10 +1,12 @@
 """Raster sampling, buffer aggregation, and file round trips."""
 
+import gc
 import math
 import statistics
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -520,6 +522,18 @@ def test_load_raster_dispatches_on_magic(tmp_path):
     write_raster(grid, asc)
     np.testing.assert_array_equal(load_raster(tif).values, grid.values)
     np.testing.assert_array_equal(load_raster(asc).values, grid.values)
+
+
+def test_load_raster_closes_every_file(tmp_path):
+    grid = flat_grid(4)
+    write_geotiff(grid, tmp_path / "a.tif")
+    write_raster(grid, tmp_path / "b.asc")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_raster(tmp_path / "a.tif")
+        load_raster(tmp_path / "b.asc")
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_geotiff_rejects_garbage(tmp_path):
