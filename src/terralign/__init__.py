@@ -2,174 +2,38 @@
 
 The package matches footprint elevation profiles against a reference DEM
 and searches a continuous +/-25 m window for the horizontal offset that
-minimizes the elevation discrepancy, one offset per shot group.
+minimizes the elevation discrepancy, one offset per shot group. The top
+level exports the library entry points and the error types; everything
+else is imported from its module (`terralign.optimize`,
+`terralign.evaluate`, ...).
 """
 
-from .config import (
-    DEFAULT_GRID_STEP_M,
-    DEFAULT_WINDOW_M,
-    METHOD_NAMES,
-    Bounds,
-    ConfigError,
-    GaConfig,
-    LbfgsbConfig,
-    OptimizerConfig,
-    PsoConfig,
-    QualityRules,
-    RunConfig,
-    config_from_dict,
-    dump_config,
-    load_config,
-    parse_toml,
-)
-from .evaluate import (
-    REPORT_COLUMNS,
-    OffsetSummary,
-    ReportRow,
-    compare_methods,
-    displacement_stats,
-    mae,
-    rows_to_csv,
-    rows_to_json,
-    rows_to_text,
-)
-from .footprints import (
-    GROUP_PREFIX_LEN,
-    MIN_GROUP_SIZE,
-    REQUIRED_COLUMNS,
-    Footprint,
-    FootprintError,
-    ParseStats,
-    PipelineStats,
-    ShotGroup,
-    apply_geoid,
-    attach_reference,
-    filter_quality,
-    flag_rolling_outliers,
-    group_by_shot,
-    parse_footprints,
-    prepare_groups,
-    remove_outliers,
-)
-from .metrics import MetricError, MetricKind, distance, distance_many
-from .optimize import (
-    DEFAULT_OOB_PENALTY,
-    CorrectionResult,
-    DisplacementSolution,
-    Objective,
-    correct_dataset,
-    correct_group,
-    derive_group_seed,
-    five_point_starts,
-    grid_search,
-    lattice_points,
-    optimize_ga,
-    optimize_lbfgsb,
-    optimize_pso,
-)
-from .raster import (
-    AggregationKind,
-    CrsMismatchError,
-    RasterError,
-    RasterFormatError,
-    RasterGrid,
-    aggregate_buffer_points,
-    check_crs,
-    load_raster,
-    sample_points,
-    write_raster,
-)
-from .synthetic import (
-    TERRAIN_KINDS,
-    ExperimentReport,
-    ExperimentRow,
-    TerrainSpec,
-    TrackError,
-    TrackSpec,
-    gen_terrain,
-    gen_track,
-    plant_offset,
-    run_recovery_experiment,
-)
+from .config import ConfigError, QualityRules, RunConfig
+from .footprints import FootprintError, parse_footprints, prepare_groups
+from .metrics import MetricError, MetricKind
+from .optimize import correct_dataset
+from .raster import CrsMismatchError, RasterError, RasterFormatError, RasterGrid, load_raster, write_raster
+from .synthetic import TerrainSpec, TrackError, gen_terrain
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregationKind",
-    "Bounds",
     "ConfigError",
-    "CorrectionResult",
     "CrsMismatchError",
-    "DEFAULT_GRID_STEP_M",
-    "DEFAULT_OOB_PENALTY",
-    "DEFAULT_WINDOW_M",
-    "DisplacementSolution",
-    "ExperimentReport",
-    "ExperimentRow",
-    "Footprint",
     "FootprintError",
-    "GROUP_PREFIX_LEN",
-    "GaConfig",
-    "LbfgsbConfig",
-    "METHOD_NAMES",
-    "MIN_GROUP_SIZE",
     "MetricError",
     "MetricKind",
-    "Objective",
-    "OffsetSummary",
-    "OptimizerConfig",
-    "ParseStats",
-    "PipelineStats",
-    "PsoConfig",
     "QualityRules",
-    "REPORT_COLUMNS",
-    "REQUIRED_COLUMNS",
     "RasterError",
     "RasterFormatError",
     "RasterGrid",
-    "ReportRow",
     "RunConfig",
-    "ShotGroup",
-    "TERRAIN_KINDS",
     "TerrainSpec",
     "TrackError",
-    "TrackSpec",
-    "aggregate_buffer_points",
-    "apply_geoid",
-    "attach_reference",
-    "check_crs",
-    "compare_methods",
-    "config_from_dict",
     "correct_dataset",
-    "correct_group",
-    "derive_group_seed",
-    "displacement_stats",
-    "distance",
-    "distance_many",
-    "dump_config",
-    "filter_quality",
-    "five_point_starts",
-    "flag_rolling_outliers",
     "gen_terrain",
-    "gen_track",
-    "grid_search",
-    "group_by_shot",
-    "lattice_points",
-    "load_config",
     "load_raster",
-    "mae",
-    "optimize_ga",
-    "optimize_lbfgsb",
-    "optimize_pso",
     "parse_footprints",
-    "parse_toml",
-    "plant_offset",
     "prepare_groups",
-    "remove_outliers",
-    "rows_to_csv",
-    "rows_to_json",
-    "rows_to_text",
-    "run_recovery_experiment",
-    "sample_points",
     "write_raster",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -251,32 +252,32 @@ def _load_pipeline(cfg: RunConfig):
     return dem, groups, stats
 
 
-def _write_corrected_csv(path: Path, groups, result) -> None:
-    """One row per footprint of `groups`: its input columns, then the correction.
+def _write_corrected_csv(path: Path, result) -> None:
+    """One row per footprint of `result.groups`: its input columns, then the correction.
 
     Every footprint comes from `parse_footprints`, so `raw` holds every
     input column, in header order.
     """
-    columns = list(next(fp for g in groups for fp in g.footprints).raw)
+    columns = list(next(fp for g in result.groups for fp in g.footprints).raw)
+    rows = ((g, sol, fp) for g, sol in zip(result.groups, result.solutions) for fp in g.footprints)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns + list(CORRECTED_EXTRA_COLUMNS))
-        for sol, original, corrected in zip(result.solutions, groups, result.corrected_groups):
-            for fp_before, fp_after in zip(original.footprints, corrected.footprints):
-                writer.writerow(
-                    [fp_before.raw[c] for c in columns]
-                    + [
-                        original.key,
-                        _fmt_float(sol.dx),
-                        _fmt_float(sol.dy),
-                        _fmt_float(fp_after.x),
-                        _fmt_float(fp_after.y),
-                        _fmt_float(fp_before.ref_elev),
-                        _fmt_float(fp_after.ref_elev),
-                        result.method,
-                        result.metric,
-                    ]
-                )
+        for (group, sol, fp), ref_after in zip(rows, result.ref_after):
+            writer.writerow(
+                [fp.raw[c] for c in columns]
+                + [
+                    group.key,
+                    _fmt_float(sol.dx),
+                    _fmt_float(sol.dy),
+                    _fmt_float(fp.x + sol.dx),
+                    _fmt_float(fp.y + sol.dy),
+                    _fmt_float(fp.ref_elev),
+                    _fmt_float(ref_after),
+                    result.method,
+                    result.metric,
+                ]
+            )
 
 
 def _write_reports(out_dir: Path, rows, with_timing: bool) -> None:
@@ -301,7 +302,7 @@ def _run(args: argparse.Namespace, timed: bool) -> int:
             )
     for result in results:
         name = f"corrected_{result.method}_{result.metric}.csv"
-        _write_corrected_csv(out_dir / name, groups, result)
+        _write_corrected_csv(out_dir / name, result)
         logger.info("wrote %s", out_dir / name)
 
     rows = compare_methods(results, groups)
@@ -357,17 +358,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     terrain = gen_terrain(terrain_spec)
     tracks = [gen_track(terrain, spec) for spec in specs]
 
-    truth: dict = {
-        "terrain": {
-            "kind": args.terrain,
-            "n_rows": args.rows,
-            "n_cols": args.cols,
-            "cell_size": args.cell_size,
-            "relief": args.relief,
-            "seed": args.terrain_seed,
-        },
-        "groups": {},
-    }
+    truth: dict = {"terrain": dataclasses.asdict(terrain_spec), "groups": {}}
     all_rows: list[list[str]] = []
     for spec, clean in zip(specs, tracks):
         observed = plant_offset(clean, spec)
@@ -378,20 +369,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "seed": spec.seed,
             "true_positions": [[fp.x, fp.y] for fp in clean.footprints],
         }
-        for fp in observed.footprints:
-            all_rows.append(
-                [
-                    fp.shot_number,
-                    fp.beam,
-                    repr(fp.x),
-                    repr(fp.y),
-                    repr(fp.elev_lowestmode),
-                    str(fp.degrade_flag),
-                    str(fp.quality_flag),
-                    repr(fp.sensitivity),
-                    repr(fp.rh100),
-                ]
-            )
+        all_rows.extend([str(getattr(fp, c)) for c in REQUIRED_COLUMNS] for fp in observed.footprints)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

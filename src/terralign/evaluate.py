@@ -164,26 +164,26 @@ def _column(groups: Sequence[ShotGroup], name: str) -> np.ndarray:
 def compare_methods(results: Sequence, groups: Sequence[ShotGroup]) -> list[ReportRow]:
     """Build one report row per result plus the leading "original" row.
 
-    `groups` are the groups every result corrected; each result's corrected
-    groups must match them in keys and sizes, footprint for footprint. The
-    rows are scored by `report_rows`.
+    `groups` are the groups every result corrected; each result's groups
+    must match them in keys and sizes, footprint for footprint. The rows
+    are scored by `report_rows`.
     """
     base_keys = [g.key for g in groups]
     base_sizes = [len(g) for g in groups]
     for result in results:
-        keys = [g.key for g in result.corrected_groups]
+        keys = [g.key for g in result.groups]
         if keys != base_keys:
             differing = sorted(set(keys).symmetric_difference(base_keys))
             raise ValueError(
                 f"result {result.method!r} covers different shot groups; differing keys: "
                 + ", ".join(differing)
             )
-        if [len(g) for g in result.corrected_groups] != base_sizes:
+        if [len(g) for g in result.groups] != base_sizes:
             raise ValueError(f"result {result.method!r} has group sizes unlike the input groups")
 
     combinations = [
         Combination(
-            result.method, result.metric, _column(result.corrected_groups, "ref_elev"),
+            result.method, result.metric, result.ref_after,
             dx=np.repeat([s.dx for s in result.solutions], base_sizes),
             dy=np.repeat([s.dy for s in result.solutions], base_sizes),
             wall_time_s=result.wall_time_s,

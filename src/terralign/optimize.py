@@ -15,7 +15,7 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
@@ -28,7 +28,8 @@ from .raster import AggregationKind, RasterGrid, aggregate_buffer_points
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_OOB_PENALTY = 1e9
+# value of a candidate whose buffers leave the DEM, plus one per such footprint
+OOB_PENALTY = 1e9
 
 
 class Objective:
@@ -45,13 +46,10 @@ class Objective:
         metric: MetricKind | str = MetricKind.EUCLIDEAN,
         radius: float = 12.5,
         agg: AggregationKind = AggregationKind.MEAN,
-        oob_penalty: float = DEFAULT_OOB_PENALTY,
     ) -> None:
         self.metric = MetricKind(metric)
         if radius <= 0:
             raise ValueError("radius must be positive")
-        if not math.isfinite(oob_penalty) or oob_penalty <= 0:
-            raise ValueError("oob_penalty must be a positive finite value")
         n = len(group.footprints)
         if n < 1:
             raise ValueError(f"group {group.key}: empty group has no objective")
@@ -64,7 +62,6 @@ class Objective:
         self.dem = dem
         self.radius = radius
         self.agg = agg
-        self.oob_penalty = oob_penalty
         self.cell_size = max(dem.cell_size_x, abs(dem.cell_size_y))
         self.n_footprints = self.elev.shape[0]
 
@@ -88,7 +85,7 @@ class Objective:
         if np.any(clean):
             out[clean] = distance_many(self.metric, self.elev, refs[clean])
         # keep the surface finite and deterministically ranked off-DEM
-        out[~clean] = self.oob_penalty + n_nodata[~clean]
+        out[~clean] = OOB_PENALTY + n_nodata[~clean]
         return out
 
 
@@ -347,12 +344,23 @@ def derive_group_seed(seed: int, group_key: str) -> int:
 
 @dataclass
 class CorrectionResult:
+    """One method x metric over `groups`, the caller's sequence.
+
+    `solutions` holds one entry per group. `ref_after` holds one reference
+    elevation per footprint, in group order, at the corrected position; it
+    is NaN where the shifted buffer has no DEM coverage.
+    """
+
     method: str
     metric: str
     solutions: list[DisplacementSolution]
-    corrected_groups: list[ShotGroup]
-    n_skipped: int
+    groups: Sequence[ShotGroup]
+    ref_after: np.ndarray
     wall_time_s: float
+
+    @property
+    def n_skipped(self) -> int:
+        return sum(1 for sol in self.solutions if sol.skipped)
 
 
 def correct_group(
@@ -361,14 +369,15 @@ def correct_group(
     method: str = "grid",
     metric: MetricKind | str = MetricKind.EUCLIDEAN,
     cfg: RunConfig | None = None,
-) -> tuple[DisplacementSolution, ShotGroup]:
-    """Solve one group's displacement and shift its footprints.
+) -> tuple[DisplacementSolution, np.ndarray]:
+    """Solve one group's displacement and score its shifted footprints.
 
     Reads `radius`, `agg`, `bounds`, `optimizer` and `seed` from `cfg`. GA
     and PSO draw from a generator seeded by `derive_group_seed(cfg.seed,
-    group.key)`. Groups below MIN_GROUP_SIZE are skipped with a zero
-    offset. Corrected footprints get ref_elev recomputed at the shifted
-    position; None where the shifted buffer has no DEM coverage.
+    group.key)`. Returns the solution and the reference elevation of each
+    footprint at its shifted position, NaN where the shifted buffer has no
+    DEM coverage. Groups below MIN_GROUP_SIZE are skipped with a zero
+    offset and keep their stored `ref_elev` values.
     """
     if method not in METHOD_NAMES:
         raise ValueError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
@@ -378,7 +387,7 @@ def correct_group(
             dx=0.0, dy=0.0, objective_value=0.0, evaluations=0,
             converged=False, method=method, skipped=True,
         )
-        return sol, ShotGroup(key=group.key, footprints=list(group.footprints))
+        return sol, np.array([fp.ref_elev for fp in group.footprints], dtype=np.float64)
 
     f = Objective(group, dem, metric=metric, radius=cfg.radius, agg=cfg.agg)
     if method == "grid":
@@ -389,16 +398,7 @@ def correct_group(
         rng = np.random.default_rng(derive_group_seed(cfg.seed, group.key))
         solver = optimize_ga if method == "ga" else optimize_pso
         sol = solver(f, cfg.bounds, cfg.optimizer, rng=rng)
-
-    pos = group.positions
-    new_x = pos[:, 0] + sol.dx
-    new_y = pos[:, 1] + sol.dy
-    refs = aggregate_buffer_points(dem, new_x, new_y, cfg.radius, cfg.agg)
-    corrected = [
-        replace(fp, x=float(x), y=float(y), ref_elev=float(r) if math.isfinite(r) else None)
-        for fp, x, y, r in zip(group.footprints, new_x, new_y, refs)
-    ]
-    return sol, ShotGroup(key=group.key, footprints=corrected)
+    return sol, aggregate_buffer_points(dem, f.xs + sol.dx, f.ys + sol.dy, cfg.radius, cfg.agg)
 
 
 def correct_dataset(
@@ -423,16 +423,14 @@ def correct_dataset(
             outcomes = list(pool.map(solve, groups))
     wall = time.perf_counter() - start
 
-    solutions = [sol for sol, _ in outcomes]
-    corrected = [grp for _, grp in outcomes]
-    n_skipped = sum(1 for sol in solutions if sol.skipped)
-    if n_skipped:
-        logger.info("skipped %d of %d groups below the minimum size", n_skipped, len(groups))
-    return CorrectionResult(
+    result = CorrectionResult(
         method=method,
         metric=str(MetricKind(metric).value),
-        solutions=solutions,
-        corrected_groups=corrected,
-        n_skipped=n_skipped,
+        solutions=[sol for sol, _ in outcomes],
+        groups=groups,
+        ref_after=np.concatenate([refs for _, refs in outcomes]) if outcomes else np.empty(0),
         wall_time_s=wall,
     )
+    if result.n_skipped:
+        logger.info("skipped %d of %d groups below the minimum size", result.n_skipped, len(groups))
+    return result

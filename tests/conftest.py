@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from terralign import Footprint, RasterGrid, ShotGroup
+from terralign import RasterGrid
+from terralign.footprints import Footprint, ShotGroup
 
 
 def make_grid(values, origin_x=0.0, origin_y=None, cell=1.0, crs=""):

@@ -14,32 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from terralign import (
-    AggregationKind,
-    Bounds,
-    Footprint,
-    LbfgsbConfig,
-    MetricKind,
-    OptimizerConfig,
-    QualityRules,
-    RunConfig,
-    TerrainSpec,
-    TrackSpec,
-    aggregate_buffer_points,
-    correct_dataset,
-    distance,
-    distance_many,
-    filter_quality,
-    flag_rolling_outliers,
-    gen_terrain,
-    gen_track,
-    grid_search,
-    lattice_points,
-    plant_offset,
-    run_recovery_experiment,
-)
-from terralign import correct_group
+from terralign import MetricKind, QualityRules, RunConfig, TerrainSpec, correct_dataset, gen_terrain
 from terralign.cli import main as cli_main
+from terralign.config import Bounds, LbfgsbConfig, OptimizerConfig
+from terralign.footprints import Footprint, filter_quality, flag_rolling_outliers
+from terralign.metrics import distance, distance_many
+from terralign.optimize import correct_group, grid_search, lattice_points
+from terralign.raster import AggregationKind, aggregate_buffer_points
+from terralign.synthetic import TrackSpec, gen_track, plant_offset, run_recovery_experiment
 
 RECOVERY_METRICS = (MetricKind.EUCLIDEAN, MetricKind.MANHATTAN, MetricKind.AREA)
 N_SCENES = 100

@@ -15,6 +15,7 @@ import pytest
 import terralign
 from terralign.cli import build_parser, main
 from terralign.geotiff import write_geotiff
+from terralign.raster import aggregate_buffer_points, load_raster
 
 from conftest import flat_grid, make_grid
 
@@ -251,7 +252,7 @@ def test_report_files_and_effective_config(tmp_path):
     assert "grid_step = 2.5" in eff
     assert (out / "report.txt").exists()
 
-    from terralign import load_config
+    from terralign.config import load_config
 
     cfg = load_config(eff)
     assert cfg.seed == 9 and cfg.optimizer.grid_step == 2.5
@@ -325,6 +326,11 @@ def test_evaluate_matches_correct_report(tmp_path, scene_name):
     ]) == 0
     report = list(csv.DictReader((out / "report.csv").read_text().splitlines()))
     assert tuple(r["n_groups"] for r in report) == expected_groups
+    if scene_name == "group-below-min-size":
+        rows = csv.DictReader((out / "corrected_grid_euclidean.csv").read_text().splitlines())
+        skipped = [r for r in rows if r["group_key"] == "0000000002"]
+        assert [(r["dx_m"], r["dy_m"]) for r in skipped] == [("0.0", "0.0")] * 2
+        assert all(r["ref_elev_after"] == r["ref_elev_before"] != "" for r in skipped)
     for name in REPORT_FILES:
         assert (eval_out / name).read_bytes() == (out / name).read_bytes(), name
 
@@ -368,7 +374,8 @@ def test_evaluate_counts_footprints_usable_in_every_combination(tmp_path):
     corrected.write_text("\n".join([header] + rows) + "\n")
     assert run(["evaluate", "--corrected", corrected, "--dem", dem_path, "--out", tmp_path / "eval"]) == 0
 
-    report = list(csv.DictReader((tmp_path / "eval" / "report.csv").open()))
+    with (tmp_path / "eval" / "report.csv").open(newline="") as fh:
+        report = list(csv.DictReader(fh))
     assert [(r["method"], r["metric"]) for r in report] == [
         ("original", ""), ("grid", "euclidean"), ("grid", "area"),
     ]
@@ -378,7 +385,7 @@ def test_evaluate_counts_footprints_usable_in_every_combination(tmp_path):
     x = np.array([float(r["x"]) for r in table])
     y = np.array([float(r["y"]) for r in table])
     elev = np.array([float(r["elev_lowestmode"]) for r in table])
-    ref = terralign.aggregate_buffer_points(terralign.load_raster(dem_path), x, y, 12.5)
+    ref = aggregate_buffer_points(load_raster(dem_path), x, y, 12.5)
     assert report[0]["mae_m"] == f"{np.mean(np.abs(elev - ref)):.6f}"
 
 

@@ -4,18 +4,10 @@ import argparse
 
 import pytest
 
-from terralign import (
-    AggregationKind,
-    Bounds,
-    ConfigError,
-    RunConfig,
-    config_from_dict,
-    dump_config,
-    load_config,
-    parse_toml,
-)
+from terralign import ConfigError, RunConfig
 from terralign.cli import build_parser, main
-from terralign.config import config_keys
+from terralign.config import Bounds, config_from_dict, config_keys, dump_config, load_config, parse_toml
+from terralign.raster import AggregationKind
 
 
 def test_parse_toml_scalars_and_sections():

@@ -6,22 +6,21 @@ import math
 import numpy as np
 import pytest
 
-from terralign import (
-    MetricKind,
+from terralign import MetricKind, correct_dataset
+from terralign.evaluate import (
+    REPORT_COLUMNS,
     OffsetSummary,
     ReportRow,
-    ShotGroup,
     compare_methods,
-    correct_dataset,
     displacement_stats,
-    distance,
     mae,
     rows_to_csv,
     rows_to_json,
     rows_to_text,
-    DisplacementSolution,
 )
-from terralign.evaluate import REPORT_COLUMNS
+from terralign.footprints import ShotGroup
+from terralign.metrics import distance
+from terralign.optimize import DisplacementSolution
 
 from conftest import flat_grid, make_group, ramp_grid
 
@@ -108,7 +107,7 @@ def groups_on_flat(n_groups=3, n_fps=4):
         )
         for g in range(n_groups)
     ]
-    from terralign import attach_reference
+    from terralign.footprints import attach_reference
 
     return dem, [attach_reference(g, dem) for g in groups]
 
@@ -136,7 +135,9 @@ def test_compare_methods_identity_result_matches_original_mae():
 
 
 def test_compare_methods_corrected_beats_original_on_planted_scene():
-    from terralign import TerrainSpec, TrackSpec, attach_reference, gen_terrain, gen_track, plant_offset
+    from terralign import TerrainSpec, gen_terrain
+    from terralign.footprints import attach_reference
+    from terralign.synthetic import TrackSpec, gen_track, plant_offset
 
     terrain = gen_terrain(TerrainSpec(kind="gaussian_hills", n_rows=220, n_cols=220, cell_size=2.0, relief=140.0, seed=21))
     spec = TrackSpec(n_footprints=10, spacing=25.0, heading=75.0, planted_dx=9.0, planted_dy=-6.0, seed=21)
@@ -210,7 +211,7 @@ def test_serializers_shape_and_timing_blank():
 
 def test_compare_methods_skipped_groups_do_not_enter_offsets():
     dem = flat_grid(256)
-    from terralign import attach_reference
+    from terralign.footprints import attach_reference
 
     big = attach_reference(
         make_group([60.0, 70.0, 80.0, 90.0], [80.0] * 4, [100.0] * 4, key="0000000001"), dem

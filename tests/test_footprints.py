@@ -6,18 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from terralign import (
+from terralign import FootprintError, QualityRules, parse_footprints, prepare_groups
+from terralign.footprints import (
     Footprint,
-    FootprintError,
-    QualityRules,
     ShotGroup,
     apply_geoid,
     attach_reference,
     filter_quality,
     flag_rolling_outliers,
     group_by_shot,
-    parse_footprints,
-    prepare_groups,
     remove_outliers,
 )
 
@@ -316,7 +313,8 @@ def test_pipeline_stats_empty_stage_naming():
 
 
 def test_parse_round_trip_from_synthetic(tmp_path):
-    from terralign import TerrainSpec, TrackSpec, gen_terrain, gen_track
+    from terralign import TerrainSpec, gen_terrain
+    from terralign.synthetic import TrackSpec, gen_track
     from terralign.cli import main
 
     main(["simulate", "--out", str(tmp_path), "--rows", "96", "--cols", "96",
@@ -330,7 +328,7 @@ def test_parse_round_trip_from_synthetic(tmp_path):
     terrain = gen_terrain(TerrainSpec(kind="gaussian_hills", n_rows=96, n_cols=96, cell_size=8.0, relief=150.0, seed=0))
     spec = TrackSpec(n_footprints=8, spacing=30.0, heading=0.0, planted_dx=3.0, planted_dy=-2.0, seed=1)
     clean = gen_track(terrain, spec)
-    from terralign import plant_offset
+    from terralign.synthetic import plant_offset
 
     observed = plant_offset(clean, spec)
     for got, want in zip(fps, observed.footprints):

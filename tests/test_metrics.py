@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from terralign import MetricError, MetricKind, distance, distance_many
+from terralign import MetricError, MetricKind
+from terralign.metrics import distance, distance_many
 
 ALL_KINDS = list(MetricKind)
 SHIFT_KINDS = [

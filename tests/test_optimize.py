@@ -5,31 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from terralign import (
-    Bounds,
-    GaConfig,
-    LbfgsbConfig,
-    MetricKind,
+from terralign import MetricKind, RunConfig, TerrainSpec, correct_dataset, gen_terrain
+from terralign.config import Bounds, GaConfig, LbfgsbConfig, OptimizerConfig
+from terralign.footprints import attach_reference
+from terralign.optimize import (
     Objective,
-    OptimizerConfig,
-    RunConfig,
-    TerrainSpec,
-    TrackSpec,
-    correct_dataset,
     correct_group,
     derive_group_seed,
     five_point_starts,
-    gen_terrain,
-    gen_track,
     grid_search,
     lattice_points,
     optimize_ga,
     optimize_lbfgsb,
     optimize_pso,
-    plant_offset,
 )
+from terralign.raster import aggregate_buffer_points
+from terralign.synthetic import TrackSpec, gen_track, plant_offset
 
-from conftest import flat_grid, make_group
+from conftest import flat_grid, make_group, ramp_grid
 
 
 class Recorder:
@@ -307,8 +300,6 @@ def test_objective_rejects_bad_arguments():
     group = make_group([5.0, 6.0], [5.0, 5.0], [100.0] * 2)
     with pytest.raises(ValueError, match="radius"):
         Objective(group, dem, radius=0.0)
-    with pytest.raises(ValueError, match="oob_penalty"):
-        Objective(group, dem, oob_penalty=math.inf)
     with pytest.raises(ValueError, match="empty group"):
         Objective(make_group([], [], []), dem)
     with pytest.raises(ValueError, match="correlation"):
@@ -327,7 +318,7 @@ def test_objective_penalizes_off_dem_positions():
 
 
 def test_objective_batch_matches_scalar_bitwise(rng):
-    from terralign import gen_terrain, TerrainSpec
+    from terralign import TerrainSpec, gen_terrain
 
     terrain = gen_terrain(TerrainSpec(kind="fractal", n_rows=120, n_cols=120, cell_size=4.0, relief=80.0, seed=5))
     xs = rng.uniform(150.0, 330.0, 8)
@@ -355,10 +346,13 @@ def planted_scene(seed=11, planted=(8.0, -3.0), relief=120.0):
 
 def test_correct_group_grid_recovers_within_one_step():
     terrain, group = planted_scene()
-    sol, corrected = correct_group(group, terrain, method="grid", metric="euclidean")
+    sol, ref_after = correct_group(group, terrain, method="grid", metric="euclidean")
     assert abs(sol.dx - (-8.0)) <= 5.0
     assert abs(sol.dy - 3.0) <= 5.0
-    assert corrected.footprints[0].x == group.footprints[0].x + sol.dx
+    pos = group.positions
+    expected = aggregate_buffer_points(terrain, pos[:, 0] + sol.dx, pos[:, 1] + sol.dy, 12.5)
+    assert ref_after.dtype == np.float64
+    np.testing.assert_array_equal(ref_after, expected)
 
 
 def test_correct_group_lbfgsb_recovers_within_one_meter():
@@ -427,18 +421,18 @@ def test_lbfgsb_batched_probes_match_scalar_paths():
 def test_correct_group_skips_undersized():
     dem = flat_grid(64)
     group = make_group([30.0, 34.0], [30.0, 30.0], [100.0, 100.0])
-    sol, corrected = correct_group(group, dem, method="grid")
+    group.footprints[0].ref_elev = 99.5  # the second has none: NaN
+    sol, ref_after = correct_group(group, dem, method="grid")
     assert sol.skipped and sol.dx == 0.0 and sol.dy == 0.0
-    assert [fp.x for fp in corrected.footprints] == [30.0, 34.0]
+    np.testing.assert_array_equal(ref_after, [99.5, math.nan])
 
 
 def test_correct_group_flat_dem_keeps_mae():
     dem = flat_grid(128)
     group = make_group([50.0, 60.0, 70.0, 80.0], [60.0] * 4, [100.2, 99.9, 100.1, 99.8])
     for method in ("grid", "lbfgsb", "ga", "pso"):
-        sol, corrected = correct_group(group, dem, method=method, metric="euclidean")
-        refs = [fp.ref_elev for fp in corrected.footprints]
-        assert all(r == 100.0 for r in refs)
+        _, ref_after = correct_group(group, dem, method=method, metric="euclidean")
+        assert ref_after.tolist() == [100.0] * 4
 
 
 def test_correct_dataset_empty_input():
@@ -454,6 +448,26 @@ def test_correct_dataset_skip_accounting():
     result = correct_dataset([good, small], dem, method="grid")
     assert result.n_skipped == 1
     assert result.solutions[1].skipped and not result.solutions[0].skipped
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_correct_dataset_ref_after_is_aggregate_at_shifted_positions(workers):
+    dem = ramp_grid(128)
+    groups = [
+        make_group([40.0, 55.0, 70.0, 85.0], [60.0] * 4, [50.0, 60.0, 75.0, 90.0], key="0000000001"),
+        # the last footprint is off the DEM at every candidate offset
+        make_group([30.0, 45.0, 60.0, -500.0], [90.0] * 4, [40.0, 50.0, 60.0, 0.0], key="0000000002"),
+        attach_reference(make_group([70.0, 80.0], [30.0] * 2, [70.0, 80.0], key="0000000003"), dem),
+    ]
+    result = correct_dataset(groups, dem, method="grid", metric="euclidean", workers=workers)
+    assert result.groups is groups
+    assert [s.skipped for s in result.solutions] == [False, False, True]
+    expected = np.concatenate([
+        aggregate_buffer_points(dem, g.positions[:, 0] + s.dx, g.positions[:, 1] + s.dy, 12.5)
+        for g, s in zip(groups, result.solutions)
+    ])
+    np.testing.assert_array_equal(result.ref_after, expected)
+    assert np.flatnonzero(np.isnan(result.ref_after)).tolist() == [7]
 
 
 def test_correct_dataset_worker_count_invariant():

@@ -11,17 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from terralign import (
-    AggregationKind,
-    CrsMismatchError,
-    RasterFormatError,
-    RasterGrid,
-    aggregate_buffer_points,
-    check_crs,
-    load_raster,
-    sample_points,
-    write_raster,
-)
+from terralign import CrsMismatchError, RasterFormatError, RasterGrid, load_raster, write_raster
+from terralign.raster import AggregationKind, aggregate_buffer_points, check_crs, sample_points
 from terralign import esri_ascii, raster
 from terralign.geotiff import read_geotiff, write_geotiff
 

@@ -5,19 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from terralign import (
-    MetricKind,
-    Objective,
-    RunConfig,
-    TerrainSpec,
-    TrackError,
-    TrackSpec,
-    correct_group,
-    gen_terrain,
-    gen_track,
-    plant_offset,
-    run_recovery_experiment,
-)
+from terralign import MetricKind, RunConfig, TerrainSpec, TrackError, gen_terrain
+from terralign.optimize import Objective, correct_group
+from terralign.synthetic import TrackSpec, gen_track, plant_offset, run_recovery_experiment
 from terralign.synthetic import EXPERIMENT_COLUMNS
 
 
