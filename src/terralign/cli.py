@@ -14,7 +14,9 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import sys
+from concurrent.futures import BrokenExecutor
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -450,6 +452,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # scipy, imported on the first L-BFGS-B solve, bundles an OpenBLAS whose
+    # idle threads spin on a second core; parallelism comes from --workers
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     if not logging.getLogger().handlers:
         logging.basicConfig(
             stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
@@ -471,7 +476,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (DataError, RasterError, FootprintError, MetricError, TrackError) as exc:
+    # BrokenExecutor: a worker process of --workers died
+    except (DataError, RasterError, FootprintError, MetricError, TrackError, BrokenExecutor) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
     except OSError as exc:

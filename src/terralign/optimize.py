@@ -14,7 +14,6 @@ import hashlib
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -401,6 +400,21 @@ def correct_group(
     return sol, aggregate_buffer_points(dem, f.xs + sol.dx, f.ys + sol.dy, cfg.radius, cfg.agg)
 
 
+# What a forked worker solves: the bound `correct_group` and the groups,
+# set once per worker process by `_init_worker` and never in the parent.
+_worker_task: tuple[Callable, Sequence[ShotGroup]] | None = None
+
+
+def _init_worker(solve: Callable, groups: Sequence[ShotGroup]) -> None:
+    global _worker_task
+    _worker_task = (solve, groups)
+
+
+def _solve_index(i: int) -> tuple[DisplacementSolution, np.ndarray]:
+    solve, groups = _worker_task
+    return solve(groups[i])
+
+
 def correct_dataset(
     groups: Sequence[ShotGroup],
     dem: RasterGrid,
@@ -409,18 +423,43 @@ def correct_dataset(
     cfg: RunConfig | None = None,
     workers: int = 1,
 ) -> CorrectionResult:
-    """Correct every group with `correct_group`, on `workers` threads.
+    """Correct every group with `correct_group`, in up to `workers` forked processes.
+
+    With `min(workers, len(groups))` below 2 the groups are solved in this
+    process, one after another. Otherwise that many worker processes are
+    forked (POSIX `fork` start method only): each inherits the DEM and the
+    groups, receives group indices and sends back `(solution, ref_after)`.
+    No worker outlives the call. An exception raised in a worker reaches
+    the caller with its type and message; a worker that dies raises
+    `concurrent.futures.process.BrokenProcessPool`.
 
     `cfg.workers` is not read here: the caller passes `workers`. Output is
-    schedule-independent for a fixed `cfg.seed`.
+    byte-identical at any worker count for a fixed `cfg.seed`.
     """
     solve = partial(correct_group, dem=dem, method=method, metric=metric, cfg=cfg)
+    processes = min(workers, len(groups))
     start = time.perf_counter()
-    if workers <= 1:
+    if processes < 2:
         outcomes = [solve(g) for g in groups]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(solve, groups))
+        # deferred: a serial run does not pay ~15 ms of multiprocessing imports
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if method == "lbfgsb":
+            # imported once before the fork, not once in every worker
+            import scipy.optimize  # noqa: F401
+        # fork: workers inherit the DEM and the groups instead of unpickling them
+        pool = ProcessPoolExecutor(
+            processes,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(solve, groups),
+        )
+        try:
+            outcomes = list(pool.map(_solve_index, range(len(groups))))
+        finally:
+            pool.shutdown(cancel_futures=True)
     wall = time.perf_counter() - start
 
     result = CorrectionResult(

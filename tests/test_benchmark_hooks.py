@@ -51,18 +51,26 @@ def test_traced_correct_records_every_solver_span(tracing, tmp_path):
     assert main(["simulate", "--out", str(scene), "--rows", "120", "--cols", "120",
                  "--n-groups", "2", "--n-footprints", "6", "--spacing", "20",
                  "--dx", "4", "--dy", "-3"]) == 0
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        code = main(["correct", "--dem", str(scene / "terrain.asc"),
-                     "--footprints", str(scene / "footprints.csv"), "--out", str(tmp_path / "run"),
-                     "--methods", "grid,ga", "--ga-pop", "4", "--ga-generations", "2",
-                     "--workers", "2"])
-    finally:
-        tracer.uninstall()
-    assert code == 0
-    assert tracer.missing == []
+
+    def traced_correct(workers):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            code = main(["correct", "--dem", str(scene / "terrain.asc"),
+                         "--footprints", str(scene / "footprints.csv"),
+                         "--out", str(tmp_path / f"run_w{workers}"),
+                         "--methods", "grid,ga", "--ga-pop", "4", "--ga-generations", "2",
+                         "--workers", str(workers)])
+        finally:
+            tracer.uninstall()
+        assert code == 0
+        assert tracer.missing == []
+        return tracer
+
+    tracer = traced_correct(2)
     datasets = [s.info for s in tracer.spans if s.name == "optimize.correct_dataset"]
     assert [(d["method"], d["workers"]) for d in datasets] == [("grid", 2), ("ga", 2)]
-    assert sum(s.name == "optimize.correct_group" for s in tracer.spans) == 4
     assert sum(s.name == "evaluate.compare" for s in tracer.spans) == 1
+    # at 2 workers each group is solved in a forked process, out of the tracer's sight
+    tracer = traced_correct(1)
+    assert sum(s.name == "optimize.correct_group" for s in tracer.spans) == 4

@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import terralign
+import terralign.optimize
 from terralign.cli import build_parser, main
 from terralign.geotiff import write_geotiff
 from terralign.raster import aggregate_buffer_points, load_raster
@@ -100,6 +102,28 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     dem, fps, _ = write_flat_scene(tmp_path)
     rc = run(["correct", "--dem", tmp_path / "nope.tif", "--footprints", fps, "--out", tmp_path / "o"])
     assert rc == 2
+
+
+def test_dead_worker_is_data_error(tmp_path, capsys, monkeypatch):
+    scene = tmp_path / "scene"
+    assert run(["simulate", "--out", scene, "--rows", 96, "--cols", 96, "--cell-size", 4,
+                "--n-groups", 2, "--n-footprints", 8, "--spacing", 20]) == 0
+    solve = terralign.optimize.correct_group
+
+    def die_in_worker(group, *args, **kwargs):
+        if multiprocessing.parent_process() is not None:
+            os._exit(1)
+        return solve(group, *args, **kwargs)
+
+    monkeypatch.setattr(terralign.optimize, "correct_group", die_in_worker)
+    capsys.readouterr()
+    rc = run(["correct", "--dem", scene / "terrain.asc", "--footprints", scene / "footprints.csv",
+              "--out", tmp_path / "o", "--workers", 2])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if line.startswith("error:")]) == 1
+    assert "Traceback" not in "\n".join(err)
+    assert multiprocessing.active_children() == []
 
 
 def test_crs_mismatch_is_data_error_naming_tags(tmp_path, capsys):

@@ -1,10 +1,14 @@
 """Solver contracts: grid baseline, L-BFGS-B, GA, PSO, and group correction."""
 
 import math
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+import terralign.optimize
 from terralign import MetricKind, RunConfig, TerrainSpec, correct_dataset, gen_terrain
 from terralign.config import Bounds, GaConfig, LbfgsbConfig, OptimizerConfig
 from terralign.footprints import attach_reference
@@ -481,14 +485,53 @@ def test_correct_dataset_worker_count_invariant():
             planted_dx=6.0, planted_dy=-4.0, seed=100 + i,
         )
         groups.append(plant_offset(gen_track(terrain, spec), spec))
-    for method in ("ga", "pso"):
+    for method in ("grid", "lbfgsb", "ga", "pso"):
         cfg = RunConfig(seed=7)
         serial = correct_dataset(groups, terrain, method=method, metric="manhattan", cfg=cfg, workers=1)
         pooled = correct_dataset(groups, terrain, method=method, metric="manhattan", cfg=cfg, workers=8)
+        assert len(pooled.solutions) == len(groups)
         for a, b in zip(serial.solutions, pooled.solutions):
-            assert (a.dx, a.dy, a.objective_value, a.evaluations) == (
-                b.dx, b.dy, b.objective_value, b.evaluations
-            )
+            assert (a.dx, a.dy, a.objective_value, a.evaluations, a.converged) == (
+                b.dx, b.dy, b.objective_value, b.evaluations, b.converged
+            ), method
+        assert serial.ref_after.tobytes() == pooled.ref_after.tobytes(), method
+    assert multiprocessing.active_children() == []
+
+
+def four_groups():
+    return [
+        make_group([40.0, 50.0, 60.0], [20.0 * k] * 3, [100.0] * 3, key=f"000000000{k}")
+        for k in range(1, 5)
+    ]
+
+
+def fail_on(key, fail):
+    """`correct_group`, except that group `key` calls `fail` first."""
+    solve = correct_group
+
+    def patched(group, *args, **kwargs):
+        if group.key == key:
+            fail()
+        return solve(group, *args, **kwargs)
+
+    return patched
+
+
+def test_correct_dataset_worker_exception_reaches_caller(monkeypatch):
+    def fail():
+        raise ValueError("group 0000000003 is bad")
+
+    monkeypatch.setattr(terralign.optimize, "correct_group", fail_on("0000000003", fail))
+    with pytest.raises(ValueError, match="^group 0000000003 is bad$"):
+        correct_dataset(four_groups(), flat_grid(128), method="grid", workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_correct_dataset_dead_worker_raises_broken_pool(monkeypatch):
+    monkeypatch.setattr(terralign.optimize, "correct_group", fail_on("0000000002", lambda: os._exit(1)))
+    with pytest.raises(BrokenProcessPool):
+        correct_dataset(four_groups(), flat_grid(128), method="grid", workers=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_derive_group_seed_stable_and_distinct():
