@@ -52,6 +52,7 @@ from .raster import (
 )
 from .synthetic import (
     TERRAIN_KINDS,
+    TRACK_BEAM,
     TerrainSpec,
     TrackError,
     TrackSpec,
@@ -233,15 +234,15 @@ def _load_pipeline(cfg: RunConfig):
     if not fps_path.exists():
         raise DataError(f"footprint CSV not found: {fps_path}")
     with fps_path.open(newline="") as fh:
-        fps, parse_stats = parse_footprints(fh, source=str(fps_path))
-    if not fps:
+        table, parse_stats = parse_footprints(fh, source=str(fps_path))
+    if not len(table):
         raise DataError(
             f"{fps_path}: no parseable footprints "
             f"({parse_stats.n_dropped_na} NA rows, {parse_stats.n_dropped_bad_numeric} bad rows)"
         )
 
     groups, stats = prepare_groups(
-        fps,
+        table,
         dem,
         geoid=geoid,
         rules=cfg.quality,
@@ -255,30 +256,24 @@ def _load_pipeline(cfg: RunConfig):
 
 
 def _write_corrected_csv(path: Path, result) -> None:
-    """One row per footprint of `result.groups`: its input columns, then the correction.
+    """One row per footprint of `result.groups`: its input cells, then the correction.
 
-    Every footprint comes from `parse_footprints`, so `raw` holds every
-    input column, in header order.
+    Every group comes from `parse_footprints`, so its `row` column indexes
+    the input cells every group shares.
     """
-    columns = list(next(fp for g in result.groups for fp in g.footprints).raw)
-    rows = ((g, sol, fp) for g, sol in zip(result.groups, result.solutions) for fp in g.footprints)
+    cells = result.groups[0].table.cells
+    refs_after = iter(result.ref_after.tolist())
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns + list(CORRECTED_EXTRA_COLUMNS))
-        for (group, sol, fp), ref_after in zip(rows, result.ref_after):
-            writer.writerow(
-                [fp.raw[c] for c in columns]
-                + [
-                    group.key,
-                    _fmt_float(sol.dx),
-                    _fmt_float(sol.dy),
-                    _fmt_float(fp.x + sol.dx),
-                    _fmt_float(fp.y + sol.dy),
-                    _fmt_float(fp.ref_elev),
-                    _fmt_float(ref_after),
-                    result.method,
-                    result.metric,
-                ]
+        writer.writerow([*cells.header, *CORRECTED_EXTRA_COLUMNS])
+        for group, sol in zip(result.groups, result.solutions):
+            dx, dy = _fmt_float(sol.dx), _fmt_float(sol.dy)
+            columns = (group.row, group.x + sol.dx, group.y + sol.dy, group.ref_elev)
+            writer.writerows(
+                cells.rows[row]
+                + [group.key, dx, dy, *map(_fmt_float, (x, y, ref_before, next(refs_after)))]
+                + [result.method, result.metric]
+                for row, x, y, ref_before in zip(*(c.tolist() for c in columns))
             )
 
 
@@ -369,9 +364,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "planted_dy": spec.planted_dy,
             "heading": spec.heading,
             "seed": spec.seed,
-            "true_positions": [[fp.x, fp.y] for fp in clean.footprints],
+            "true_positions": np.column_stack([clean.x, clean.y]).tolist(),
         }
-        all_rows.extend([str(getattr(fp, c)) for c in REQUIRED_COLUMNS] for fp in observed.footprints)
+        columns = {c: getattr(observed, c).tolist() for c in REQUIRED_COLUMNS if c != "beam"}
+        columns["beam"] = [TRACK_BEAM] * len(observed)
+        for flag in ("degrade_flag", "quality_flag"):
+            columns[flag] = [int(v) for v in columns[flag]]
+        all_rows.extend(zip(*([str(v) for v in columns[c]] for c in REQUIRED_COLUMNS)))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -156,11 +156,6 @@ def report_rows(
     ]
 
 
-def _column(groups: Sequence[ShotGroup], name: str) -> np.ndarray:
-    """One footprint field over `groups`, in order; None becomes NaN."""
-    return np.array([getattr(fp, name) for g in groups for fp in g.footprints], dtype=np.float64)
-
-
 def compare_methods(results: Sequence, groups: Sequence[ShotGroup]) -> list[ReportRow]:
     """Build one report row per result plus the leading "original" row.
 
@@ -190,8 +185,10 @@ def compare_methods(results: Sequence, groups: Sequence[ShotGroup]) -> list[Repo
         )
         for result in results
     ]
-    keys = [g.key for g in groups for _ in g.footprints]
-    return report_rows(keys, _column(groups, "gedi_dem"), _column(groups, "ref_elev"), combinations)
+    keys = [g.key for g in groups for _ in range(len(g))]
+    elev = np.concatenate([g.gedi_dem for g in groups]) if groups else np.empty(0)
+    ref_before = np.concatenate([g.ref_elev for g in groups]) if groups else np.empty(0)
+    return report_rows(keys, elev, ref_before, combinations)
 
 
 def _cell(value, blank: str = "") -> str:

@@ -3,7 +3,9 @@
 The processing order mirrors the acquisition pipeline: parse the footprint
 table, keep high-quality shots, subtract the geoid undulation, partition
 into shot groups, reject per-group elevation outliers with a rolling
-window, then attach reference elevations sampled from the DEM.
+window, then attach reference elevations sampled from the DEM. Each stage
+selects rows of a FootprintTable with `take`; a shot group is a slice of
+the table sorted by group key.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,49 +40,76 @@ GROUP_PREFIX_LEN = 10
 MIN_GROUP_SIZE = 3
 
 _NA_TOKENS = frozenset({"", "na", "nan", "null", "none"})
+_TREE_COVER = {"1": 1.0, "true": 1.0, "0": 0.0, "false": 0.0}
 
 
 class FootprintError(ValueError):
     """Raised for malformed footprint tables or grouping violations."""
 
 
-@dataclass
-class Footprint:
-    shot_number: str
-    beam: str
-    x: float
-    y: float
-    elev_lowestmode: float
-    degrade_flag: int
-    quality_flag: int
-    sensitivity: float
-    rh100: float
-    tree_cover: bool | None = None
-    gedi_dem: float | None = None
-    ref_elev: float | None = None
-    raw: dict = field(default_factory=dict, repr=False, compare=False)
+class InputCells(NamedTuple):
+    """The header and the kept input rows, each cut or padded with "" to the header's length."""
+
+    header: tuple[str, ...]
+    rows: list[list[str]]
 
 
-@dataclass
-class ShotGroup:
-    key: str
-    footprints: list[Footprint]
+@dataclass(frozen=True)
+class FootprintTable:
+    """Footprints as equal-length columns, one entry per footprint.
+
+    Every column but `shot_number` (str objects) and `row` is float64:
+    `degrade_flag` and `quality_flag` hold the integer value of their cell,
+    `tree_cover` is 1, 0 or NaN (not given) and `ref_elev` is NaN until
+    `attach_reference`. `row[i]` indexes `cells.rows`, the input cells the
+    footprint was parsed from, which every table taken from a parsed one
+    shares; a table not read from a CSV has `cells` None. Columns are never
+    modified in place: each stage takes a new table.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    elev_lowestmode: np.ndarray
+    gedi_dem: np.ndarray
+    ref_elev: np.ndarray
+    degrade_flag: np.ndarray
+    quality_flag: np.ndarray
+    sensitivity: np.ndarray
+    rh100: np.ndarray
+    tree_cover: np.ndarray
+    shot_number: np.ndarray
+    row: np.ndarray
+    cells: InputCells | None = None
 
     def __len__(self) -> int:
-        return len(self.footprints)
+        return len(self.row)
 
-    @property
-    def elevations(self) -> np.ndarray:
-        """Geoid-corrected elevation vector, one entry per footprint."""
-        vals = [fp.gedi_dem for fp in self.footprints]
-        if any(v is None for v in vals):
-            raise FootprintError(f"group {self.key}: gedi_dem not set on every footprint")
-        return np.asarray(vals, dtype=np.float64)
+    def take(self, index, **replaced: np.ndarray) -> FootprintTable:
+        """The rows selected by `index` (a mask, indices or a slice), in that order.
 
-    @property
-    def positions(self) -> np.ndarray:
-        """(n, 2) array of footprint x/y coordinates."""
-        return np.asarray([(fp.x, fp.y) for fp in self.footprints], dtype=np.float64)
+        A keyword replaces that column by an array of this table's length.
+        """
+        columns = {name: replaced.get(name, getattr(self, name))[index] for name in COLUMNS}
+        return FootprintTable(**columns, cells=self.cells)
+
+
+COLUMNS = tuple(f.name for f in fields(FootprintTable) if f.name != "cells")
+
+
+@dataclass(frozen=True)
+class ShotGroup:
+    """The footprints sharing one shot-number prefix; `group.x` reads `group.table.x`."""
+
+    key: str
+    table: FootprintTable
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name in COLUMNS:
+            return getattr(self.table, name)
+        raise AttributeError(name)
 
 
 @dataclass
@@ -122,96 +151,95 @@ def _is_na(token: str) -> bool:
     return token.strip().lower() in _NA_TOKENS
 
 
-def parse_footprints(lines: Iterable[str], source: str = "<stream>") -> tuple[list[Footprint], ParseStats]:
-    """Read a footprint CSV into Footprint records.
+def parse_footprints(lines: Iterable[str], source: str = "<stream>") -> tuple[FootprintTable, ParseStats]:
+    """Read a footprint CSV into a FootprintTable.
 
-    Rows with missing/NA required fields or unparseable numerics are
-    dropped and counted in the returned stats, not raised.
+    Blank lines are skipped and not counted in `n_rows`. Each row is padded
+    with "" or cut to the header's length, and kept as it is in the
+    table's `cells`. Rows with missing/NA required fields or unparseable
+    numerics are dropped and counted in the returned stats, not raised.
+    `shot_number` is stripped of surrounding spaces.
     """
-    reader = csv.DictReader(lines)
-    if reader.fieldnames is None:
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
         raise FootprintError(f"{source}: empty table, no header row")
-    missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
+    missing = [c for c in REQUIRED_COLUMNS if c not in header]
     if missing:
         raise FootprintError(f"{source}: missing required columns: {', '.join(missing)}")
-    has_tree_cover = "tree_cover" in reader.fieldnames
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise FootprintError(f"{source}: repeated column names: {', '.join(map(repr, repeated))}")
+    width = len(header)
+    required = [header.index(c) for c in REQUIRED_COLUMNS]
+    i_shot, _, i_x, i_y, i_elev, i_degrade, i_quality, i_sens, i_rh100 = required
+    i_tree = header.index("tree_cover") if "tree_cover" in header else None
 
-    out: list[Footprint] = []
+    kept: list[list[str]] = []
+    shots: list[str] = []
+    values: list[tuple[float, ...]] = []
     stats = ParseStats()
-    for row in reader:
+    for cells in reader:
+        if not cells:
+            continue
         stats.n_rows += 1
-        values = {c: (row.get(c) or "") for c in REQUIRED_COLUMNS}
-        if any(_is_na(values[c]) for c in REQUIRED_COLUMNS):
+        if len(cells) != width:
+            cells = cells[:width] + [""] * (width - len(cells))
+        if any(_is_na(cells[i]) for i in required):
             stats.n_dropped_na += 1
             continue
         try:
-            x = float(values["x"])
-            y = float(values["y"])
-            elev = float(values["elev_lowestmode"])
-            degrade = int(float(values["degrade_flag"]))
-            quality = int(float(values["quality_flag"]))
-            sens = float(values["sensitivity"])
-            rh100 = float(values["rh100"])
+            x = float(cells[i_x])
+            y = float(cells[i_y])
+            elev = float(cells[i_elev])
+            degrade = int(float(cells[i_degrade]))
+            quality = int(float(cells[i_quality]))
+            sens = float(cells[i_sens])
+            rh100 = float(cells[i_rh100])
         except ValueError:
             stats.n_dropped_bad_numeric += 1
             continue
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(elev)):
             stats.n_dropped_bad_numeric += 1
             continue
-        tree_cover: bool | None = None
-        if has_tree_cover:
-            token = (row.get("tree_cover") or "").strip().lower()
-            if not _is_na(token):
-                if token in ("1", "true"):
-                    tree_cover = True
-                elif token in ("0", "false"):
-                    tree_cover = False
-                else:
-                    stats.n_dropped_bad_numeric += 1
-                    continue
-        out.append(
-            Footprint(
-                shot_number=values["shot_number"].strip(),
-                beam=values["beam"].strip(),
-                x=x,
-                y=y,
-                elev_lowestmode=elev,
-                degrade_flag=degrade,
-                quality_flag=quality,
-                sensitivity=sens,
-                rh100=rh100,
-                tree_cover=tree_cover,
-                gedi_dem=elev,
-                raw={k: (row.get(k) or "") for k in reader.fieldnames},
-            )
-        )
+        tree_cover = math.nan
+        if i_tree is not None and not _is_na(cells[i_tree]):
+            tree_cover = _TREE_COVER.get(cells[i_tree].strip().lower())
+            if tree_cover is None:
+                stats.n_dropped_bad_numeric += 1
+                continue
+        kept.append(cells)
+        shots.append(cells[i_shot].strip())
+        values.append((x, y, elev, degrade, quality, sens, rh100, tree_cover))
     if stats.n_dropped_na or stats.n_dropped_bad_numeric:
         logger.info(
             "%s: dropped %d NA rows and %d unparseable rows of %d",
             source, stats.n_dropped_na, stats.n_dropped_bad_numeric, stats.n_rows,
         )
-    return out, stats
+    numeric = np.array(values, dtype=np.float64).reshape(-1, 8).T.copy()
+    x, y, elev, degrade, quality, sens, rh100, tree_cover = numeric
+    table = FootprintTable(
+        x=x, y=y, elev_lowestmode=elev, gedi_dem=elev, ref_elev=np.full(len(kept), math.nan),
+        degrade_flag=degrade, quality_flag=quality, sensitivity=sens, rh100=rh100,
+        tree_cover=tree_cover, shot_number=np.array(shots, dtype=object),
+        row=np.arange(len(kept)), cells=InputCells(tuple(header), kept),
+    )
+    return table, stats
 
 
-def filter_quality(fps: Sequence[Footprint], rules: QualityRules) -> list[Footprint]:
+def filter_quality(table: FootprintTable, rules: QualityRules) -> FootprintTable:
     """Keep footprints passing every enabled quality predicate."""
-
-    def ok(fp: Footprint) -> bool:
-        if not rules.min_elev < fp.elev_lowestmode < rules.max_elev:
-            return False
-        if rules.require_degrade_zero and fp.degrade_flag != 0:
-            return False
-        if rules.require_quality_one and fp.quality_flag != 1:
-            return False
-        if fp.sensitivity < rules.min_sensitivity:
-            return False
-        if rules.require_positive_rh100 and not fp.rh100 > 0:
-            return False
-        if rules.require_tree_cover and fp.tree_cover is not True:
-            return False
-        return True
-
-    return [fp for fp in fps if ok(fp)]
+    keep = (rules.min_elev < table.elev_lowestmode) & (table.elev_lowestmode < rules.max_elev)
+    if rules.require_degrade_zero:
+        keep &= table.degrade_flag == 0
+    if rules.require_quality_one:
+        keep &= table.quality_flag == 1
+    keep &= ~(table.sensitivity < rules.min_sensitivity)
+    if rules.require_positive_rh100:
+        keep &= table.rh100 > 0
+    if rules.require_tree_cover:
+        keep &= table.tree_cover == 1
+    return table.take(keep)
 
 
 def flag_rolling_outliers(series: Sequence[float], window: int = 7, k: float = 2.0) -> np.ndarray:
@@ -254,59 +282,51 @@ def flag_rolling_outliers(series: Sequence[float], window: int = 7, k: float = 2
 
 
 def apply_geoid(
-    fps: Sequence[Footprint], geoid: RasterGrid | None, footprint_crs: str = ""
-) -> list[Footprint]:
+    table: FootprintTable, geoid: RasterGrid | None, footprint_crs: str = ""
+) -> FootprintTable:
     """Set gedi_dem = elev_lowestmode minus the geoid undulation at (x, y).
 
-    With no geoid grid the elevations pass through unchanged: footprints
-    whose gedi_dem already equals elev_lowestmode (as `parse_footprints`
-    sets it) are returned as they are, the rest as copies. Footprints whose
+    With no geoid grid, gedi_dem = elev_lowestmode. Footprints whose
     undulation query lands on nodata are dropped.
     """
     if geoid is None:
-        return [
-            fp if fp.gedi_dem == fp.elev_lowestmode else replace(fp, gedi_dem=fp.elev_lowestmode)
-            for fp in fps
-        ]
+        return table.take(slice(None), gedi_dem=table.elev_lowestmode)
     check_crs(geoid.crs_tag, footprint_crs, context="geoid vs footprints")
-    if not fps:
-        return []
-    xs = np.asarray([fp.x for fp in fps], dtype=np.float64)
-    ys = np.asarray([fp.y for fp in fps], dtype=np.float64)
-    und = sample_points(geoid, xs, ys)
-    out = [
-        replace(fp, gedi_dem=fp.elev_lowestmode - float(u))
-        for fp, u in zip(fps, und)
-        if math.isfinite(u)
-    ]
-    n_dropped = len(fps) - len(out)
+    und = sample_points(geoid, table.x, table.y)
+    out = table.take(np.isfinite(und), gedi_dem=table.elev_lowestmode - und)
+    n_dropped = len(table) - len(out)
     if n_dropped:
         logger.info("geoid sampling dropped %d footprints outside the geoid grid", n_dropped)
     return out
 
 
-def group_by_shot(fps: Sequence[Footprint], prefix_len: int = GROUP_PREFIX_LEN) -> list[ShotGroup]:
+def group_by_shot(table: FootprintTable, prefix_len: int = GROUP_PREFIX_LEN) -> list[ShotGroup]:
     """Partition footprints by shot-number prefix, sorted by group key.
 
     Input order is preserved within each group.
     """
     if prefix_len < 1:
         raise ValueError("prefix_len must be >= 1")
-    buckets: dict[str, list[Footprint]] = {}
-    for fp in fps:
-        if len(fp.shot_number) < prefix_len:
-            raise FootprintError(
-                f"shot_number {fp.shot_number!r} shorter than the {prefix_len}-character group prefix"
-            )
-        buckets.setdefault(fp.shot_number[:prefix_len], []).append(fp)
-    return [ShotGroup(key=k, footprints=buckets[k]) for k in sorted(buckets)]
+    short = [s for s in table.shot_number if len(s) < prefix_len]
+    if short:
+        raise FootprintError(
+            f"shot_number {short[0]!r} shorter than the {prefix_len}-character group prefix"
+        )
+    keys = np.array([s[:prefix_len] for s in table.shot_number], dtype=object)
+    order = np.argsort(keys, kind="stable")
+    ordered = table.take(order)
+    unique, starts = np.unique(keys[order], return_index=True)
+    ends = np.append(starts[1:], len(keys))
+    return [
+        ShotGroup(key=key, table=ordered.take(slice(a, b)))
+        for key, a, b in zip(unique, starts, ends)
+    ]
 
 
 def remove_outliers(group: ShotGroup, window: int = 7, k: float = 2.0) -> ShotGroup:
     """Drop footprints flagged by the rolling window on gedi_dem."""
-    mask = flag_rolling_outliers(group.elevations, window, k)
-    kept = [fp for fp, bad in zip(group.footprints, mask) if not bad]
-    return ShotGroup(key=group.key, footprints=kept)
+    mask = flag_rolling_outliers(group.gedi_dem, window, k)
+    return ShotGroup(key=group.key, table=group.table.take(~mask))
 
 
 def attach_reference(
@@ -325,22 +345,13 @@ def attach_reference(
     check_crs(dem.crs_tag, footprint_crs, context="DEM vs footprints")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if not group.footprints:
-        return ShotGroup(key=group.key, footprints=[])
-    pos = group.positions
-    elev = group.elevations
-    refs = aggregate_buffer_points(dem, pos[:, 0], pos[:, 1], radius, agg)
-    keep = np.isfinite(refs) & (np.abs(elev - refs) <= max_dem_diff)
-    kept = [
-        replace(fp, ref_elev=float(r))
-        for fp, r, ok in zip(group.footprints, refs, keep)
-        if ok
-    ]
-    return ShotGroup(key=group.key, footprints=kept)
+    refs = aggregate_buffer_points(dem, group.x, group.y, radius, agg)
+    keep = np.isfinite(refs) & (np.abs(group.gedi_dem - refs) <= max_dem_diff)
+    return ShotGroup(key=group.key, table=group.table.take(keep, ref_elev=refs))
 
 
 def prepare_groups(
-    fps: Sequence[Footprint],
+    table: FootprintTable,
     dem: RasterGrid,
     geoid: RasterGrid | None = None,
     rules: QualityRules | None = None,
@@ -355,11 +366,11 @@ def prepare_groups(
     optimizer can account skips; callers enforce MIN_GROUP_SIZE.
     """
     rules = rules or QualityRules()
-    stats = PipelineStats(n_input=len(fps))
+    stats = PipelineStats(n_input=len(table))
 
-    kept = filter_quality(fps, rules)
+    kept = filter_quality(table, rules)
     stats.n_after_quality = len(kept)
-    logger.info("quality filters kept %d of %d footprints", len(kept), len(fps))
+    logger.info("quality filters kept %d of %d footprints", len(kept), len(table))
 
     kept = apply_geoid(kept, geoid, footprint_crs)
     stats.n_after_geoid = len(kept)

@@ -49,20 +49,19 @@ class Objective:
         self.metric = MetricKind(metric)
         if radius <= 0:
             raise ValueError("radius must be positive")
-        n = len(group.footprints)
+        n = len(group)
         if n < 1:
             raise ValueError(f"group {group.key}: empty group has no objective")
         if self.metric == MetricKind.CORRELATION and n < 2:
             raise ValueError(f"group {group.key}: correlation needs >= 2 footprints")
-        pos = group.positions
-        self.xs = pos[:, 0]
-        self.ys = pos[:, 1]
-        self.elev = group.elevations
+        self.xs = group.x
+        self.ys = group.y
+        self.elev = group.gedi_dem
         self.dem = dem
         self.radius = radius
         self.agg = agg
         self.cell_size = max(dem.cell_size_x, abs(dem.cell_size_y))
-        self.n_footprints = self.elev.shape[0]
+        self.n_footprints = n
 
     def __call__(self, dx: float, dy: float) -> float:
         return float(self.batch(np.array([[dx, dy]], dtype=np.float64))[0])
@@ -386,7 +385,7 @@ def correct_group(
             dx=0.0, dy=0.0, objective_value=0.0, evaluations=0,
             converged=False, method=method, skipped=True,
         )
-        return sol, np.array([fp.ref_elev for fp in group.footprints], dtype=np.float64)
+        return sol, group.ref_elev
 
     f = Objective(group, dem, metric=metric, radius=cfg.radius, agg=cfg.agg)
     if method == "grid":

@@ -9,19 +9,20 @@ displacement is therefore the negated planted offset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .config import RunConfig
 from .evaluate import compare_methods
-from .footprints import Footprint, ShotGroup, attach_reference
+from .footprints import FootprintTable, ShotGroup, attach_reference
 from .optimize import correct_dataset
 from .raster import AggregationKind, RasterGrid, aggregate_buffer_points
 
 BASE_ELEVATION_M = 100.0
 TRACK_MARGIN_M = 25.0
+TRACK_BEAM = "BEAM0101"  # the `beam` cell `simulate` writes for every footprint
 TERRAIN_KINDS = ("flat", "ramp", "gaussian_hills", "fractal")
 
 _N_HILLS = 10
@@ -207,31 +208,21 @@ def gen_track(
     elev = clean + noise
 
     prefix = _group_key(spec.seed)
-    footprints = [
-        Footprint(
-            shot_number=f"{prefix}{i:05d}",
-            beam="BEAM0101",
-            x=float(xs[i]),
-            y=float(ys[i]),
-            elev_lowestmode=float(elev[i]),
-            degrade_flag=0,
-            quality_flag=1,
-            sensitivity=0.98,
-            rh100=10.0,
-            gedi_dem=float(elev[i]),
-        )
-        for i in range(n)
-    ]
-    return ShotGroup(key=prefix, footprints=footprints)
+    table = FootprintTable(
+        x=xs, y=ys, elev_lowestmode=elev, gedi_dem=elev, ref_elev=np.full(n, math.nan),
+        degrade_flag=np.zeros(n), quality_flag=np.ones(n), sensitivity=np.full(n, 0.98),
+        rh100=np.full(n, 10.0), tree_cover=np.full(n, math.nan),
+        shot_number=np.array([f"{prefix}{i:05d}" for i in range(n)], dtype=object), row=np.arange(n),
+    )
+    return ShotGroup(key=prefix, table=table)
 
 
 def plant_offset(group: ShotGroup, spec: TrackSpec) -> ShotGroup:
     """Shift reported positions by the planted offset; elevations stay put."""
-    shifted = [
-        replace(fp, x=fp.x + spec.planted_dx, y=fp.y + spec.planted_dy)
-        for fp in group.footprints
-    ]
-    return ShotGroup(key=group.key, footprints=shifted)
+    shifted = group.table.take(
+        slice(None), x=group.x + spec.planted_dx, y=group.y + spec.planted_dy
+    )
+    return ShotGroup(key=group.key, table=shifted)
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """Shared builders for raster and footprint test objects."""
 
+import math
+
 import numpy as np
 import pytest
 
 from terralign import RasterGrid
-from terralign.footprints import Footprint, ShotGroup
+from terralign.footprints import COLUMNS, FootprintTable, ShotGroup
 
 
 def make_grid(values, origin_x=0.0, origin_y=None, cell=1.0, crs=""):
@@ -46,11 +48,11 @@ def make_footprint(
     gedi_dem="same",
     **kw,
 ):
+    """One footprint's column values; `make_table` stacks them. gedi_dem=None is NaN."""
     if gedi_dem == "same":
         gedi_dem = elev
-    return Footprint(
+    return dict(
         shot_number=f"{key}{i:05d}",
-        beam="BEAM0101",
         x=float(x),
         y=float(y),
         elev_lowestmode=float(elev),
@@ -58,9 +60,21 @@ def make_footprint(
         quality_flag=quality,
         sensitivity=sensitivity,
         rh100=rh100,
-        gedi_dem=gedi_dem,
+        gedi_dem=math.nan if gedi_dem is None else gedi_dem,
         **kw,
     )
+
+
+def make_table(fps):
+    """A FootprintTable with one row per `make_footprint` dict, in order."""
+    defaults = {"ref_elev": math.nan, "tree_cover": math.nan}
+    columns = {
+        name: np.array([fp.get(name, defaults.get(name)) for fp in fps], dtype=float)
+        for name in COLUMNS
+        if name not in ("shot_number", "row")
+    }
+    shots = np.array([fp["shot_number"] for fp in fps], dtype=object)
+    return FootprintTable(**columns, shot_number=shots, row=np.arange(len(fps)))
 
 
 def make_group(xs, ys, elevs, key="0000000001"):
@@ -68,7 +82,7 @@ def make_group(xs, ys, elevs, key="0000000001"):
         make_footprint(i, key=key, x=x, y=y, elev=e)
         for i, (x, y, e) in enumerate(zip(xs, ys, elevs))
     ]
-    return ShotGroup(key=key, footprints=fps)
+    return ShotGroup(key=key, table=make_table(fps))
 
 
 @pytest.fixture

@@ -17,11 +17,13 @@ import pytest
 from terralign import MetricKind, QualityRules, RunConfig, TerrainSpec, correct_dataset, gen_terrain
 from terralign.cli import main as cli_main
 from terralign.config import Bounds, LbfgsbConfig, OptimizerConfig
-from terralign.footprints import Footprint, filter_quality, flag_rolling_outliers
+from terralign.footprints import filter_quality, flag_rolling_outliers
 from terralign.metrics import distance, distance_many
 from terralign.optimize import correct_group, grid_search, lattice_points
 from terralign.raster import AggregationKind, aggregate_buffer_points
 from terralign.synthetic import TrackSpec, gen_track, plant_offset, run_recovery_experiment
+
+from conftest import make_footprint, make_table
 
 RECOVERY_METRICS = (MetricKind.EUCLIDEAN, MetricKind.MANHATTAN, MetricKind.AREA)
 N_SCENES = 100
@@ -108,15 +110,14 @@ def corpus():
         scene = Scene(target=(-planted[0], -planted[1]))
 
         # one raster pass covers every lattice offset for every footprint
-        pos = observed.positions
-        sx = (pos[:, 0][np.newaxis, :] + lattice[:, 0:1]).ravel()
-        sy = (pos[:, 1][np.newaxis, :] + lattice[:, 1:2]).ravel()
+        sx = (observed.x[np.newaxis, :] + lattice[:, 0:1]).ravel()
+        sy = (observed.y[np.newaxis, :] + lattice[:, 1:2]).ravel()
         refs = aggregate_buffer_points(terrain, sx, sy, 12.5, AggregationKind.MEAN)
-        refs = refs.reshape(lattice.shape[0], len(observed.footprints))
+        refs = refs.reshape(lattice.shape[0], len(observed))
         assert np.all(np.isfinite(refs)), "oracle lattice must stay on the DEM"
 
         for metric in RECOVERY_METRICS:
-            surface = distance_many(metric, observed.elevations, refs)
+            surface = distance_many(metric, observed.gedi_dem, refs)
             idx = int(np.argmin(surface))
             scene.oracle_value[metric] = float(surface[idx])
             scene.valid[metric] = (
@@ -308,16 +309,15 @@ def test_c7_preprocessing_fidelity():
         assert got.tolist() == naive_rolling_mask(series.tolist(), 7, 2.0), case
 
     def fp(sensitivity=0.98, elev=100.0):
-        return Footprint(
-            shot_number="000000000100001", beam="BEAM0101", x=0.0, y=0.0,
-            elev_lowestmode=elev, degrade_flag=0, quality_flag=1,
+        return make_table([make_footprint(
+            1, key="0000000001", x=0.0, y=0.0, elev=elev, degrade=0, quality=1,
             sensitivity=sensitivity, rh100=10.0,
-        )
+        )])
 
     rules = QualityRules()
-    assert len(filter_quality([fp(sensitivity=0.95)], rules)) == 1
-    assert len(filter_quality([fp(sensitivity=0.949)], rules)) == 0
-    assert len(filter_quality([fp(elev=2500.0)], rules)) == 0
+    assert len(filter_quality(fp(sensitivity=0.95), rules)) == 1
+    assert len(filter_quality(fp(sensitivity=0.949), rules)) == 0
+    assert len(filter_quality(fp(elev=2500.0), rules)) == 0
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"preprocessing checks took {elapsed:.2f}s"
 

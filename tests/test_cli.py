@@ -126,6 +126,56 @@ def test_dead_worker_is_data_error(tmp_path, capsys, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+ROW_RULES_HEADER = "shot_number,beam,x,y,elev_lowestmode,degrade_flag,quality_flag,sensitivity,rh100,note"
+ROW_RULES_ROWS = [
+    # shot_number and x padded with spaces, a quoted note holding a comma
+    ' 000000000100000 ,BEAM0101, 26.0 ,30.0,100.0,0,1,0.98,10.0,"a,b"',
+    # short: no note cell
+    "000000000100001,BEAM0101,30.0,30.0,100.0,0,1,0.98,10.0",
+    "",
+    # two cells beyond the header
+    "000000000100002,BEAM0101,34.0,30.0,100.0,0,1,0.98,10.0,plain,extra1,extra2",
+    "000000000100003,BEAM0101,38.0,30.0,100.0,0,1,0.98,10.0,z",
+]
+
+
+def test_corrected_csv_keeps_the_input_cells_by_the_row_rules(tmp_path):
+    dem, fps, _ = write_flat_scene(tmp_path)
+    fps.write_text("\n".join([ROW_RULES_HEADER] + ROW_RULES_ROWS) + "\n")
+    out = tmp_path / "o"
+    assert run(["correct", "--dem", dem, "--footprints", fps, "--out", out,
+                "--methods", "grid", "--metrics", "euclidean"]) == 0
+    text = (out / "corrected_grid_euclidean.csv").read_text()
+    header, *rows = list(csv.reader(text.splitlines()))
+    n_input = len(ROW_RULES_HEADER.split(","))
+    assert header[:n_input] == ROW_RULES_HEADER.split(",")
+    assert len(rows) == 4 and all(len(r) == len(header) for r in rows)
+    assert [r[n_input:][0] for r in rows] == ["0000000001"] * 4  # group_key of the stripped shot
+    assert rows[0][:n_input] == [
+        " 000000000100000 ", "BEAM0101", " 26.0 ", "30.0", "100.0", "0", "1", "0.98", "10.0", "a,b",
+    ]
+    assert rows[1][n_input - 1] == ""
+    assert rows[2][n_input - 1] == "plain" and "extra1" not in text
+    record = dict(zip(header, rows[0]))
+    assert record["x_corrected"] == repr(26.0 + float(record["dx_m"]))
+    assert text.splitlines()[1].startswith(' 000000000100000 ,BEAM0101, 26.0 ,')
+    assert text.splitlines()[1].split(",0000000001,")[0].endswith(',"a,b"')
+
+
+def test_repeated_header_column_is_data_error(tmp_path, capsys):
+    dem, fps, _ = write_flat_scene(tmp_path)
+    header, *rows = fps.read_text().splitlines()
+    fps.write_text("\n".join([header + ",x"] + [r + ",55.5" for r in rows]) + "\n")
+    capsys.readouterr()
+    assert run(["correct", "--dem", dem, "--footprints", fps, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == [
+        line for line in err if "repeated column" in line
+    ] != []
+    assert "Traceback" not in "\n".join(err)
+    assert not (tmp_path / "o").exists()
+
+
 def test_crs_mismatch_is_data_error_naming_tags(tmp_path, capsys):
     dem, fps, geoid = write_flat_scene(tmp_path, crs_dem="EPSG:32654", crs_geoid="EPSG:4326")
     rc = run([

@@ -158,7 +158,9 @@ def test_compare_methods_mismatched_groups_error():
 
 def test_compare_methods_counts_duplicate_shot_numbers_by_position():
     dem, (group,) = groups_on_flat(n_groups=1, n_fps=6)
-    group.footprints[5].shot_number = group.footprints[4].shot_number
+    shots = group.shot_number.copy()
+    shots[5] = shots[4]
+    group = ShotGroup(group.key, group.table.take(slice(None), shot_number=shots))
     result = correct_dataset([group], dem, method="grid", metric="euclidean")
     rows = compare_methods([result], [group])
     # elevations 100.0 .. 100.5 over a flat 100 m DEM: MAE 0.25 over all 6 pairs
@@ -168,7 +170,7 @@ def test_compare_methods_counts_duplicate_shot_numbers_by_position():
 
 def test_compare_methods_rejects_resized_groups():
     dem, groups = groups_on_flat()
-    shrunk = [groups[0], ShotGroup(groups[1].key, groups[1].footprints[:-1]), groups[2]]
+    shrunk = [groups[0], ShotGroup(groups[1].key, groups[1].table.take(slice(None, -1))), groups[2]]
     result = correct_dataset(shrunk, dem, method="grid", metric="euclidean")
     with pytest.raises(ValueError, match="group sizes"):
         compare_methods([result], groups)

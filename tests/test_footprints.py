@@ -8,8 +8,6 @@ import pytest
 
 from terralign import FootprintError, QualityRules, parse_footprints, prepare_groups
 from terralign.footprints import (
-    Footprint,
-    ShotGroup,
     apply_geoid,
     attach_reference,
     filter_quality,
@@ -18,7 +16,7 @@ from terralign.footprints import (
     remove_outliers,
 )
 
-from conftest import flat_grid, make_footprint, make_group
+from conftest import flat_grid, make_footprint, make_group, make_table
 
 CSV_HEADER = "shot_number,beam,x,y,elev_lowestmode,degrade_flag,quality_flag,sensitivity,rh100\n"
 
@@ -33,8 +31,8 @@ def test_parse_well_formed_rows():
     assert len(fps) == 3
     assert stats.n_rows == 3
     assert stats.n_dropped_na == 0
-    assert fps[0].shot_number == "00000000010001"
-    assert fps[0].x == 5.0 and fps[0].elev_lowestmode == 100.0
+    assert fps.shot_number[0] == "00000000010001"
+    assert fps.x[0] == 5.0 and fps.elev_lowestmode[0] == 100.0
 
 
 def test_parse_drops_na_rows_and_counts():
@@ -61,8 +59,26 @@ def test_parse_missing_column_raises():
 def test_parse_preserves_raw_columns():
     text = "extra," + CSV_HEADER[:-1] + "\nfoo," + row()[:-1] + "\n"
     fps, _ = parse_footprints(io.StringIO(text))
-    assert fps[0].raw["extra"] == "foo"
-    assert fps[0].raw["x"] == "5.0"
+    assert fps.cells.header == ("extra",) + tuple(CSV_HEADER[:-1].split(","))
+    cells = dict(zip(fps.cells.header, fps.cells.rows[fps.row[0]]))
+    assert cells["extra"] == "foo"
+    assert cells["x"] == "5.0"
+
+
+def test_parse_skips_blank_lines_without_counting_them():
+    text = CSV_HEADER + row("00000000010001") + "\n" + row("00000000010002") + "\n\n"
+    fps, stats = parse_footprints(io.StringIO(text))
+    assert len(fps) == 2
+    assert stats.n_rows == 2
+
+
+def test_parse_rejects_a_repeated_column():
+    text = CSV_HEADER[:-1] + ",x\n" + row()[:-1] + ",55.5\n"
+    with pytest.raises(FootprintError, match="repeated column.*'x'"):
+        parse_footprints(io.StringIO(text))
+    text = "note,note," + CSV_HEADER + "a,b," + row()
+    with pytest.raises(FootprintError, match="'note'"):
+        parse_footprints(io.StringIO(text))
 
 
 def test_quality_filter_boundaries():
@@ -72,30 +88,33 @@ def test_quality_filter_boundaries():
     drop_elev = make_footprint(2, elev=2500.0)
     keep_elev = make_footprint(3, elev=2499.9)
     drop_zero = make_footprint(4, elev=0.0)
-    out = filter_quality([keep, drop_sens, drop_elev, keep_elev, drop_zero], rules)
-    assert out == [keep, keep_elev]
+    out = filter_quality(make_table([keep, drop_sens, drop_elev, keep_elev, drop_zero]), rules)
+    assert list(out.shot_number) == [keep["shot_number"], keep_elev["shot_number"]]
 
 
 def test_quality_filter_flags_and_rh100():
     rules = QualityRules()
-    assert filter_quality([make_footprint(0, degrade=1)], rules) == []
-    assert filter_quality([make_footprint(0, quality=0)], rules) == []
-    assert filter_quality([make_footprint(0, rh100=0.0)], rules) == []
-    assert filter_quality([make_footprint(0, rh100=-3.0)], rules) == []
+    assert len(filter_quality(make_table([make_footprint(0)]), rules)) == 1
+    assert len(filter_quality(make_table([make_footprint(0, degrade=1)]), rules)) == 0
+    assert len(filter_quality(make_table([make_footprint(0, quality=0)]), rules)) == 0
+    assert len(filter_quality(make_table([make_footprint(0, rh100=0.0)]), rules)) == 0
+    assert len(filter_quality(make_table([make_footprint(0, rh100=-3.0)]), rules)) == 0
 
 
 def test_quality_filter_tree_cover_rule():
     fp_none = make_footprint(0)
     fp_true = make_footprint(1, tree_cover=True)
     fp_false = make_footprint(2, tree_cover=False)
-    default = filter_quality([fp_none, fp_true, fp_false], QualityRules())
-    assert default == [fp_none, fp_true, fp_false]
-    strict = filter_quality([fp_none, fp_true, fp_false], QualityRules(require_tree_cover=True))
-    assert strict == [fp_true]
+    table = make_table([fp_none, fp_true, fp_false])
+    np.testing.assert_array_equal(table.tree_cover, [np.nan, 1.0, 0.0])
+    default = filter_quality(table, QualityRules())
+    assert list(default.row) == [0, 1, 2]
+    strict = filter_quality(table, QualityRules(require_tree_cover=True))
+    assert list(strict.row) == [1]
 
 
 def test_quality_filter_idempotent(rng):
-    fps = [
+    fps = make_table([
         make_footprint(
             i,
             elev=float(rng.uniform(-100.0, 3000.0)),
@@ -105,10 +124,11 @@ def test_quality_filter_idempotent(rng):
             rh100=float(rng.uniform(-5.0, 40.0)),
         )
         for i in range(300)
-    ]
+    ])
     rules = QualityRules()
     once = filter_quality(fps, rules)
-    assert filter_quality(once, rules) == once
+    assert 0 < len(once) < len(fps)
+    np.testing.assert_array_equal(filter_quality(once, rules).row, once.row)
 
 
 def test_quality_rules_validation():
@@ -173,80 +193,79 @@ def test_rolling_outliers_match_naive_reference(rng):
 
 def test_apply_geoid_arithmetic():
     geoid = flat_grid(16, value=40.0)
-    fps = [make_footprint(0, x=8.0, y=8.0, elev=120.0, gedi_dem=None)]
+    fps = make_table([make_footprint(0, x=8.0, y=8.0, elev=120.0, gedi_dem=None)])
     out = apply_geoid(fps, geoid)
-    assert out[0].gedi_dem == 80.0
+    assert out.gedi_dem[0] == 80.0
 
 
 def test_apply_geoid_zero_grid_is_identity():
     geoid = flat_grid(16, value=0.0)
-    fps = [make_footprint(i, x=4.0 + i, y=8.0, elev=100.0 + i, gedi_dem=None) for i in range(5)]
+    fps = make_table([make_footprint(i, x=4.0 + i, y=8.0, elev=100.0 + i, gedi_dem=None) for i in range(5)])
     out = apply_geoid(fps, geoid)
-    assert [fp.gedi_dem for fp in out] == [fp.elev_lowestmode for fp in out]
+    assert list(out.gedi_dem) == list(out.elev_lowestmode)
 
 
 def test_apply_geoid_drops_outside_extent():
     geoid = flat_grid(16, value=0.0)
     inside = make_footprint(0, x=8.0, y=8.0, gedi_dem=None)
     outside = make_footprint(1, x=99.0, y=8.0, gedi_dem=None)
-    out = apply_geoid([inside, outside], geoid)
-    assert len(out) == 1 and out[0].shot_number == inside.shot_number
+    out = apply_geoid(make_table([inside, outside]), geoid)
+    assert len(out) == 1 and out.shot_number[0] == inside["shot_number"]
 
 
 def test_apply_geoid_none_passthrough():
-    fps = [make_footprint(0, elev=123.0, gedi_dem=None)]
+    fps = make_table([make_footprint(0, elev=123.0, gedi_dem=None)])
     out = apply_geoid(fps, None)
-    assert out[0].gedi_dem == 123.0
-    assert fps[0].gedi_dem is None  # a copy, never the caller's object
+    assert out.gedi_dem[0] == 123.0
+    assert np.isnan(fps.gedi_dem[0])  # a new table, never the caller's
 
 
 def test_apply_geoid_none_passes_parsed_footprints_through():
     fps, _ = parse_footprints(io.StringIO(CSV_HEADER + row(elev=101.5) + row(elev=99.0)))
-    assert [fp.gedi_dem for fp in fps] == [101.5, 99.0]
+    assert list(fps.gedi_dem) == [101.5, 99.0]
     out = apply_geoid(fps, None)
-    assert all(a is b for a, b in zip(out, fps)) and len(out) == 2
+    assert list(out.gedi_dem) == [101.5, 99.0] and out.cells is fps.cells
     with_geoid = apply_geoid(fps, flat_grid(16, value=1.0))
-    assert [fp.gedi_dem for fp in with_geoid] == [100.5, 98.0]
-    assert [fp.gedi_dem for fp in fps] == [101.5, 99.0]
+    assert list(with_geoid.gedi_dem) == [100.5, 98.0]
+    assert list(fps.gedi_dem) == [101.5, 99.0]
 
 
 def test_group_by_shot_prefix_partition():
-    fps = [
+    fps = make_table([
+        make_footprint(1, key="KLMNOPQRST"),
         make_footprint(1, key="ABCDEFGHIJ"),
         make_footprint(2, key="ABCDEFGHIJ"),
-        make_footprint(1, key="KLMNOPQRST"),
-    ]
+    ])
     groups = group_by_shot(fps)
     assert [g.key for g in groups] == ["ABCDEFGHIJ", "KLMNOPQRST"]
     assert [len(g) for g in groups] == [2, 1]
 
 
 def test_group_by_shot_empty():
-    assert group_by_shot([]) == []
+    assert group_by_shot(make_table([])) == []
 
 
 def test_group_by_shot_short_key_raises():
     fp = make_footprint(0)
-    fp.shot_number = "SHORT"
-    with pytest.raises(FootprintError):
-        group_by_shot([fp])
+    fp["shot_number"] = "SHORT"
+    with pytest.raises(FootprintError, match="'SHORT'"):
+        group_by_shot(make_table([make_footprint(1), fp]))
 
 
 def test_group_by_shot_is_partition(rng):
-    fps = [
+    fps = make_table([
         make_footprint(int(rng.integers(0, 99999)), key=f"{rng.integers(0, 20):010d}")
         for _ in range(1000)
-    ]
+    ])
     groups = group_by_shot(fps)
-    merged = [fp for g in groups for fp in g.footprints]
-    assert sorted(id(fp) for fp in merged) == sorted(id(fp) for fp in fps)
+    merged = np.concatenate([g.row for g in groups])
+    assert sorted(merged) == list(range(1000))
+    assert [g.key for g in groups] == sorted(g.key for g in groups)
     for g in groups:
-        assert all(fp.shot_number[:10] == g.key for fp in g.footprints)
-    # within-group order preserves input order
-    pos = {id(fp): i for i, fp in enumerate(fps)}
-    for g in groups:
-        idx = [pos[id(fp)] for fp in g.footprints]
-        assert idx == sorted(idx)
+        assert all(shot[:10] == g.key for shot in g.shot_number)
+        # within-group order preserves input order
+        assert list(g.row) == sorted(g.row)
+        np.testing.assert_array_equal(g.x, fps.x[g.row])
 
 
 def test_attach_reference_constant_dem():
@@ -254,7 +273,7 @@ def test_attach_reference_constant_dem():
     group = make_group([30.0, 32.0, 34.0], [30.0, 30.0, 30.0], [100.0, 100.0, 100.0])
     out = attach_reference(group, dem)
     assert len(out) == 3
-    assert all(fp.ref_elev == 100.0 for fp in out.footprints)
+    assert list(out.ref_elev) == [100.0] * 3
 
 
 def test_attach_reference_dem_diff_threshold():
@@ -270,7 +289,7 @@ def test_attach_reference_drops_uncovered():
     dem = flat_grid(32)
     group = make_group([16.0, 500.0], [16.0, 500.0], [100.0, 100.0])
     out = attach_reference(group, dem)
-    assert len(out) == 1 and out.footprints[0].x == 16.0
+    assert len(out) == 1 and out.x[0] == 16.0
 
 
 def test_remove_outliers_prunes_gedi_dem_spike():
@@ -278,7 +297,7 @@ def test_remove_outliers_prunes_gedi_dem_spike():
     group = make_group(list(range(7)), [0.0] * 7, elevs)
     out = remove_outliers(group, window=7, k=2.0)
     assert len(out) == 6
-    assert all(fp.gedi_dem == 10.0 for fp in out.footprints)
+    assert list(out.gedi_dem) == [10.0] * 6
 
 
 def test_prepare_groups_end_to_end():
@@ -289,7 +308,7 @@ def test_prepare_groups_end_to_end():
     for i in range(2):
         fps.append(make_footprint(i, key="0000000002", x=60.0, y=60.0 + 4 * i, elev=100.0, gedi_dem=None))
     fps.append(make_footprint(0, key="0000000003", x=30.0, y=30.0, elev=2600.0, gedi_dem=None))
-    groups, stats = prepare_groups(fps, dem)
+    groups, stats = prepare_groups(make_table(fps), dem)
     assert stats.n_input == 9
     assert stats.n_after_quality == 8
     assert stats.n_groups == 2
@@ -297,17 +316,17 @@ def test_prepare_groups_end_to_end():
     by_key = {g.key: g for g in groups}
     assert len(by_key["0000000001"]) == 6
     assert len(by_key["0000000002"]) == 2
-    assert all(fp.ref_elev == 100.0 for fp in by_key["0000000001"].footprints)
+    assert list(by_key["0000000001"].ref_elev) == [100.0] * 6
 
 
 def test_pipeline_stats_empty_stage_naming():
     dem = flat_grid(16)
-    bad = [make_footprint(0, sensitivity=0.3, gedi_dem=None)]
+    bad = make_table([make_footprint(0, sensitivity=0.3, gedi_dem=None)])
     _, stats = prepare_groups(bad, dem)
     assert stats.n_after_attach == 0
     assert stats.empty_stage() == "quality filters"
 
-    off_dem = [make_footprint(0, x=900.0, y=900.0, gedi_dem=None)]
+    off_dem = make_table([make_footprint(0, x=900.0, y=900.0, gedi_dem=None)])
     _, stats2 = prepare_groups(off_dem, dem)
     assert stats2.empty_stage() == "reference attachment"
 
@@ -331,7 +350,7 @@ def test_parse_round_trip_from_synthetic(tmp_path):
     from terralign.synthetic import plant_offset
 
     observed = plant_offset(clean, spec)
-    for got, want in zip(fps, observed.footprints):
-        assert got.shot_number == want.shot_number
-        assert got.x == want.x and got.y == want.y
-        assert got.elev_lowestmode == want.elev_lowestmode
+    assert list(fps.shot_number) == list(observed.shot_number)
+    np.testing.assert_array_equal(fps.x, observed.x)
+    np.testing.assert_array_equal(fps.y, observed.y)
+    np.testing.assert_array_equal(fps.elev_lowestmode, observed.elev_lowestmode)

@@ -11,7 +11,7 @@ import pytest
 import terralign.optimize
 from terralign import MetricKind, RunConfig, TerrainSpec, correct_dataset, gen_terrain
 from terralign.config import Bounds, GaConfig, LbfgsbConfig, OptimizerConfig
-from terralign.footprints import attach_reference
+from terralign.footprints import ShotGroup, attach_reference
 from terralign.optimize import (
     Objective,
     correct_group,
@@ -353,8 +353,7 @@ def test_correct_group_grid_recovers_within_one_step():
     sol, ref_after = correct_group(group, terrain, method="grid", metric="euclidean")
     assert abs(sol.dx - (-8.0)) <= 5.0
     assert abs(sol.dy - 3.0) <= 5.0
-    pos = group.positions
-    expected = aggregate_buffer_points(terrain, pos[:, 0] + sol.dx, pos[:, 1] + sol.dy, 12.5)
+    expected = aggregate_buffer_points(terrain, group.x + sol.dx, group.y + sol.dy, 12.5)
     assert ref_after.dtype == np.float64
     np.testing.assert_array_equal(ref_after, expected)
 
@@ -425,7 +424,7 @@ def test_lbfgsb_batched_probes_match_scalar_paths():
 def test_correct_group_skips_undersized():
     dem = flat_grid(64)
     group = make_group([30.0, 34.0], [30.0, 30.0], [100.0, 100.0])
-    group.footprints[0].ref_elev = 99.5  # the second has none: NaN
+    group = ShotGroup(group.key, group.table.take(slice(None), ref_elev=np.array([99.5, math.nan])))
     sol, ref_after = correct_group(group, dem, method="grid")
     assert sol.skipped and sol.dx == 0.0 and sol.dy == 0.0
     np.testing.assert_array_equal(ref_after, [99.5, math.nan])
@@ -467,7 +466,7 @@ def test_correct_dataset_ref_after_is_aggregate_at_shifted_positions(workers):
     assert result.groups is groups
     assert [s.skipped for s in result.solutions] == [False, False, True]
     expected = np.concatenate([
-        aggregate_buffer_points(dem, g.positions[:, 0] + s.dx, g.positions[:, 1] + s.dy, 12.5)
+        aggregate_buffer_points(dem, g.x + s.dx, g.y + s.dy, 12.5)
         for g, s in zip(groups, result.solutions)
     ])
     np.testing.assert_array_equal(result.ref_after, expected)

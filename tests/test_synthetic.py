@@ -66,13 +66,13 @@ def test_terrain_spec_validation():
 def test_track_on_flat_terrain_reads_100():
     terrain = gen_terrain(TerrainSpec(kind="flat", n_rows=120, n_cols=120, cell_size=2.0))
     group = gen_track(terrain, TrackSpec(n_footprints=5, spacing=30.0, heading=10.0, seed=2))
-    assert all(fp.gedi_dem == 100.0 for fp in group.footprints)
+    assert list(group.gedi_dem) == [100.0] * 5
 
 
 def test_track_monotone_on_ramp_when_heading_east():
     terrain = gen_terrain(TerrainSpec(kind="ramp", n_rows=200, n_cols=200, cell_size=2.0, relief=100.0))
     group = gen_track(terrain, TrackSpec(n_footprints=8, spacing=25.0, heading=90.0, seed=0))
-    elevs = [fp.gedi_dem for fp in group.footprints]
+    elevs = list(group.gedi_dem)
     assert all(b > a for a, b in zip(elevs, elevs[1:]))
 
 
@@ -81,8 +81,8 @@ def test_track_noise_reproducible():
     spec = TrackSpec(n_footprints=6, spacing=25.0, noise_sd=1.5, seed=33)
     a = gen_track(terrain, spec)
     b = gen_track(terrain, spec)
-    assert [fp.gedi_dem for fp in a.footprints] == [fp.gedi_dem for fp in b.footprints]
-    assert any(fp.gedi_dem != 100.0 for fp in a.footprints)
+    assert list(a.gedi_dem) == list(b.gedi_dem)
+    assert any(a.gedi_dem != 100.0)
 
 
 def test_track_margin_violation_raises():
@@ -105,7 +105,7 @@ def test_plant_offset_zero_is_identity():
     spec = TrackSpec(n_footprints=5, spacing=30.0, seed=8)
     group = gen_track(terrain, spec)
     planted = plant_offset(group, spec)
-    assert [(fp.x, fp.y) for fp in planted.footprints] == [(fp.x, fp.y) for fp in group.footprints]
+    assert list(zip(planted.x, planted.y)) == list(zip(group.x, group.y))
 
 
 def test_plant_offset_shifts_positions_not_elevations():
@@ -113,10 +113,9 @@ def test_plant_offset_shifts_positions_not_elevations():
     spec = TrackSpec(n_footprints=5, spacing=25.0, planted_dx=7.0, planted_dy=-4.0, seed=8)
     group = gen_track(terrain, spec)
     planted = plant_offset(group, spec)
-    for before, after in zip(group.footprints, planted.footprints):
-        assert after.x == before.x + 7.0
-        assert after.y == before.y - 4.0
-        assert after.gedi_dem == before.gedi_dem
+    assert list(planted.x) == [x + 7.0 for x in group.x]
+    assert list(planted.y) == [y - 4.0 for y in group.y]
+    assert list(planted.gedi_dem) == list(group.gedi_dem)
 
 
 def test_plant_offset_double_application_is_additive():
@@ -126,7 +125,7 @@ def test_plant_offset_double_application_is_additive():
     twice = plant_offset(plant_offset(group, spec), spec)
     double = TrackSpec(n_footprints=4, spacing=25.0, planted_dx=6.0, planted_dy=10.0, seed=8)
     once = plant_offset(group, double)
-    assert [(fp.x, fp.y) for fp in twice.footprints] == [(fp.x, fp.y) for fp in once.footprints]
+    assert list(zip(twice.x, twice.y)) == list(zip(once.x, once.y))
 
 
 def test_noiseless_ramp_objective_zero_at_negated_offset():
