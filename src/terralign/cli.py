@@ -20,7 +20,8 @@ from concurrent.futures import BrokenExecutor
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import get_origin
+from types import SimpleNamespace
+from typing import Iterable, get_origin
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .footprints import (
     prepare_groups,
 )
 from .metrics import MetricError
-from .optimize import correct_dataset
+from .optimize import GroupPool, correct_dataset
 from .raster import (
     AggregationKind,
     RasterError,
@@ -206,10 +207,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _fmt_float(value: float | None) -> str:
-    if value is None or not math.isfinite(value):
-        return ""
-    return repr(float(value))
+def _fmt_floats(values: Iterable[float]) -> list[str]:
+    """repr of each value as a float; "" for NaN and infinities."""
+    return [repr(float(v)) if math.isfinite(v) else "" for v in values]
 
 
 def _load_rasters(dem_path: str, geoid_path: str | None):
@@ -235,6 +235,9 @@ def _load_pipeline(cfg: RunConfig):
         raise DataError(f"footprint CSV not found: {fps_path}")
     with fps_path.open(newline="") as fh:
         table, parse_stats = parse_footprints(fh, source=str(fps_path))
+    taken = [c for c in CORRECTED_EXTRA_COLUMNS if c in table.cells.header]
+    if taken:
+        raise DataError(f"{fps_path}: input columns that correct writes itself: {', '.join(taken)}")
     if not len(table):
         raise DataError(
             f"{fps_path}: no parseable footprints "
@@ -255,26 +258,45 @@ def _load_pipeline(cfg: RunConfig):
     return dem, groups, stats
 
 
-def _write_corrected_csv(path: Path, result) -> None:
-    """One row per footprint of `result.groups`: its input cells, then the correction.
+class _CorrectedCsvWriter:
+    """Writes one corrected CSV per method x metric over the same groups.
 
-    Every group comes from `parse_footprints`, so its `row` column indexes
-    the input cells every group shares.
+    A row is a footprint's input cells, then CORRECTED_EXTRA_COLUMNS. The
+    cells, `group_key` and `ref_elev_before` are the same in every file, so
+    they are CSV-encoded once, here; `write` formats only the columns that
+    depend on the result. Every group comes from `parse_footprints`, so its
+    `row` column indexes the input cells every group shares.
     """
-    cells = result.groups[0].table.cells
-    refs_after = iter(result.ref_after.tolist())
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+
+    def __init__(self, groups) -> None:
+        cells = groups[0].table.cells
+        lines: list[str] = []
+        # csv.writer hands each encoded line, terminator included, to `write`
+        writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
         writer.writerow([*cells.header, *CORRECTED_EXTRA_COLUMNS])
-        for group, sol in zip(result.groups, result.solutions):
-            dx, dy = _fmt_float(sol.dx), _fmt_float(sol.dy)
-            columns = (group.row, group.x + sol.dx, group.y + sol.dy, group.ref_elev)
-            writer.writerows(
-                cells.rows[row]
-                + [group.key, dx, dy, *map(_fmt_float, (x, y, ref_before, next(refs_after)))]
-                + [result.method, result.metric]
-                for row, x, y, ref_before in zip(*(c.tolist() for c in columns))
-            )
+        writer.writerows(
+            cells.rows[row] + [group.key] for group in groups for row in group.table.row.tolist()
+        )
+        self.header = lines[0]
+        self.prefixes = [line[:-1] for line in lines[1:]]
+        self.refs_before = _fmt_floats(np.concatenate([g.ref_elev for g in groups]).tolist())
+
+    def write(self, path: Path, result) -> None:
+        """The numbers are repr-formatted and never need CSV quoting."""
+        refs_after = _fmt_floats(result.ref_after.tolist())
+        tail = f",{result.method},{result.metric}\n"
+        with path.open("w", newline="") as fh:
+            fh.write(self.header)
+            start = 0
+            for group, sol in zip(result.groups, result.solutions):
+                dx, dy = _fmt_floats((sol.dx, sol.dy))
+                xs = _fmt_floats((group.x + sol.dx).tolist())
+                ys = _fmt_floats((group.y + sol.dy).tolist())
+                fh.writelines(
+                    f"{self.prefixes[i]},{dx},{dy},{x},{y},{self.refs_before[i]},{refs_after[i]}{tail}"
+                    for i, x, y in zip(range(start, start + len(xs)), xs, ys)
+                )
+                start += len(xs)
 
 
 def _write_reports(out_dir: Path, rows, with_timing: bool) -> None:
@@ -291,15 +313,18 @@ def _run(args: argparse.Namespace, timed: bool) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     results = []
-    for method in cfg.methods:
-        for metric in cfg.metrics:
-            logger.info("correcting with method=%s metric=%s", method, metric)
-            results.append(
-                correct_dataset(groups, dem, method=method, metric=metric, cfg=cfg, workers=cfg.workers)
-            )
+    # one pool serves every combination: workers are forked once per run
+    with GroupPool(groups, dem, cfg, cfg.workers, cfg.methods) as pool:
+        for method in cfg.methods:
+            for metric in cfg.metrics:
+                logger.info("correcting with method=%s metric=%s", method, metric)
+                results.append(correct_dataset(
+                    groups, dem, method=method, metric=metric, cfg=cfg, workers=cfg.workers, pool=pool
+                ))
+    writer = _CorrectedCsvWriter(groups)
     for result in results:
         name = f"corrected_{result.method}_{result.metric}.csv"
-        _write_corrected_csv(out_dir / name, result)
+        writer.write(out_dir / name, result)
         logger.info("wrote %s", out_dir / name)
 
     rows = compare_methods(results, groups)

@@ -196,7 +196,7 @@ def parse_footprints(lines: Iterable[str], source: str = "<stream>") -> tuple[Fo
             quality = int(float(cells[i_quality]))
             sens = float(cells[i_sens])
             rh100 = float(cells[i_rh100])
-        except ValueError:
+        except (ValueError, OverflowError):  # OverflowError: int() of an infinite flag
             stats.n_dropped_bad_numeric += 1
             continue
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(elev)):

@@ -14,8 +14,8 @@ import hashlib
 import logging
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -239,7 +239,11 @@ def optimize_ga(
     Per generation the random draws are consumed in a fixed order
     (tournament indices, crossover coins, blend uniforms, mutation coins,
     mutation noise) regardless of which branches fire, so a seed pins the
-    whole trajectory.
+    whole trajectory. A child bitwise equal to the parent it was bred from
+    (no crossover and no mutation, or a parent crossed with itself) takes
+    that parent's fitness instead of being scored again; a repeated point
+    cannot beat its earlier evaluation, so the best is the same either way.
+    `evaluations` counts the points actually scored.
     """
     cfg = cfg or OptimizerConfig()
     g = cfg.ga
@@ -259,6 +263,8 @@ def optimize_ga(
         winners = np.take_along_axis(cand, winner_slot[:, :, np.newaxis], axis=2)[:, :, 0]
         p1 = pop[winners[:, 0]]
         p2 = pop[winners[:, 1]]
+        # child 2k is bred from p1[k], child 2k+1 from p2[k]
+        parent_idx = winners.ravel()[:n_children]
 
         do_cross = rng.random(n_pairs) < g.crossover_rate
         u = rng.uniform(size=(n_pairs, 2, 2))
@@ -278,7 +284,10 @@ def optimize_ga(
         noise = rng.normal(0.0, g.mutation_sigma, size=(n_children, 2))
         children = np.where(mutate, children + noise, children)
         children = np.clip(children, lo, hi)
-        child_fit = tracker.batch(children)
+        child_fit = fit[parent_idx]
+        changed = np.any(children.view(np.uint64) != pop[parent_idx].view(np.uint64), axis=1)
+        if np.any(changed):
+            child_fit[changed] = tracker.batch(children[changed])
 
         elite_idx = np.argsort(fit, kind="stable")[: g.elitism]
         pop = np.concatenate([pop[elite_idx], children])
@@ -399,19 +408,80 @@ def correct_group(
     return sol, aggregate_buffer_points(dem, f.xs + sol.dx, f.ys + sol.dy, cfg.radius, cfg.agg)
 
 
-# What a forked worker solves: the bound `correct_group` and the groups,
+# What a forked worker solves from: the groups, the DEM and the config,
 # set once per worker process by `_init_worker` and never in the parent.
-_worker_task: tuple[Callable, Sequence[ShotGroup]] | None = None
+_worker_state: tuple[Sequence[ShotGroup], RasterGrid, RunConfig | None] | None = None
 
 
-def _init_worker(solve: Callable, groups: Sequence[ShotGroup]) -> None:
-    global _worker_task
-    _worker_task = (solve, groups)
+def _init_worker(groups: Sequence[ShotGroup], dem: RasterGrid, cfg: RunConfig | None) -> None:
+    global _worker_state
+    _worker_state = (groups, dem, cfg)
 
 
-def _solve_index(i: int) -> tuple[DisplacementSolution, np.ndarray]:
-    solve, groups = _worker_task
-    return solve(groups[i])
+def _solve_task(method: str, metric: MetricKind | str, i: int) -> tuple[DisplacementSolution, np.ndarray]:
+    groups, dem, cfg = _worker_state
+    return correct_group(groups[i], dem, method, metric, cfg)
+
+
+class GroupPool:
+    """Solves `groups` on `dem` under `cfg` for any method x metric.
+
+    Opened once, it serves every combination of a run. With
+    `min(workers, len(groups))` below 2 it solves in this process, one group
+    after another. Otherwise that many worker processes are forked (POSIX
+    `fork` start method only) at the first `solve`: each inherits the
+    groups, the DEM and the config, receives `(method, metric, group index)`
+    tasks and sends back `(solution, ref_after)`. When "lbfgsb" is in
+    `methods`, `scipy.optimize` is imported once, before the fork. Closing
+    the pool, or leaving its `with` block, shuts the workers down, so none
+    outlives it.
+    """
+
+    def __init__(
+        self,
+        groups: Sequence[ShotGroup],
+        dem: RasterGrid,
+        cfg: RunConfig | None = None,
+        workers: int = 1,
+        methods: Sequence[str] = (),
+    ) -> None:
+        self.groups = groups
+        self.dem = dem
+        self.cfg = cfg
+        self._executor = None
+        processes = min(workers, len(groups))
+        if processes >= 2:
+            # deferred: a serial run does not pay ~15 ms of multiprocessing imports
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            if "lbfgsb" in methods:
+                # imported once before the fork, not once in every worker
+                import scipy.optimize  # noqa: F401
+            # fork: workers inherit the DEM and the groups instead of unpickling them
+            self._executor = ProcessPoolExecutor(
+                processes,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker,
+                initargs=(groups, dem, cfg),
+            )
+
+    def solve(self, method: str, metric: MetricKind | str) -> list[tuple[DisplacementSolution, np.ndarray]]:
+        """`(solution, ref_after)` of every group, in group order."""
+        if self._executor is None:
+            return [correct_group(g, self.dem, method, metric, self.cfg) for g in self.groups]
+        n = len(self.groups)
+        return list(self._executor.map(_solve_task, [method] * n, [metric] * n, range(n)))
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+
+    def __enter__(self) -> GroupPool:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def correct_dataset(
@@ -421,44 +491,27 @@ def correct_dataset(
     metric: MetricKind | str = MetricKind.EUCLIDEAN,
     cfg: RunConfig | None = None,
     workers: int = 1,
+    pool: GroupPool | None = None,
 ) -> CorrectionResult:
-    """Correct every group with `correct_group`, in up to `workers` forked processes.
+    """Correct every group with `correct_group`, in a `GroupPool`.
 
-    With `min(workers, len(groups))` below 2 the groups are solved in this
-    process, one after another. Otherwise that many worker processes are
-    forked (POSIX `fork` start method only): each inherits the DEM and the
-    groups, receives group indices and sends back `(solution, ref_after)`.
-    No worker outlives the call. An exception raised in a worker reaches
-    the caller with its type and message; a worker that dies raises
+    `pool` must have been opened on these `groups`, `dem` and `cfg`; a
+    caller that runs several combinations opens one and passes it to every
+    call. Without it, the call opens a pool of `workers` for this one
+    combination and closes it before returning, so no worker outlives the
+    call. An exception raised in a worker reaches the caller with its type
+    and message; a worker that dies raises
     `concurrent.futures.process.BrokenProcessPool`.
 
-    `cfg.workers` is not read here: the caller passes `workers`. Output is
-    byte-identical at any worker count for a fixed `cfg.seed`.
+    `cfg.workers` is not read here: the caller passes `workers`, which an
+    open `pool` overrides. Output is byte-identical at any worker count for a
+    fixed `cfg.seed`.
     """
-    solve = partial(correct_group, dem=dem, method=method, metric=metric, cfg=cfg)
-    processes = min(workers, len(groups))
+    if pool is not None and (pool.groups is not groups or pool.dem is not dem or pool.cfg is not cfg):
+        raise ValueError("pool was opened on other groups, DEM or config")
     start = time.perf_counter()
-    if processes < 2:
-        outcomes = [solve(g) for g in groups]
-    else:
-        # deferred: a serial run does not pay ~15 ms of multiprocessing imports
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if method == "lbfgsb":
-            # imported once before the fork, not once in every worker
-            import scipy.optimize  # noqa: F401
-        # fork: workers inherit the DEM and the groups instead of unpickling them
-        pool = ProcessPoolExecutor(
-            processes,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker,
-            initargs=(solve, groups),
-        )
-        try:
-            outcomes = list(pool.map(_solve_index, range(len(groups))))
-        finally:
-            pool.shutdown(cancel_futures=True)
+    with GroupPool(groups, dem, cfg, workers, (method,)) if pool is None else nullcontext(pool) as pool:
+        outcomes = pool.solve(method, metric)
     wall = time.perf_counter() - start
 
     result = CorrectionResult(

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import io
 import json
 import math
 import multiprocessing
@@ -9,13 +10,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import terralign
 import terralign.optimize
-from terralign.cli import build_parser, main
+from terralign.cli import CORRECTED_EXTRA_COLUMNS, _CorrectedCsvWriter, build_parser, main
+from terralign.footprints import group_by_shot, parse_footprints
 from terralign.geotiff import write_geotiff
 from terralign.raster import aggregate_buffer_points, load_raster
 
@@ -124,6 +127,88 @@ def test_dead_worker_is_data_error(tmp_path, capsys, monkeypatch):
     assert len([line for line in err if line.startswith("error:")]) == 1
     assert "Traceback" not in "\n".join(err)
     assert multiprocessing.active_children() == []
+
+
+def test_one_pool_serves_every_combination(tmp_path, monkeypatch):
+    scene = tmp_path / "scene"
+    assert run(["simulate", "--out", scene, "--rows", 96, "--cols", 96, "--cell-size", 4,
+                "--n-groups", 3, "--n-footprints", 8, "--spacing", 20]) == 0
+    solve = terralign.optimize.correct_group
+    log = tmp_path / "solved.txt"
+
+    def record_pid(group, *args, **kwargs):
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return solve(group, *args, **kwargs)
+
+    monkeypatch.setattr(terralign.optimize, "correct_group", record_pid)
+    assert run(["correct", "--dem", scene / "terrain.asc", "--footprints", scene / "footprints.csv",
+                "--out", tmp_path / "o", "--workers", 2, "--methods", "grid,ga",
+                "--metrics", "euclidean,area", "--ga-pop", 4, "--ga-generations", 2]) == 0
+    assert multiprocessing.active_children() == []
+    pids = log.read_text().split()
+    assert len(pids) == 2 * 2 * 3  # every group of every method x metric
+    assert len(set(pids)) <= 2 and str(os.getpid()) not in pids
+
+
+def test_input_column_named_like_an_output_column_is_data_error(tmp_path, capsys):
+    dem, fps, _ = write_flat_scene(tmp_path)
+    assert run(["correct", "--dem", dem, "--footprints", fps, "--out", tmp_path / "first"]) == 0
+    capsys.readouterr()
+    corrected = tmp_path / "first" / "corrected_grid_euclidean.csv"
+    assert run(["correct", "--dem", dem, "--footprints", corrected, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    errors = [line for line in err if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].endswith(
+        "group_key, dx_m, dy_m, x_corrected, y_corrected, ref_elev_before, ref_elev_after, method, metric"
+    )
+    assert "Traceback" not in "\n".join(err)
+    assert not (tmp_path / "o").exists()
+
+
+def reference_corrected_csv(result) -> str:
+    """The corrected CSV as one csv.writer row per footprint."""
+    def fmt(value):
+        return repr(float(value)) if math.isfinite(value) else ""
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    cells = result.groups[0].table.cells
+    writer.writerow([*cells.header, *CORRECTED_EXTRA_COLUMNS])
+    refs_after = iter(result.ref_after.tolist())
+    for group, sol in zip(result.groups, result.solutions):
+        for row, x, y, ref in zip(group.row, group.x, group.y, group.ref_elev):
+            writer.writerow(cells.rows[row] + [
+                group.key, fmt(sol.dx), fmt(sol.dy), fmt(x + sol.dx), fmt(y + sol.dy),
+                fmt(ref), fmt(next(refs_after)), result.method, result.metric,
+            ])
+    return buf.getvalue()
+
+
+def test_corrected_csv_writer_matches_csv_writer_reference(tmp_path):
+    text = (
+        "shot_number,beam,x,y,elev_lowestmode,degrade_flag,quality_flag,sensitivity,rh100,\"a,note\"\n"
+        '"00000,0001000",BEAM0101,1.5,2.0,100.0,0,1,0.98,10.0,"comma, here"\n'
+        '"00000,0001001",BEAM0101,2.5,2.0,100.0,0,1,0.98,10.0,"quote "" here"\n'
+        '"00000""000200",BEAM0101,3.5,2.0,100.0,0,1,0.98,10.0,"line\nbreak"\n'
+        '"00000""000201",BEAM0101,4.5,2.0,100.0,0,1,0.98,10.0,\n'
+        "0000000003000,BEAM0101,5.5,2.0,100.0,0,1,0.98,10.0, spaced \n"
+    )
+    table, _ = parse_footprints(io.StringIO(text))
+    table = table.take(slice(None), ref_elev=np.array([99.5, math.nan, math.inf, -math.inf, 1e-300]))
+    groups = group_by_shot(table)
+    assert [g.key for g in groups] == ['00000"0002', "00000,0001", "0000000003"]
+    solutions = [SimpleNamespace(dx=-2.5, dy=0.1), SimpleNamespace(dx=0.0, dy=-0.0),
+                 SimpleNamespace(dx=1e-17, dy=3.0)]
+    result = SimpleNamespace(
+        method="ga", metric="area", groups=groups, solutions=solutions,
+        ref_after=np.array([math.nan, 101.25, -math.inf, 7.0, math.inf]),
+    )
+    _CorrectedCsvWriter(groups).write(tmp_path / "out.csv", result)
+    written = (tmp_path / "out.csv").read_bytes()
+    assert written == reference_corrected_csv(result).encode()
+    assert b'"00000,0001"' in written and b'"quote "" here"' in written and b'"line\nbreak"' in written
 
 
 ROW_RULES_HEADER = "shot_number,beam,x,y,elev_lowestmode,degrade_flag,quality_flag,sensitivity,rh100,note"

@@ -49,6 +49,15 @@ def test_parse_counts_bad_numeric_rows():
     assert stats.n_dropped_bad_numeric == 1
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e400"])
+@pytest.mark.parametrize("flag", ["degrade", "quality"])
+def test_parse_counts_infinite_flags_as_bad_numeric(flag, value):
+    text = CSV_HEADER + row() + row("00000000010002", **{flag: value})
+    fps, stats = parse_footprints(io.StringIO(text))
+    assert len(fps) == 1 and fps.shot_number.tolist() == ["00000000010001"]
+    assert stats.n_dropped_bad_numeric == 1
+
+
 def test_parse_missing_column_raises():
     text = "shot_number,beam,x,y\n00000000010001,BEAM0101,1,2\n"
     with pytest.raises(FootprintError) as err:

@@ -13,6 +13,7 @@ from terralign import MetricKind, RunConfig, TerrainSpec, correct_dataset, gen_t
 from terralign.config import Bounds, GaConfig, LbfgsbConfig, OptimizerConfig
 from terralign.footprints import ShotGroup, attach_reference
 from terralign.optimize import (
+    GroupPool,
     Objective,
     correct_group,
     derive_group_seed,
@@ -202,6 +203,15 @@ def test_ga_bowl_seed_1():
     sol = optimize_ga(lambda dx, dy: dx * dx + dy * dy, rng=np.random.default_rng(1))
     assert sol.objective_value <= 0.1
     assert sol.converged and sol.method == "ga"
+
+
+def test_ga_scores_no_child_that_copies_its_parent():
+    cfg = OptimizerConfig(ga=GaConfig(pop=12, generations=5, crossover_rate=0.0, mutation_rate=0.0))
+    rec = Recorder(lambda dx, dy: (dx - 3.0) ** 2 + dy**2)
+    sol = optimize_ga(rec, Bounds(), cfg, rng=np.random.default_rng(1))
+    # every child is a copy of a tournament winner: only the first population is scored
+    assert sol.evaluations == len(rec.points) == 12
+    assert sol.objective_value == min(v for _, _, v in rec.points)
 
 
 def test_pso_bowl_seed_1():
@@ -531,6 +541,25 @@ def test_correct_dataset_dead_worker_raises_broken_pool(monkeypatch):
     with pytest.raises(BrokenProcessPool):
         correct_dataset(four_groups(), flat_grid(128), method="grid", workers=2)
     assert multiprocessing.active_children() == []
+
+
+def test_correct_dataset_in_an_open_pool_matches_one_shot_calls():
+    dem = ramp_grid(128)
+    groups = four_groups()
+    cfg = RunConfig(seed=3)
+    combos = [(m, k) for m in ("grid", "ga") for k in ("euclidean", "area")]
+    with GroupPool(groups, dem, cfg, workers=2, methods=("grid", "ga")) as pool:
+        pooled = [correct_dataset(groups, dem, m, k, cfg, workers=2, pool=pool) for m, k in combos]
+        with pytest.raises(ValueError, match="pool was opened on other groups"):
+            correct_dataset(groups[:2], dem, "grid", cfg=cfg, pool=pool)
+    assert multiprocessing.active_children() == []
+    for (m, k), result in zip(combos, pooled):
+        alone = correct_dataset(groups, dem, m, k, cfg, workers=1)
+        assert (result.method, result.metric) == (alone.method, alone.metric)
+        assert [(s.dx, s.dy, s.objective_value, s.evaluations) for s in result.solutions] == [
+            (s.dx, s.dy, s.objective_value, s.evaluations) for s in alone.solutions
+        ]
+        assert result.ref_after.tobytes() == alone.ref_after.tobytes()
 
 
 def test_derive_group_seed_stable_and_distinct():
