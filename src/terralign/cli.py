@@ -43,7 +43,6 @@ from .footprints import (
 from .metrics import MetricError
 from .optimize import GroupPool, correct_dataset
 from .raster import (
-    AggregationKind,
     RasterError,
     aggregate_buffer_points,
     check_crs,
@@ -80,9 +79,6 @@ CORRECTED_EXTRA_COLUMNS = (
     "metric",
 )
 
-_AGG_NAMES = tuple(a.value for a in AggregationKind)
-
-
 class UsageError(Exception):
     pass
 
@@ -106,21 +102,28 @@ _FLAG_NAMES = {
     "max_abs_dy": "max_dy",
 }
 
+# the config keys `evaluate` takes; it has no --config
+_EVALUATE_KEYS = ("dem_path", "geoid_path", "output_dir", "radius", "agg")
+
 
 def _comma_list(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
-def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
-    """One flag per config key: `--<leaf>`, or `--<section>-<leaf>` in optimizer subsections."""
-    p.add_argument("--config", help="TOML-style config file; flags override it")
+def _add_config_flags(
+    p: argparse.ArgumentParser, keys: tuple[str, ...] | None = None, required: tuple[str, ...] = ()
+) -> None:
+    """One flag per config key in `keys` (all by default): `--<leaf>`, or
+    `--<section>-<leaf>` in optimizer subsections. A flag left out is None."""
     for key, tp, default in config_keys():
+        if keys is not None and key not in keys:
+            continue
         section, _, leaf = key.rpartition(".")
         if tp is bool and default:
             continue  # a store-true flag cannot turn a default-on filter off
         prefix = section.split(".")[1] + "_" if "." in section else ""
         flag = "--" + (prefix + _FLAG_NAMES.get(leaf, leaf)).replace("_", "-")
-        kwargs: dict = {"dest": key, "help": f"config key {key}"}
+        kwargs: dict = {"dest": key, "help": f"config key {key}", "required": key in required}
         if tp is bool:
             kwargs.update(action="store_const", const=True)
         elif get_origin(tp) is None and issubclass(tp, Enum):
@@ -143,16 +146,13 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p_correct = sub.add_parser("correct", help="run the full correction pipeline")
-    _add_common_run_flags(p_correct)
+    p_correct.add_argument("--config", help="TOML config file; flags override it")
+    _add_config_flags(p_correct)
     p_correct.set_defaults(func=partial(_run, timed=False))
 
     p_eval = sub.add_parser("evaluate", help="recompute statistics from a corrected CSV")
     p_eval.add_argument("--corrected", required=True, help="corrected CSV from `correct`")
-    p_eval.add_argument("--dem", required=True)
-    p_eval.add_argument("--geoid")
-    p_eval.add_argument("--out", required=True)
-    p_eval.add_argument("--radius", type=float, default=12.5)
-    p_eval.add_argument("--agg", choices=_AGG_NAMES, default="mean")
+    _add_config_flags(p_eval, _EVALUATE_KEYS, required=("dem_path", "output_dir"))
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic scene with planted offsets")
@@ -174,10 +174,23 @@ def build_parser() -> _Parser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_bench = sub.add_parser("bench", help="method x metric sweep with wall-clock timings")
-    _add_common_run_flags(p_bench)
+    p_bench.add_argument("--config", help="TOML config file; flags override it")
+    _add_config_flags(p_bench)
     p_bench.set_defaults(func=partial(_run, timed=True))
 
     return parser
+
+
+def _flags_config(args: argparse.Namespace, data: dict) -> RunConfig:
+    """Defaults, then the config file's `data`, then the flags given."""
+    # a flag left out is None, and so is a key without a flag: a bool key that
+    # defaults to true, or a key that `evaluate` does not take
+    flags = {key: getattr(args, key, None) for key, _, _ in config_keys()}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    try:
+        return config_from_dict(data, flags)
+    except ConfigError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -187,17 +200,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
         try:
-            data = parse_toml(path.read_text())
-        except ConfigError as exc:
+            data = parse_toml(path.read_bytes().decode("utf-8"))
+        except (OSError, UnicodeDecodeError, ConfigError) as exc:
             raise UsageError(f"{path}: {exc}") from exc
-    # flags left out are None; bool keys that default to true have no flag
-    flags = {key: getattr(args, key, None) for key, _, _ in config_keys()}
-    flags = {key: value for key, value in flags.items() if value is not None}
-    try:
-        cfg = config_from_dict(data, flags)
-    except ConfigError as exc:
-        raise UsageError(str(exc)) from exc
-
+    cfg = _flags_config(args, data)
     if not cfg.dem_path:
         raise UsageError("a DEM is required (--dem or dem_path in the config)")
     if not cfg.footprints_path:
@@ -330,7 +336,7 @@ def _run(args: argparse.Namespace, timed: bool) -> int:
     rows = compare_methods(results, groups)
     # only `bench` reports carry timings, so equal seeds give `correct` equal bytes
     _write_reports(out_dir, rows, with_timing=timed)
-    (out_dir / "effective_config.toml").write_text(dump_config(cfg))
+    (out_dir / "effective_config.toml").write_text(dump_config(cfg), encoding="utf-8")
     if timed:
         sys.stderr.write(rows_to_text(rows, with_timing=True))
     logger.info("reports written to %s", out_dir)
@@ -410,13 +416,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if not (math.isfinite(args.radius) and args.radius > 0):
-        raise UsageError(f"radius: must be positive and finite, got {args.radius!r}")
+    cfg = _flags_config(args, {})
     corrected_path = Path(args.corrected)
     if not corrected_path.exists():
         raise DataError(f"corrected CSV not found: {corrected_path}")
-    dem, geoid = _load_rasters(args.dem, args.geoid)
-    agg = AggregationKind(args.agg)
+    dem, geoid = _load_rasters(cfg.dem_path, cfg.geoid_path)
 
     with corrected_path.open(newline="") as fh:
         reader = csv.DictReader(fh)
@@ -458,17 +462,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     rows = report_rows(
         keys,
         elev[first],
-        aggregate_buffer_points(dem, x[first], y[first], args.radius, agg),
+        aggregate_buffer_points(dem, x[first], y[first], cfg.radius, cfg.agg),
         [
             Combination(
-                method, metric, aggregate_buffer_points(dem, xc[idx], yc[idx], args.radius, agg),
+                method, metric, aggregate_buffer_points(dem, xc[idx], yc[idx], cfg.radius, cfg.agg),
                 dx=dx[idx], dy=dy[idx],
             )
             for (method, metric), idx in combos.items()
         ],
     )
 
-    out_dir = Path(args.out)
+    out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_reports(out_dir, rows, with_timing=False)
     logger.info("evaluation reports written to %s", out_dir)

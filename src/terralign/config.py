@@ -8,15 +8,13 @@ A key is a dotted field path (`optimizer.ga.pop`) and each nested dataclass
 is a [section]. `config_from_dict` type-checks a parsed file plus flag
 overrides against the field annotations, `config_keys` lists the keys the
 CLI turns into flags, and `dump_config` writes `effective_config.toml`, so a
-run can be reproduced from its artifacts. Only the TOML subset written here
-is parsed: [section.sub] headers, quoted strings, integers, floats,
-booleans and flat arrays.
+run can be reproduced from its artifacts. `parse_toml` parses a file's text with
+the standard library's `tomllib`.
 """
 
 from __future__ import annotations
 
 import math
-import re
 import types
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
@@ -24,10 +22,6 @@ from typing import Any, Iterator, Mapping, Union, get_args, get_origin, get_type
 
 from .metrics import MetricKind
 from .raster import AggregationKind
-
-_INT_RE = re.compile(r"^[+-]?\d+$")
-_SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.]+)\]$")
-_KEY_RE = re.compile(r"^([A-Za-z0-9_]+)\s*=\s*(.+)$")
 
 _METRIC_NAMES = tuple(m.value for m in MetricKind)
 
@@ -39,6 +33,7 @@ class ConfigError(ValueError):
 METHOD_NAMES = ("grid", "lbfgsb", "ga", "pso")
 
 DEFAULT_WINDOW_M = 25.0
+DEFAULT_RADIUS_M = 12.5  # footprint buffer radius
 DEFAULT_GRID_STEP_M = 5.0
 
 
@@ -160,7 +155,7 @@ class RunConfig:
     bounds: Bounds = field(default_factory=Bounds)
     quality: QualityRules = field(default_factory=QualityRules)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    radius: float = 12.5
+    radius: float = DEFAULT_RADIUS_M
     agg: AggregationKind = AggregationKind.MEAN
     workers: int = 1
     seed: int = 0
@@ -179,92 +174,15 @@ class RunConfig:
             raise ConfigError("workers: must be >= 1")
 
 
-def _parse_string(raw: str, lineno: int) -> tuple[str, str]:
-    """Parse a leading quoted string; returns (value, remainder)."""
-    assert raw[0] == '"'
-    out = []
-    i = 1
-    while i < len(raw):
-        ch = raw[i]
-        if ch == "\\":
-            if i + 1 >= len(raw):
-                raise ConfigError(f"line {lineno}: dangling escape in string")
-            esc = raw[i + 1]
-            mapped = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}.get(esc)
-            if mapped is None:
-                raise ConfigError(f"line {lineno}: unsupported escape \\{esc}")
-            out.append(mapped)
-            i += 2
-        elif ch == '"':
-            return "".join(out), raw[i + 1 :]
-        else:
-            out.append(ch)
-            i += 1
-    raise ConfigError(f"line {lineno}: unterminated string")
-
-
-def _parse_scalar(raw: str, lineno: int) -> Any:
-    raw = raw.strip()
-    if raw.startswith('"'):
-        value, rest = _parse_string(raw, lineno)
-        rest = rest.strip()
-        if rest and not rest.startswith("#"):
-            raise ConfigError(f"line {lineno}: trailing characters after string: {rest!r}")
-        return value
-    # for unquoted values a '#' always starts a comment
-    raw = raw.split("#", 1)[0].strip()
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    if _INT_RE.match(raw):
-        return int(raw)
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: cannot parse value {raw!r}") from exc
-
-
-def _parse_value(raw: str, lineno: int) -> Any:
-    raw = raw.strip()
-    if raw.startswith("["):
-        close = raw.rfind("]")
-        if close < 0:
-            raise ConfigError(f"line {lineno}: unterminated array")
-        tail = raw[close + 1 :].strip()
-        if tail and not tail.startswith("#"):
-            raise ConfigError(f"line {lineno}: trailing characters after array: {tail!r}")
-        body = raw[1:close].strip()
-        if not body:
-            return []
-        return [_parse_scalar(part, lineno) for part in body.split(",")]
-    return _parse_scalar(raw, lineno)
-
-
 def parse_toml(text: str) -> dict:
-    """Parse the supported TOML subset into nested dicts."""
-    root: dict[str, Any] = {}
-    current = root
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        section = _SECTION_RE.match(stripped)
-        if section:
-            current = root
-            for part in section.group(1).split("."):
-                current = current.setdefault(part, {})
-                if not isinstance(current, dict):
-                    raise ConfigError(f"line {lineno}: section path collides with a value")
-            continue
-        kv = _KEY_RE.match(stripped)
-        if not kv:
-            raise ConfigError(f"line {lineno}: expected 'key = value' or '[section]'")
-        key, raw = kv.group(1), kv.group(2)
-        if key in current:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        current[key] = _parse_value(raw, lineno)
-    return root
+    """Parse TOML text into nested dicts; a syntax error raises ConfigError."""
+    # imported here: only a run given --config reads TOML, and the import costs milliseconds
+    import tomllib
+
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _keys(cls: type, prefix: str) -> Iterator[tuple[str, str, Any]]:
@@ -373,6 +291,11 @@ def config_keys(cfg: Any = None, prefix: str = "") -> Iterator[tuple[str, Any, A
             yield key, _strip_optional(tp), value
 
 
+# TOML basic strings allow no control character but tab, and no bare \ or "
+_ESCAPES = {c: f"\\u{c:04x}" for c in (*range(0x20), 0x7F) if c != 0x09}
+_ESCAPES.update({ord("\\"): "\\\\", ord('"'): '\\"'})
+
+
 def _fmt(value: Any) -> str:
     if isinstance(value, Enum):
         value = value.value
@@ -383,8 +306,7 @@ def _fmt(value: Any) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return f'"{value.translate(_ESCAPES)}"'
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")

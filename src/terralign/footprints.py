@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import QualityRules
+from .config import DEFAULT_RADIUS_M, QualityRules
 from .raster import AggregationKind, RasterGrid, aggregate_buffer_points, check_crs, sample_points
 
 logger = logging.getLogger(__name__)
@@ -332,7 +332,7 @@ def remove_outliers(group: ShotGroup, window: int = 7, k: float = 2.0) -> ShotGr
 def attach_reference(
     group: ShotGroup,
     dem: RasterGrid,
-    radius: float = 12.5,
+    radius: float = DEFAULT_RADIUS_M,
     agg: AggregationKind = AggregationKind.MEAN,
     max_dem_diff: float = 50.0,
     footprint_crs: str = "",
@@ -355,7 +355,7 @@ def prepare_groups(
     dem: RasterGrid,
     geoid: RasterGrid | None = None,
     rules: QualityRules | None = None,
-    radius: float = 12.5,
+    radius: float = DEFAULT_RADIUS_M,
     agg: AggregationKind = AggregationKind.MEAN,
     prefix_len: int = GROUP_PREFIX_LEN,
     footprint_crs: str = "",

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_GRID_STEP_M, METHOD_NAMES, Bounds, OptimizerConfig, RunConfig
+from .config import DEFAULT_GRID_STEP_M, DEFAULT_RADIUS_M, METHOD_NAMES, Bounds, OptimizerConfig, RunConfig
 from .footprints import MIN_GROUP_SIZE, ShotGroup
 from .metrics import MetricKind, distance_many
 from .raster import AggregationKind, RasterGrid, aggregate_buffer_points
@@ -43,7 +43,7 @@ class Objective:
         group: ShotGroup,
         dem: RasterGrid,
         metric: MetricKind | str = MetricKind.EUCLIDEAN,
-        radius: float = 12.5,
+        radius: float = DEFAULT_RADIUS_M,
         agg: AggregationKind = AggregationKind.MEAN,
     ) -> None:
         self.metric = MetricKind(metric)

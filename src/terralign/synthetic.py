@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import RunConfig
+from .config import DEFAULT_RADIUS_M, RunConfig
 from .evaluate import compare_methods
 from .footprints import FootprintTable, ShotGroup, attach_reference
 from .optimize import correct_dataset
@@ -168,7 +168,7 @@ def _group_key(seed: int) -> str:
 def gen_track(
     terrain: RasterGrid,
     spec: TrackSpec,
-    radius: float = 12.5,
+    radius: float = DEFAULT_RADIUS_M,
     agg: AggregationKind = AggregationKind.MEAN,
 ) -> ShotGroup:
     """Footprints along a straight track through the terrain center.

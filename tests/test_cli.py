@@ -605,3 +605,59 @@ def test_bench_reports_timings(tmp_path, capsys):
     assert float(lines[2].split(",")[-1]) >= 0.0
     assert (out / "corrected_grid_euclidean.csv").exists()
     assert "wall_time_s" in capsys.readouterr().err
+
+
+def test_evaluate_flags_keep_their_option_strings():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = sub.choices["evaluate"]._actions
+    assert sorted(s for a in actions for s in a.option_strings) == [
+        "--agg", "--corrected", "--dem", "--geoid", "--help", "--out", "--radius", "-h",
+    ]
+    assert sorted(a.option_strings[0] for a in actions if a.required) == ["--corrected", "--dem", "--out"]
+
+
+@pytest.mark.parametrize("kind", ["latin-1", "directory"])
+def test_unreadable_config_file_is_usage_error(tmp_path, capsys, kind):
+    path = tmp_path / "run.toml"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes('dem_path = "dém.asc"\n'.encode("latin-1"))
+    assert run(["correct", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+
+
+def test_effective_config_reproduces_the_run(tmp_path):
+    scene = tmp_path / "scene"
+    assert run([
+        "simulate", "--out", scene, "--rows", 128, "--cols", 128, "--cell-size", 4,
+        "--relief", 120, "--n-groups", 2, "--n-footprints", 8, "--spacing", 20, "--dx", 4, "--dy", -2,
+    ]) == 0
+    first, second = tmp_path / "run", tmp_path / "run2"
+    assert run([
+        "correct", "--dem", scene / "terrain.asc", "--footprints", scene / "footprints.csv",
+        "--out", first, "--methods", "grid,ga", "--metrics", "euclidean,area", "--seed", 5,
+        "--ga-pop", 12, "--ga-generations", 8,
+    ]) == 0
+    assert run(["correct", "--config", first / "effective_config.toml", "--out", second]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    assert len([n for n in names if n.startswith("corrected_")]) == 4
+    for name in names:
+        if name.startswith(("corrected_", "report.")):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    config = (first / "effective_config.toml").read_text()
+    assert (second / "effective_config.toml").read_text() == config.replace(
+        f'output_dir = "{first}"', f'output_dir = "{second}"'
+    )
+
+
+def test_correct_without_config_does_not_import_tomllib(tmp_path):
+    dem, fps, _ = write_flat_scene(tmp_path)
+    src = str(Path(terralign.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["correct", "--dem", str(dem), "--footprints", str(fps), "--out", str(tmp_path / "run")]
+    code = f"import sys, terralign.cli; rc = terralign.cli.main({argv!r}); print(rc, 'tomllib' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "False"]

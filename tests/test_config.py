@@ -6,7 +6,7 @@ import pytest
 
 from terralign import ConfigError, RunConfig
 from terralign.cli import build_parser, main
-from terralign.config import Bounds, config_from_dict, config_keys, dump_config, load_config, parse_toml
+from terralign.config import Bounds, QualityRules, config_from_dict, config_keys, dump_config, load_config, parse_toml
 from terralign.raster import AggregationKind
 
 
@@ -242,3 +242,60 @@ cognitive = 1.5
 social = 1.5
 inertia = 0.5
 """
+
+
+# (text, what parse_toml returns as a dict, or what load_config returns as a RunConfig)
+VALID_TOML = {
+    "comment-after-header": (
+        "[quality] # strict\nmin_sensitivity = 0.9\n",
+        RunConfig(quality=QualityRules(min_sensitivity=0.9)),
+    ),
+    "comma-in-quoted-item": ('methods = ["grid", "a,b"]\n', {"methods": ["grid", "a,b"]}),
+    "multi-line-array": ('methods = [\n  "grid",\n  "ga", # second\n]\n', RunConfig(methods=["grid", "ga"])),
+    "trailing-comma": ('metrics = ["euclidean", "area",]\n', RunConfig(metrics=["euclidean", "area"])),
+    "literal-string": ("dem_path = 'C:\\dem\\x.tif'\n", RunConfig(dem_path="C:\\dem\\x.tif")),
+    "unicode-escape": ('dem_path = "d\\u00e9m.tif"\n', RunConfig(dem_path="d\u00e9m.tif")),
+    "spaced-header": ("[ optimizer.ga ]\npop = 40\n", {"optimizer": {"ga": {"pop": 40}}}),
+    "dotted-key": ("optimizer.ga.pop = 40\n", {"optimizer": {"ga": {"pop": 40}}}),
+    "inline-table": (
+        "bounds = { max_abs_dx = 10.0, max_abs_dy = 20.0 }\n", RunConfig(bounds=Bounds(10.0, 20.0))
+    ),
+    "underscore-int": ("workers = 1_0\n", RunConfig(workers=10)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALID_TOML))
+def test_valid_toml_is_read(name):
+    text, expected = VALID_TOML[name]
+    if isinstance(expected, RunConfig):
+        assert load_config(text) == expected
+    else:
+        assert parse_toml(text) == expected
+
+
+NOT_TOML = {
+    "leading-dot": "radius = .5\n",
+    "trailing-dot": "radius = 5.\n",
+    "leading-zero": "workers = 007\n",
+    "NaN": "radius = NaN\n",
+    "Infinity": "radius = Infinity\n",
+    "section-twice": "[quality]\nmin_elev = 1.0\n[quality]\nmax_elev = 2.0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_TOML))
+def test_text_that_is_not_toml_is_usage_error(tmp_path, capsys, name):
+    with pytest.raises(ConfigError, match=r"line \d+, column \d+"):
+        parse_toml(NOT_TOML[name])
+    path = tmp_path / "run.toml"
+    path.write_text(NOT_TOML[name])
+    assert main(["correct", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    assert "line" in err and "column" in err
+
+
+@pytest.mark.parametrize("path", ["a\tb", "a\nb", "a\rb", "a\x00b", "a\x1fb", "a\x7fb", 'q"\\x\u00e9'])
+def test_dump_config_escapes_what_toml_strings_forbid(path):
+    cfg = RunConfig(dem_path=path, geoid_path=path + path)
+    assert load_config(dump_config(cfg)) == cfg
