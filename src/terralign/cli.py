@@ -223,13 +223,13 @@ def _load_rasters(dem_path: str, geoid_path: str | None):
     dem_path = Path(dem_path)
     if not dem_path.exists():
         raise DataError(f"DEM not found: {dem_path}")
-    dem = load_raster(dem_path)
+    dem = load_raster(dem_path, "dem")
     geoid = None
     if geoid_path:
         geoid_path = Path(geoid_path)
         if not geoid_path.exists():
             raise DataError(f"geoid raster not found: {geoid_path}")
-        geoid = load_raster(geoid_path)
+        geoid = load_raster(geoid_path, "geoid")
         check_crs(geoid.crs_tag, dem.crs_tag, context="geoid vs DEM")
     return dem, geoid
 
@@ -305,10 +305,10 @@ class _CorrectedCsvWriter:
                 start += len(xs)
 
 
-def _write_reports(out_dir: Path, rows, with_timing: bool) -> None:
-    (out_dir / "report.csv").write_text(rows_to_csv(rows, with_timing=with_timing))
-    (out_dir / "report.json").write_text(rows_to_json(rows, with_timing=with_timing))
-    (out_dir / "report.txt").write_text(rows_to_text(rows, with_timing=with_timing))
+def _write_reports(out_dir: Path, rows) -> None:
+    (out_dir / "report.csv").write_text(rows_to_csv(rows))
+    (out_dir / "report.json").write_text(rows_to_json(rows))
+    (out_dir / "report.txt").write_text(rows_to_text(rows))
 
 
 def _run(args: argparse.Namespace, timed: bool) -> int:
@@ -334,11 +334,14 @@ def _run(args: argparse.Namespace, timed: bool) -> int:
         logger.info("wrote %s", out_dir / name)
 
     rows = compare_methods(results, groups)
-    # only `bench` reports carry timings, so equal seeds give `correct` equal bytes
-    _write_reports(out_dir, rows, with_timing=timed)
+    if not timed:
+        # only `bench` reports carry timings, so equal seeds give `correct` equal bytes
+        for row in rows:
+            row.wall_time_s = math.nan
+    _write_reports(out_dir, rows)
     (out_dir / "effective_config.toml").write_text(dump_config(cfg), encoding="utf-8")
     if timed:
-        sys.stderr.write(rows_to_text(rows, with_timing=True))
+        sys.stderr.write(rows_to_text(rows))
     logger.info("reports written to %s", out_dir)
     return EXIT_OK
 
@@ -474,7 +477,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_reports(out_dir, rows, with_timing=False)
+    _write_reports(out_dir, rows)
     logger.info("evaluation reports written to %s", out_dir)
     return EXIT_OK
 

@@ -272,10 +272,6 @@ def config_from_dict(data: dict, overrides: Mapping[str, Any] | None = None) -> 
     return cfg
 
 
-def load_config(text: str) -> RunConfig:
-    return config_from_dict(parse_toml(text))
-
-
 def config_keys(cfg: Any = None, prefix: str = "") -> Iterator[tuple[str, Any, Any]]:
     """(dotted key, type, value) of every settable leaf, in field order.
 

@@ -191,47 +191,34 @@ def compare_methods(results: Sequence, groups: Sequence[ShotGroup]) -> list[Repo
     return report_rows(keys, elev, ref_before, combinations)
 
 
+def _row_values(row: ReportRow) -> list:
+    """The row's values in REPORT_COLUMNS order, which every writer formats."""
+    values = vars(row) | vars(row.offsets)
+    return [values[column] for column in REPORT_COLUMNS]
+
+
 def _cell(value, blank: str = "") -> str:
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if value is None or not math.isfinite(value):
+    if not math.isfinite(value):
         return blank
     return f"{value:.6f}"
 
 
-def _row_cells(row: ReportRow, with_timing: bool, blank: str = "") -> list[str]:
-    o = row.offsets
-    wall = row.wall_time_s if with_timing else math.nan
-    return [
-        row.method,
-        row.metric,
-        _cell(row.mae_m, blank),
-        _cell(o.mean_dx, blank),
-        _cell(o.sd_dx, blank),
-        _cell(o.mean_dy, blank),
-        _cell(o.sd_dy, blank),
-        _cell(o.mean_disp, blank),
-        _cell(o.sd_disp, blank),
-        _cell(o.n_groups, blank),
-        _cell(row.n_footprints, blank),
-        _cell(wall, blank),
-    ]
-
-
-def rows_to_csv(rows: Sequence[ReportRow], with_timing: bool = True) -> str:
+def rows_to_csv(rows: Sequence[ReportRow]) -> str:
     lines = [",".join(REPORT_COLUMNS)]
     for row in rows:
-        lines.append(",".join(_row_cells(row, with_timing)))
+        lines.append(",".join(_cell(value) for value in _row_values(row)))
     return "\n".join(lines) + "\n"
 
 
-def rows_to_text(rows: Sequence[ReportRow], with_timing: bool = True) -> str:
+def rows_to_text(rows: Sequence[ReportRow]) -> str:
     """Aligned plain-text table; '-' marks undefined cells."""
     table = [list(REPORT_COLUMNS)]
     for row in rows:
-        table.append(_row_cells(row, with_timing, blank="-"))
+        table.append([_cell(value, blank="-") for value in _row_values(row)])
     widths = [max(len(line[i]) for line in table) for i in range(len(REPORT_COLUMNS))]
     out = []
     for line in table:
@@ -239,29 +226,13 @@ def rows_to_text(rows: Sequence[ReportRow], with_timing: bool = True) -> str:
     return "\n".join(out) + "\n"
 
 
-def rows_to_json(rows: Sequence[ReportRow], with_timing: bool = True) -> str:
+def rows_to_json(rows: Sequence[ReportRow]) -> str:
+    """null marks undefined (non-finite) numbers."""
+
     def num(value):
-        if value is None or (isinstance(value, float) and not math.isfinite(value)):
+        if isinstance(value, float) and not math.isfinite(value):
             return None
         return value
 
-    payload = []
-    for row in rows:
-        o = row.offsets
-        payload.append(
-            {
-                "method": row.method,
-                "metric": row.metric,
-                "mae_m": num(row.mae_m),
-                "mean_dx": num(o.mean_dx),
-                "sd_dx": num(o.sd_dx),
-                "mean_dy": num(o.mean_dy),
-                "sd_dy": num(o.sd_dy),
-                "mean_disp": num(o.mean_disp),
-                "sd_disp": num(o.sd_disp),
-                "n_groups": o.n_groups,
-                "n_footprints": row.n_footprints,
-                "wall_time_s": num(row.wall_time_s if with_timing else None),
-            }
-        )
+    payload = [dict(zip(REPORT_COLUMNS, map(num, _row_values(row)))) for row in rows]
     return json.dumps(payload, indent=2) + "\n"

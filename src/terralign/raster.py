@@ -302,7 +302,8 @@ def load_raster(path: str | Path, kind: str = "raster") -> RasterGrid:
 
     Raises:
         RasterFormatError: unreadable file, unsupported layout (multi-band,
-            compressed, tiled), or a non-raster file.
+            compressed, tiled), a non-raster file, or a cell size or cell
+            value `RasterGrid` rejects.
     """
     path = Path(path)
     if not path.is_file():
@@ -313,16 +314,13 @@ def load_raster(path: str | Path, kind: str = "raster") -> RasterGrid:
     except OSError as exc:
         raise RasterFormatError(f"cannot read {kind} file {path}: {exc}") from exc
     if head[:2] in (b"II", b"MM"):
-        from .geotiff import read_geotiff
-
-        grid = read_geotiff(path)
+        from .geotiff import read_geotiff as read
     else:
-        from .esri_ascii import read_ascii_grid
-
-        grid = read_ascii_grid(path)
-    if not math.isfinite(grid.cell_size_x) or not math.isfinite(grid.cell_size_y):
-        raise RasterFormatError(f"{kind} file {path} declares a non-finite cell size")
-    return grid
+        from .esri_ascii import read_ascii_grid as read
+    try:
+        return read(path)
+    except ValueError as exc:  # e.g. RasterGrid rejecting the file's cell size or values
+        raise RasterFormatError(f"{kind} file {path}: {exc}") from exc
 
 
 def write_raster(grid: RasterGrid, path: str | Path) -> None:

@@ -9,15 +9,15 @@ displacement is therefore the negated planted offset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .config import DEFAULT_RADIUS_M, RunConfig
-from .evaluate import compare_methods
+from .evaluate import ReportRow, compare_methods
 from .footprints import FootprintTable, ShotGroup, attach_reference
-from .optimize import correct_dataset
+from .optimize import CorrectionResult, correct_dataset
 from .raster import AggregationKind, RasterGrid, aggregate_buffer_points
 
 BASE_ELEVATION_M = 100.0
@@ -225,82 +225,21 @@ def plant_offset(group: ShotGroup, spec: TrackSpec) -> ShotGroup:
     return ShotGroup(key=group.key, table=shifted)
 
 
-@dataclass
-class ExperimentRow:
-    method: str
-    metric: str
-    planted_dx: float
-    planted_dy: float
-    dx: float
-    dy: float
-    recovery_error_m: float
-    objective_value: float
-    mae_before_m: float
-    mae_after_m: float
-    evaluations: int
-    wall_time_s: float
-
-
-EXPERIMENT_COLUMNS = (
-    "method",
-    "metric",
-    "planted_dx",
-    "planted_dy",
-    "dx_m",
-    "dy_m",
-    "recovery_error_m",
-    "objective_value",
-    "mae_before_m",
-    "mae_after_m",
-    "evaluations",
-    "wall_time_s",
-)
-
-
-@dataclass
-class ExperimentReport:
-    terrain: TerrainSpec
-    track: TrackSpec
-    rows: list[ExperimentRow] = field(default_factory=list)
-
-    def to_csv(self, include_timing: bool = False) -> str:
-        """Timing is excluded by default so equal seeds give equal bytes."""
-        lines = [",".join(EXPERIMENT_COLUMNS)]
-        for r in self.rows:
-            wall = f"{r.wall_time_s:.6f}" if include_timing else ""
-            lines.append(
-                ",".join(
-                    [
-                        r.method,
-                        r.metric,
-                        f"{r.planted_dx:.6f}",
-                        f"{r.planted_dy:.6f}",
-                        f"{r.dx:.6f}",
-                        f"{r.dy:.6f}",
-                        f"{r.recovery_error_m:.6f}",
-                        f"{r.objective_value:.6f}",
-                        f"{r.mae_before_m:.6f}",
-                        f"{r.mae_after_m:.6f}",
-                        str(r.evaluations),
-                        wall,
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
-
-
 def run_recovery_experiment(
     terrain_spec: TerrainSpec,
     track_spec: TrackSpec,
     methods: Sequence[str],
     metrics: Sequence[str],
     cfg: RunConfig | None = None,
-) -> ExperimentReport:
-    """Plant an offset, run every method x metric, measure the recovery.
+) -> tuple[list[CorrectionResult], list[ReportRow]]:
+    """Plant an offset and run every method x metric on the one track.
 
-    Reads `radius`, `agg`, `bounds`, `optimizer` and `seed` from `cfg`.
-    Every combination's MAE before and after correction is taken by
-    `compare_methods`, over the footprints with a reference in all of them.
+    Returns the `CorrectionResult`s in methods x metrics order and the
+    `compare_methods` rows, "original" first: every MAE covers the
+    footprints with a reference in all of them. The recovery error of a
+    result is the distance from `solutions[0]` to the negated planted
+    offset. Reads `radius`, `agg`, `bounds`, `optimizer` and `seed` from
+    `cfg`.
     """
     cfg = cfg or RunConfig()
     terrain = gen_terrain(terrain_spec)
@@ -313,28 +252,4 @@ def run_recovery_experiment(
         for method in methods
         for metric in metrics
     ]
-    # one footprint set for every MAE, as in the `correct` reports
-    original, *rows = compare_methods(results, [observed])
-
-    report = ExperimentReport(terrain=terrain_spec, track=track_spec)
-    for result, row in zip(results, rows):
-        (sol,) = result.solutions
-        report.rows.append(
-            ExperimentRow(
-                method=result.method,
-                metric=result.metric,
-                planted_dx=track_spec.planted_dx,
-                planted_dy=track_spec.planted_dy,
-                dx=sol.dx,
-                dy=sol.dy,
-                recovery_error_m=math.hypot(
-                    sol.dx + track_spec.planted_dx, sol.dy + track_spec.planted_dy
-                ),
-                objective_value=sol.objective_value,
-                mae_before_m=original.mae_m,
-                mae_after_m=row.mae_m,
-                evaluations=sol.evaluations,
-                wall_time_s=result.wall_time_s,
-            )
-        )
-    return report
+    return results, compare_methods(results, [observed])

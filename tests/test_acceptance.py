@@ -266,7 +266,7 @@ def test_c5_correction_improves_mae_on_noisy_scenes():
         r = rng.uniform(5.0, 15.0)
         theta = rng.uniform(0.0, 2.0 * math.pi)
         heading = rng.uniform(0.0, 360.0)
-        report = run_recovery_experiment(
+        _, (original, row) = run_recovery_experiment(
             TerrainSpec("ramp", 160, 160, 4.0, 150.0, seed=3000 + i),
             TrackSpec(
                 n_footprints=20, spacing=25.0, heading=heading, noise_sd=0.5,
@@ -275,8 +275,7 @@ def test_c5_correction_improves_mae_on_noisy_scenes():
             ),
             methods=["lbfgsb"], metrics=[MetricKind.AREA],
         )
-        row = report.rows[0]
-        improved += row.mae_after_m < row.mae_before_m
+        improved += row.mae_m < original.mae_m
     print(f"mae improved on {improved}/{N_SCENES} noisy scenes")
     assert improved >= 0.95 * N_SCENES, f"improved {improved}/{N_SCENES}"
 
@@ -285,14 +284,14 @@ def test_c6_flat_terrain_keeps_mae_unchanged():
     noise_sd, n = 0.5, 20
     bound = 2.0 * noise_sd / math.sqrt(n)
     for seed in range(5):
-        report = run_recovery_experiment(
+        _, (original, *rows) = run_recovery_experiment(
             TerrainSpec("flat", 160, 160, 4.0, 150.0, seed=seed),
             TrackSpec(n_footprints=n, spacing=25.0, heading=37.0 * seed,
                       noise_sd=noise_sd, planted_dx=6.0, planted_dy=-9.0, seed=6000 + seed),
             methods=["grid", "lbfgsb", "ga", "pso"], metrics=[MetricKind.EUCLIDEAN],
         )
-        for row in report.rows:
-            assert abs(row.mae_after_m - row.mae_before_m) <= bound, (seed, row.method)
+        for row in rows:
+            assert abs(row.mae_m - original.mae_m) <= bound, (seed, row.method)
 
 
 def test_c7_preprocessing_fidelity():

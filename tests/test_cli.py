@@ -7,6 +7,8 @@ import json
 import math
 import multiprocessing
 import os
+import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -18,9 +20,10 @@ import pytest
 import terralign
 import terralign.optimize
 from terralign.cli import CORRECTED_EXTRA_COLUMNS, _CorrectedCsvWriter, build_parser, main
+from terralign.evaluate import REPORT_COLUMNS
 from terralign.footprints import group_by_shot, parse_footprints
 from terralign.geotiff import write_geotiff
-from terralign.raster import aggregate_buffer_points, load_raster
+from terralign.raster import RasterFormatError, aggregate_buffer_points, load_raster
 
 from conftest import flat_grid, make_grid
 
@@ -105,6 +108,25 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     dem, fps, _ = write_flat_scene(tmp_path)
     rc = run(["correct", "--dem", tmp_path / "nope.tif", "--footprints", fps, "--out", tmp_path / "o"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("dem_kind", ["tif-scale-nan", "tif-scale-zero", "asc-inf-cell"])
+def test_dem_the_grid_rejects_is_format_error_naming_the_file(tmp_path, capsys, dem_kind):
+    dem, fps, _ = write_flat_scene(tmp_path)  # a 1 m GeoTIFF, values 100
+    if dem_kind == "asc-inf-cell":
+        dem = tmp_path / "dem.asc"
+        dem.write_text("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 32\n100 inf\n100 100\n")
+    else:
+        scale = math.nan if dem_kind == "tif-scale-nan" else 0.0
+        pixel_scale = struct.pack("<3d", 1.0, 1.0, 0.0)
+        data = dem.read_bytes()
+        assert data.count(pixel_scale) == 1
+        dem.write_bytes(data.replace(pixel_scale, struct.pack("<3d", scale, scale, 0.0)))
+    with pytest.raises(RasterFormatError, match=re.escape(str(dem))):
+        load_raster(dem)
+    assert run(["correct", "--dem", dem, "--footprints", fps, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: dem file {dem}: ") and err.count("\n") == 1, err
 
 
 def test_dead_worker_is_data_error(tmp_path, capsys, monkeypatch):
@@ -411,9 +433,9 @@ def test_report_files_and_effective_config(tmp_path):
     assert "grid_step = 2.5" in eff
     assert (out / "report.txt").exists()
 
-    from terralign.config import load_config
+    from terralign.config import config_from_dict, parse_toml
 
-    cfg = load_config(eff)
+    cfg = config_from_dict(parse_toml(eff))
     assert cfg.seed == 9 and cfg.optimizer.grid_step == 2.5
 
 
@@ -605,6 +627,53 @@ def test_bench_reports_timings(tmp_path, capsys):
     assert float(lines[2].split(",")[-1]) >= 0.0
     assert (out / "corrected_grid_euclidean.csv").exists()
     assert "wall_time_s" in capsys.readouterr().err
+
+
+def read_report_files(out):
+    """(report.json records, report.csv cells, report.txt cells) of one run."""
+    records = json.loads((out / "report.json").read_text())
+    csv_cells = list(csv.reader((out / "report.csv").read_text().splitlines()))
+    header, *lines = (out / "report.txt").read_text().splitlines()
+    starts = [m.start() for m in re.finditer(r"\S+", header)] + [None]
+    text_cells = [[line[a:b].strip() for a, b in zip(starts, starts[1:])] for line in [header, *lines]]
+    return records, csv_cells, text_cells
+
+
+def csv_cell(value):
+    """The report.csv cell of a report.json value: null is blank, floats have 6 decimals."""
+    if value is None:
+        return ""
+    if isinstance(value, (str, int)):
+        return str(value)
+    return f"{value:.6f}"
+
+
+def test_report_writers_agree_and_bench_differs_only_in_timings(tmp_path):
+    scene = tmp_path / "scene"
+    assert run(["simulate", "--out", scene, "--rows", 96, "--cols", 96, "--cell-size", 4,
+                "--n-groups", 2, "--n-footprints", 8, "--spacing", 20, "--dx", 4, "--dy", -2]) == 0
+    reports = {}
+    for command in ("correct", "bench"):
+        out = tmp_path / command
+        assert run([
+            command, "--dem", scene / "terrain.asc", "--footprints", scene / "footprints.csv",
+            "--out", out, "--methods", "grid,ga", "--metrics", "euclidean,area", "--seed", 3,
+        ]) == 0
+        records, csv_cells, text_cells = reports[command] = read_report_files(out)
+        assert csv_cells[0] == text_cells[0] == list(REPORT_COLUMNS)
+        assert len(records) == len(csv_cells) - 1 == len(text_cells) - 1 == 5
+        for record, cells, text in zip(records, csv_cells[1:], text_cells[1:]):
+            assert list(record) == list(REPORT_COLUMNS)
+            assert [csv_cell(value) for value in record.values()] == cells
+            assert text == ["-" if value is None else csv_cell(value) for value in record.values()]
+
+    (correct_records, *correct_cells), (bench_records, *bench_cells) = reports["correct"], reports["bench"]
+    assert [r["wall_time_s"] for r in correct_records] == [None] * 5
+    assert [r["wall_time_s"] is None for r in bench_records] == [True, False, False, False, False]
+    for a, b in zip(correct_records, bench_records):
+        assert {**a, "wall_time_s": None} == {**b, "wall_time_s": None}
+    for a, b in zip(correct_cells, bench_cells):  # csv, then text: every column but the last
+        assert [cells[:-1] for cells in a] == [cells[:-1] for cells in b]
 
 
 def test_evaluate_flags_keep_their_option_strings():

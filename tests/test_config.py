@@ -6,7 +6,7 @@ import pytest
 
 from terralign import ConfigError, RunConfig
 from terralign.cli import build_parser, main
-from terralign.config import Bounds, QualityRules, config_from_dict, config_keys, dump_config, load_config, parse_toml
+from terralign.config import Bounds, QualityRules, config_from_dict, config_keys, dump_config, parse_toml
 from terralign.raster import AggregationKind
 
 
@@ -101,7 +101,7 @@ def test_dump_config_round_trip():
     cfg.optimizer.ga.mutation_sigma = 3.25
     cfg.quality.require_tree_cover = True
     text = dump_config(cfg)
-    back = load_config(text)
+    back = config_from_dict(parse_toml(text))
     assert back == cfg
     # a second dump is byte-identical
     assert dump_config(back) == text
@@ -117,12 +117,12 @@ def test_dump_config_omits_unset_optionals():
     text2 = dump_config(cfg)
     assert 'geoid_path = "g.tif"' in text2
     assert "fd_step = 2.0" in text2
-    assert load_config(text2) == cfg
+    assert config_from_dict(parse_toml(text2)) == cfg
 
 
-def test_load_config_requires_method_and_metric():
+def test_config_requires_method_and_metric():
     with pytest.raises(ConfigError):
-        load_config("methods = []\n")
+        config_from_dict(parse_toml("methods = []\n"))
 
 
 @pytest.mark.parametrize(
@@ -144,7 +144,7 @@ def test_load_config_requires_method_and_metric():
 )
 def test_bad_config_value_names_the_key(tmp_path, capsys, text, key):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
-        load_config(text)
+        config_from_dict(parse_toml(text))
     path = tmp_path / "run.toml"
     path.write_text(text)
     assert main(["correct", "--config", str(path)]) == 1
@@ -169,7 +169,7 @@ def test_non_finite_float_names_the_key(tmp_path, capsys, key, value):
     section, _, leaf = key.rpartition(".")
     text = (f"[{section}]\n" if section else "") + f"{leaf} = {value}\n"
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
-        load_config(text)
+        config_from_dict(parse_toml(text))
     path = tmp_path / "run.toml"
     path.write_text(text)
     for argv in (["--config", str(path)], [f"{run_flag(key)}={value}"]):
@@ -244,7 +244,7 @@ inertia = 0.5
 """
 
 
-# (text, what parse_toml returns as a dict, or what load_config returns as a RunConfig)
+# (text, what parse_toml returns as a dict, or what config_from_dict makes of that, a RunConfig)
 VALID_TOML = {
     "comment-after-header": (
         "[quality] # strict\nmin_sensitivity = 0.9\n",
@@ -268,7 +268,7 @@ VALID_TOML = {
 def test_valid_toml_is_read(name):
     text, expected = VALID_TOML[name]
     if isinstance(expected, RunConfig):
-        assert load_config(text) == expected
+        assert config_from_dict(parse_toml(text)) == expected
     else:
         assert parse_toml(text) == expected
 
@@ -298,4 +298,4 @@ def test_text_that_is_not_toml_is_usage_error(tmp_path, capsys, name):
 @pytest.mark.parametrize("path", ["a\tb", "a\nb", "a\rb", "a\x00b", "a\x1fb", "a\x7fb", 'q"\\x\u00e9'])
 def test_dump_config_escapes_what_toml_strings_forbid(path):
     cfg = RunConfig(dem_path=path, geoid_path=path + path)
-    assert load_config(dump_config(cfg)) == cfg
+    assert config_from_dict(parse_toml(dump_config(cfg))) == cfg

@@ -181,8 +181,8 @@ def test_compare_methods_byte_stable():
     results = [correct_dataset(groups, dem, method="grid", metric="area")]
     rows_a = compare_methods(results, groups)
     rows_b = compare_methods(results, groups)
-    assert rows_to_csv(rows_a, with_timing=False) == rows_to_csv(rows_b, with_timing=False)
-    assert rows_to_text(rows_a, with_timing=False) == rows_to_text(rows_b, with_timing=False)
+    assert rows_to_csv(rows_a) == rows_to_csv(rows_b)
+    assert rows_to_text(rows_a) == rows_to_text(rows_b)
 
 
 def test_serializers_shape_and_timing_blank():
@@ -190,22 +190,24 @@ def test_serializers_shape_and_timing_blank():
     results = [correct_dataset(groups, dem, method="grid", metric="euclidean")]
     rows = compare_methods(results, groups)
 
-    csv_text = rows_to_csv(rows, with_timing=True)
+    csv_text = rows_to_csv(rows)
     header = csv_text.splitlines()[0].split(",")
     assert header == list(REPORT_COLUMNS)
     timed = csv_text.splitlines()[2].split(",")
     assert timed[-1] != ""
 
-    blank = rows_to_csv(rows, with_timing=False).splitlines()[2].split(",")
+    for row in rows:
+        row.wall_time_s = math.nan  # as `correct` blanks them
+    blank = rows_to_csv(rows).splitlines()[2].split(",")
     assert blank[-1] == ""
 
-    payload = json.loads(rows_to_json(rows, with_timing=False))
+    payload = json.loads(rows_to_json(rows))
     assert payload[0]["method"] == "original"
     assert payload[0]["mean_dx"] is None
     assert payload[1]["wall_time_s"] is None
     assert payload[1]["n_footprints"] == 12
 
-    text = rows_to_text(rows, with_timing=False)
+    text = rows_to_text(rows)
     lines = text.splitlines()
     assert lines[0].split() == list(REPORT_COLUMNS)
     assert len(lines) == 1 + len(rows)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from terralign import MetricKind, RunConfig, TerrainSpec, TrackError, gen_terrain
+from terralign.evaluate import rows_to_csv
 from terralign.optimize import Objective, correct_group
 from terralign.synthetic import TrackSpec, gen_track, plant_offset, run_recovery_experiment
-from terralign.synthetic import EXPERIMENT_COLUMNS
 
 
 def test_flat_terrain_constant_100():
@@ -163,27 +163,27 @@ def test_recovery_error_shrinks_with_relief(rng):
 
 
 def test_recovery_experiment_grid_euclidean_within_lattice_bound():
-    report = run_recovery_experiment(
+    results, (original, row) = run_recovery_experiment(
         TerrainSpec(kind="gaussian_hills", n_rows=250, n_cols=250, cell_size=2.0, relief=200.0, seed=6),
         TrackSpec(n_footprints=12, spacing=25.0, heading=120.0, planted_dx=8.0, planted_dy=-3.0, seed=6),
         methods=["grid"],
         metrics=["euclidean"],
     )
-    assert len(report.rows) == 1
-    row = report.rows[0]
-    assert row.recovery_error_m <= 5.0 * math.sqrt(2.0) / 2.0 + 1e-9
-    assert row.mae_after_m < row.mae_before_m
+    assert len(results) == 1
+    (sol,) = results[0].solutions
+    assert math.hypot(sol.dx + 8.0, sol.dy - 3.0) <= 5.0 * math.sqrt(2.0) / 2.0 + 1e-9
+    assert row.mae_m < original.mae_m
 
 
 def test_recovery_experiment_flat_mae_unchanged():
-    report = run_recovery_experiment(
+    _, (original, *rows) = run_recovery_experiment(
         TerrainSpec(kind="flat", n_rows=200, n_cols=200, cell_size=2.0, seed=1),
         TrackSpec(n_footprints=10, spacing=25.0, noise_sd=0.4, planted_dx=9.0, planted_dy=4.0, seed=1),
         methods=["grid", "lbfgsb", "ga", "pso"],
         metrics=["euclidean"],
     )
-    for row in report.rows:
-        assert row.mae_after_m == pytest.approx(row.mae_before_m, abs=1e-12)
+    for row in rows:
+        assert row.mae_m == pytest.approx(original.mae_m, abs=1e-12)
 
 
 def test_recovery_experiment_report_bytes_deterministic():
@@ -192,9 +192,16 @@ def test_recovery_experiment_report_bytes_deterministic():
         TrackSpec(n_footprints=8, spacing=25.0, heading=200.0, planted_dx=-5.0, planted_dy=7.0, seed=12),
     )
     kwargs = dict(methods=["grid", "ga"], metrics=["euclidean", "area"], cfg=RunConfig(seed=5))
-    a = run_recovery_experiment(*args, **kwargs)
-    b = run_recovery_experiment(*args, **kwargs)
-    assert a.to_csv() == b.to_csv()
-    header = a.to_csv().splitlines()[0].split(",")
-    assert header == list(EXPERIMENT_COLUMNS)
-    assert len(a.rows) == 4
+
+    def run_once():
+        results, rows = run_recovery_experiment(*args, **kwargs)
+        for row in rows:
+            row.wall_time_s = math.nan
+        solutions = [(s.dx, s.dy, s.objective_value, s.evaluations) for r in results for s in r.solutions]
+        return [(r.method, r.metric) for r in results], rows_to_csv(rows), solutions
+
+    a = run_once()
+    assert a == run_once()
+    combinations = [("grid", "euclidean"), ("grid", "area"), ("ga", "euclidean"), ("ga", "area")]
+    assert a[0] == combinations
+    assert [tuple(line.split(",")[:2]) for line in a[1].splitlines()[2:]] == combinations
