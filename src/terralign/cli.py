@@ -427,15 +427,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     with corrected_path.open(newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{corrected_path}: empty file")
-        needed = set(CORRECTED_EXTRA_COLUMNS) | {"x", "y", "elev_lowestmode"}
-        missing = needed - set(reader.fieldnames)
-        if missing:
-            raise DataError(
-                f"{corrected_path}: missing columns: {', '.join(sorted(missing))}"
-            )
-        records = list(reader)
+        try:
+            if reader.fieldnames is None:
+                raise DataError(f"{corrected_path}: empty file")
+            needed = set(CORRECTED_EXTRA_COLUMNS) | {"x", "y", "elev_lowestmode"}
+            missing = needed - set(reader.fieldnames)
+            if missing:
+                raise DataError(
+                    f"{corrected_path}: missing columns: {', '.join(sorted(missing))}"
+                )
+            records = list(reader)
+        except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+            raise DataError(f"{corrected_path}: line {reader.reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{corrected_path}: undecodable text after line {reader.reader.line_num}: {exc}") from exc
     if not records:
         raise DataError(f"{corrected_path}: no data rows")
 

@@ -14,7 +14,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -151,6 +151,21 @@ def _is_na(token: str) -> bool:
     return token.strip().lower() in _NA_TOKENS
 
 
+def _csv_rows(lines: Iterable[str], source: str) -> Iterator[list[str]]:
+    """The CSV rows of `lines`, with read errors raised as FootprintError naming `source`.
+
+    The csv module rejects a cell longer than `csv.field_size_limit()`, and a
+    file's decoder rejects bytes that are not text in its encoding.
+    """
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise FootprintError(f"{source}: line {reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FootprintError(f"{source}: undecodable text after line {reader.line_num}: {exc}") from exc
+
+
 def parse_footprints(lines: Iterable[str], source: str = "<stream>") -> tuple[FootprintTable, ParseStats]:
     """Read a footprint CSV into a FootprintTable.
 
@@ -160,8 +175,8 @@ def parse_footprints(lines: Iterable[str], source: str = "<stream>") -> tuple[Fo
     numerics are dropped and counted in the returned stats, not raised.
     `shot_number` is stripped of surrounding spaces.
     """
-    reader = csv.reader(lines)
-    header = next(reader, None)
+    rows = _csv_rows(lines, source)
+    header = next(rows, None)
     if header is None:
         raise FootprintError(f"{source}: empty table, no header row")
     missing = [c for c in REQUIRED_COLUMNS if c not in header]
@@ -179,7 +194,7 @@ def parse_footprints(lines: Iterable[str], source: str = "<stream>") -> tuple[Fo
     shots: list[str] = []
     values: list[tuple[float, ...]] = []
     stats = ParseStats()
-    for cells in reader:
+    for cells in rows:
         if not cells:
             continue
         stats.n_rows += 1

@@ -5,11 +5,15 @@ uncompressed strips, IEEE float32/float64 samples, georeferencing via
 ModelPixelScale + ModelTiepoint (or an axis-aligned ModelTransformation),
 GDAL's ASCII nodata tag, and the ProjectedCSType geo-key for an EPSG tag.
 Anything else is rejected with a clear error rather than guessed at.
+
+The reader decodes only the tags it uses, each as a numpy view of the file
+whose end is checked against the file's length first, and it assembles no
+more pixel bytes than the file holds. So a malformed file fails with
+`RasterFormatError`, using memory in proportion to the file's size.
 """
 
 from __future__ import annotations
 
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -35,22 +39,69 @@ _MODEL_TRANSFORMATION = 34264
 _GEOKEY_DIRECTORY = 34735
 _GDAL_NODATA = 42113
 
-# TIFF field types: id -> (struct char, byte size)
+# TIFF field type id -> little-endian dtype of one value. The reader swaps the
+# byte order for big-endian files; the writer looks a type id up by its
+# array's dtype. A tag of any other field type counts as absent.
 _FIELD_TYPES = {
-    1: ("B", 1),   # BYTE
-    2: ("s", 1),   # ASCII
-    3: ("H", 2),   # SHORT
-    4: ("I", 4),   # LONG
-    5: ("II", 8),  # RATIONAL (pair of LONGs)
-    6: ("b", 1),
-    8: ("h", 2),
-    9: ("i", 4),
-    11: ("f", 4),
-    12: ("d", 8),
+    1: np.dtype("u1"),  # BYTE
+    2: np.dtype("S1"),  # ASCII
+    3: np.dtype("<u2"),  # SHORT
+    4: np.dtype("<u4"),  # LONG
+    5: np.dtype(("<u4", (2,))),  # RATIONAL (pair of LONGs)
+    6: np.dtype("i1"),  # SBYTE
+    8: np.dtype("<i2"),  # SSHORT
+    9: np.dtype("<i4"),  # SLONG
+    11: np.dtype("<f4"),  # FLOAT
+    12: np.dtype("<f8"),  # DOUBLE
 }
+_TYPE_IDS = {dtype: ftype for ftype, dtype in _FIELD_TYPES.items()}
+
+# one 12-byte IFD entry; `value` holds the values themselves when they fit in
+# its 4 bytes, else their offset in the file
+_ENTRY = np.dtype([("tag", "<u2"), ("type", "<u2"), ("count", "<u4"), ("value", "<u4")])
 
 _PROJECTED_CS_TYPE_GEOKEY = 3072
 _GEOGRAPHIC_TYPE_GEOKEY = 2048
+
+
+class _Ifd:
+    """The entries of a TIFF's first IFD, whose values are decoded on request."""
+
+    def __init__(self, data: bytes, bo: str, offset: int, path: Path) -> None:
+        if offset + 2 > len(data):
+            raise RasterFormatError(f"{path}: bad IFD offset")
+        n_entries = int(np.frombuffer(data, bo + "u2", 1, offset)[0])
+        self.start = offset + 2
+        if self.start + _ENTRY.itemsize * n_entries > len(data):
+            raise RasterFormatError(f"{path}: the IFD's {n_entries} entries run past the end of the file")
+        self.entries = np.frombuffer(data, _ENTRY.newbyteorder(bo), n_entries, self.start).tolist()
+        # a tag's last entry of a known field type wins
+        self.index = {tag: i for i, (tag, ftype, _, _) in enumerate(self.entries) if ftype in _FIELD_TYPES}
+        self.data, self.bo, self.path = data, bo, path
+
+    def get(self, tag: int) -> list | bytes | None:
+        """The tag's values, decoded from a view of the file; None when absent.
+
+        ASCII values come as bytes, whose items are ints like a SHORT's.
+        """
+        i = self.index.get(tag)
+        if i is None:
+            return None
+        _, ftype, count, value = self.entries[i]
+        dtype = _FIELD_TYPES[ftype].newbyteorder(self.bo)
+        nbytes = count * dtype.itemsize
+        start = self.start + _ENTRY.itemsize * i + 8 if nbytes <= 4 else value
+        if start + nbytes > len(self.data):
+            raise RasterFormatError(f"{self.path}: the values of tag {tag} run past the end of the file")
+        view = np.frombuffer(self.data, dtype, count, start).ravel()
+        return view.tobytes() if ftype == 2 else view.tolist()
+
+    def ints(self, tag: int) -> list[int] | bytes | None:
+        """The tag's values, which must be non-negative integers; None when absent."""
+        values = self.get(tag)
+        if values is not None and not all(type(v) is int and v >= 0 for v in values):
+            raise RasterFormatError(f"{self.path}: tag {tag} must hold non-negative integers")
+        return values
 
 
 def read_geotiff(path: str | Path) -> RasterGrid:
@@ -58,38 +109,32 @@ def read_geotiff(path: str | Path) -> RasterGrid:
     data = path.read_bytes()
     if len(data) < 8:
         raise RasterFormatError(f"{path}: too short to be a TIFF")
-    if data[:2] == b"II":
-        bo = "<"
-    elif data[:2] == b"MM":
-        bo = ">"
-    else:
+    bo = {b"II": "<", b"MM": ">"}.get(data[:2])
+    if bo is None:
         raise RasterFormatError(f"{path}: not a TIFF (bad byte-order mark)")
-    magic = struct.unpack(bo + "H", data[2:4])[0]
+    magic = int(np.frombuffer(data, bo + "u2", 1, 2)[0])
     if magic == 43:
         raise RasterFormatError(f"{path}: BigTIFF is not supported")
     if magic != 42:
         raise RasterFormatError(f"{path}: not a TIFF (magic={magic})")
+    tags = _Ifd(data, bo, int(np.frombuffer(data, bo + "u4", 1, 4)[0]), path)
 
-    ifd_offset = struct.unpack(bo + "I", data[4:8])[0]
-    tags = _read_ifd(data, bo, ifd_offset, path)
-
-    if _TILE_WIDTH in tags:
+    if _TILE_WIDTH in tags.index:
         raise RasterFormatError(f"{path}: tiled TIFFs are not supported")
-    compression = _scalar(tags.get(_COMPRESSION, (1,)))
+    compression = (tags.get(_COMPRESSION) or [1])[0]
     if compression != 1:
         raise RasterFormatError(f"{path}: compressed TIFFs are not supported (compression={compression})")
-    spp = _scalar(tags.get(_SAMPLES_PER_PIXEL, (1,)))
+    spp = (tags.get(_SAMPLES_PER_PIXEL) or [1])[0]
     if spp != 1:
         raise RasterFormatError(f"{path}: multi-band rasters are not supported ({spp} samples/pixel)")
-    if _scalar(tags.get(_PLANAR_CONFIG, (1,))) != 1:
+    if (tags.get(_PLANAR_CONFIG) or [1])[0] != 1:
         raise RasterFormatError(f"{path}: planar configuration 2 is not supported")
 
-    width = _scalar(tags.get(_IMAGE_WIDTH))
-    height = _scalar(tags.get(_IMAGE_LENGTH))
+    width, height = ((tags.ints(tag) or [0])[0] for tag in (_IMAGE_WIDTH, _IMAGE_LENGTH))
     if not width or not height:
         raise RasterFormatError(f"{path}: missing image dimensions")
-    bits = _scalar(tags.get(_BITS_PER_SAMPLE, (1,)))
-    fmt = _scalar(tags.get(_SAMPLE_FORMAT, (1,)))
+    bits = (tags.get(_BITS_PER_SAMPLE) or [1])[0]
+    fmt = (tags.get(_SAMPLE_FORMAT) or [1])[0]
     if fmt != 3 or bits not in (32, 64):
         raise RasterFormatError(
             f"{path}: only float32/float64 samples are supported "
@@ -97,23 +142,30 @@ def read_geotiff(path: str | Path) -> RasterGrid:
         )
     dtype = np.dtype(bo + ("f4" if bits == 32 else "f8"))
 
-    offsets = tags.get(_STRIP_OFFSETS)
-    counts = tags.get(_STRIP_BYTE_COUNTS)
+    offsets = tags.ints(_STRIP_OFFSETS)
+    counts = tags.ints(_STRIP_BYTE_COUNTS)
     if offsets is None or counts is None:
         raise RasterFormatError(f"{path}: missing strip layout tags")
-    raw = b"".join(data[o : o + c] for o, c in zip(offsets, counts))
-    expected = width * height * (bits // 8)
-    if len(raw) < expected:
+    # the strips are read in order up to the grid's size, which the file must
+    # hold, so overlapping strips cannot make the pixel bytes outgrow the file
+    need = width * height * dtype.itemsize
+    if need > len(data):
         raise RasterFormatError(f"{path}: truncated pixel data")
-    values = np.frombuffer(raw[:expected], dtype=dtype).reshape(height, width).astype(np.float64)
+    strips = []
+    for offset, count in zip(offsets, counts):
+        strips.append(data[offset : offset + min(count, need)])
+        need -= len(strips[-1])
+    if need:
+        raise RasterFormatError(f"{path}: truncated pixel data")
+    values = np.frombuffer(b"".join(strips), dtype=dtype).reshape(height, width).astype(np.float64)
 
     origin_x, origin_y, csx, csy = _georeference(tags, path)
 
     nodata = None
-    if _GDAL_NODATA in tags:
-        txt = tags[_GDAL_NODATA]
+    text = tags.get(_GDAL_NODATA)
+    if isinstance(text, bytes):
         try:
-            nodata = float(txt.split(b"\x00")[0].decode("ascii").strip())
+            nodata = float(text.split(b"\x00")[0].decode("ascii").strip())
         except (UnicodeDecodeError, ValueError):
             nodata = None
     if nodata is not None and not np.isnan(nodata):
@@ -126,66 +178,38 @@ def read_geotiff(path: str | Path) -> RasterGrid:
         cell_size_y=csy,
         values=values,
         nodata=nodata,
-        crs_tag=_crs_tag(tags),
+        crs_tag=_crs_tag(tags, path),
     )
 
 
-def _read_ifd(data: bytes, bo: str, offset: int, path: Path) -> dict:
-    try:
-        n_entries = struct.unpack_from(bo + "H", data, offset)[0]
-    except struct.error as exc:
-        raise RasterFormatError(f"{path}: bad IFD offset") from exc
-    tags: dict[int, tuple] = {}
-    for i in range(n_entries):
-        base = offset + 2 + i * 12
-        tag, ftype, count = struct.unpack_from(bo + "HHI", data, base)
-        if ftype not in _FIELD_TYPES:
-            continue
-        ch, size = _FIELD_TYPES[ftype]
-        nbytes = size * count * (2 if ftype == 5 else 1)
-        if nbytes <= 4:
-            raw = data[base + 8 : base + 8 + nbytes]
-        else:
-            value_offset = struct.unpack_from(bo + "I", data, base + 8)[0]
-            raw = data[value_offset : value_offset + nbytes]
-        if ftype == 2:
-            tags[tag] = raw
-        else:
-            n_items = count * (2 if ftype == 5 else 1)
-            tags[tag] = struct.unpack(bo + ch[0] * n_items, raw)
-    return tags
-
-
-def _scalar(value):
-    if value is None:
-        return None
-    return value[0]
-
-
-def _georeference(tags: dict, path: Path) -> tuple[float, float, float, float]:
-    if _MODEL_PIXEL_SCALE in tags and _MODEL_TIEPOINT in tags:
-        sx, sy = tags[_MODEL_PIXEL_SCALE][0], tags[_MODEL_PIXEL_SCALE][1]
-        tp = tags[_MODEL_TIEPOINT]
+def _georeference(tags: _Ifd, path: Path) -> tuple[float, float, float, float]:
+    scale, tiepoint = tags.get(_MODEL_PIXEL_SCALE), tags.get(_MODEL_TIEPOINT)
+    if scale is not None and tiepoint is not None:
+        if len(scale) < 2 or len(tiepoint) < 5:
+            raise RasterFormatError(f"{path}: too few ModelPixelScale or ModelTiepoint values")
+        sx, sy = scale[:2]
         # tiepoint maps raster (i, j, k) -> model (x, y, z); anchor at upper-left
-        i, j, x, y = tp[0], tp[1], tp[3], tp[4]
-        origin_x = x - i * sx
-        origin_y = y + j * sy
-        return origin_x, origin_y, sx, -sy
-    if _MODEL_TRANSFORMATION in tags:
-        m = tags[_MODEL_TRANSFORMATION]
+        i, j, _, x, y = tiepoint[:5]
+        return x - i * sx, y + j * sy, sx, -sy
+    m = tags.get(_MODEL_TRANSFORMATION)
+    if m is not None:
+        if len(m) < 8:
+            raise RasterFormatError(f"{path}: too few ModelTransformation values")
         if m[1] != 0.0 or m[4] != 0.0:
             raise RasterFormatError(f"{path}: rotated rasters are not supported")
         return m[3], m[7], m[0], m[5]
     raise RasterFormatError(f"{path}: no georeferencing tags (ModelPixelScale/Tiepoint)")
 
 
-def _crs_tag(tags: dict) -> str:
-    keys = tags.get(_GEOKEY_DIRECTORY)
-    if not keys or len(keys) < 4:
+def _crs_tag(tags: _Ifd, path: Path) -> str:
+    keys = tags.ints(_GEOKEY_DIRECTORY)
+    if keys is None or len(keys) < 4:
         return ""
-    n_keys = keys[3]
-    for k in range(n_keys):
-        key_id, location, count, value = keys[4 + 4 * k : 8 + 4 * k]
+    for k in range(keys[3]):
+        key = keys[4 + 4 * k : 8 + 4 * k]
+        if len(key) < 4:
+            raise RasterFormatError(f"{path}: GeoKeyDirectory holds fewer than its {keys[3]} keys")
+        key_id, location, _, value = key
         if key_id in (_PROJECTED_CS_TYPE_GEOKEY, _GEOGRAPHIC_TYPE_GEOKEY) and location == 0:
             if 1024 <= value <= 32766:
                 return f"EPSG:{value}"
@@ -202,7 +226,7 @@ def write_geotiff(grid: RasterGrid, path: str | Path) -> None:
     values = grid.values
     if grid.nodata is not None:
         values = np.where(np.isnan(values), grid.nodata, values)
-    payload = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    pixels = np.ascontiguousarray(values, dtype="<f8")
 
     epsg = 0
     if grid.crs_tag.upper().startswith("EPSG:"):
@@ -211,77 +235,51 @@ def write_geotiff(grid: RasterGrid, path: str | Path) -> None:
         except ValueError:
             epsg = 0
 
-    entries: list[tuple[int, int, int, bytes]] = []  # (tag, type, count, packed payload)
-
-    def add(tag: int, ftype: int, items) -> None:
-        ch, _ = _FIELD_TYPES[ftype]
-        if ftype == 2:
-            packed = items  # already bytes, NUL-terminated
-            count = len(packed)
-        else:
-            packed = struct.pack("<" + ch[0] * len(items), *items)
-            count = len(items)
-        entries.append((tag, ftype, count, packed))
-
-    n_rows, n_cols = grid.n_rows, grid.n_cols
-    add(_IMAGE_WIDTH, 4, (n_cols,))
-    add(_IMAGE_LENGTH, 4, (n_rows,))
-    add(_BITS_PER_SAMPLE, 3, (64,))
-    add(_COMPRESSION, 3, (1,))
-    add(_PHOTOMETRIC, 3, (1,))
-    add(_STRIP_OFFSETS, 4, (0,))  # patched below
-    add(_SAMPLES_PER_PIXEL, 3, (1,))
-    add(_ROWS_PER_STRIP, 4, (n_rows,))
-    add(_STRIP_BYTE_COUNTS, 4, (len(payload),))
-    add(_PLANAR_CONFIG, 3, (1,))
-    add(_SAMPLE_FORMAT, 3, (3,))
-    add(_MODEL_PIXEL_SCALE, 12, (grid.cell_size_x, abs(grid.cell_size_y), 0.0))
-    add(_MODEL_TIEPOINT, 12, (0.0, 0.0, 0.0, grid.origin_x, grid.origin_y, 0.0))
+    short, long, double = _FIELD_TYPES[3], _FIELD_TYPES[4], _FIELD_TYPES[12]
+    fields = {
+        _IMAGE_WIDTH: np.array([grid.n_cols], long),
+        _IMAGE_LENGTH: np.array([grid.n_rows], long),
+        _BITS_PER_SAMPLE: np.array([64], short),
+        _COMPRESSION: np.array([1], short),
+        _PHOTOMETRIC: np.array([1], short),
+        _STRIP_OFFSETS: np.array([0], long),  # set below, once the layout is known
+        _SAMPLES_PER_PIXEL: np.array([1], short),
+        _ROWS_PER_STRIP: np.array([grid.n_rows], long),
+        _STRIP_BYTE_COUNTS: np.array([pixels.nbytes], long),
+        _PLANAR_CONFIG: np.array([1], short),
+        _SAMPLE_FORMAT: np.array([3], short),
+        _MODEL_PIXEL_SCALE: np.array([grid.cell_size_x, abs(grid.cell_size_y), 0.0], double),
+        _MODEL_TIEPOINT: np.array([0.0, 0.0, 0.0, grid.origin_x, grid.origin_y, 0.0], double),
+    }
     if epsg:
         # header (version, rev, minor, count) + one key per row
-        add(
-            _GEOKEY_DIRECTORY,
-            3,
-            (1, 1, 0, 3,
+        fields[_GEOKEY_DIRECTORY] = np.array(
+            [1, 1, 0, 3,
              1024, 0, 1, 1,        # GTModelType = projected
              1025, 0, 1, 1,        # GTRasterType = PixelIsArea
-             _PROJECTED_CS_TYPE_GEOKEY, 0, 1, epsg),
+             _PROJECTED_CS_TYPE_GEOKEY, 0, 1, epsg],
+            short,
         )
     if grid.nodata is not None:
-        add(_GDAL_NODATA, 2, f"{grid.nodata!r}".encode("ascii") + b"\x00")
+        fields[_GDAL_NODATA] = np.frombuffer(f"{grid.nodata!r}".encode("ascii") + b"\x00", _FIELD_TYPES[2])
+    fields = dict(sorted(fields.items()))
 
-    entries.sort(key=lambda e: e[0])
+    # layout: header(8) | IFD | out-of-line values, each padded to even length | pixels
+    ifd_end = 8 + 2 + _ENTRY.itemsize * len(fields) + 4
+    out_of_line = [a.nbytes + a.nbytes % 2 for a in fields.values() if a.nbytes > 4]
+    fields[_STRIP_OFFSETS][0] = ifd_end + sum(out_of_line)
 
-    # layout: header(8) | IFD | out-of-line tag values | pixel data
-    ifd_offset = 8
-    ifd_size = 2 + 12 * len(entries) + 4
-    extra_offset = ifd_offset + ifd_size
-    extra = bytearray()
-    fields = bytearray()
-    data_offset = None
-    for tag, ftype, count, packed in entries:
-        if len(packed) <= 4:
-            inline = packed + b"\x00" * (4 - len(packed))
-            fields += struct.pack("<HHI", tag, ftype, count) + inline
+    entries, extra = [], bytearray()
+    for tag, a in fields.items():
+        raw = a.tobytes()
+        if len(raw) <= 4:
+            value = int.from_bytes(raw.ljust(4, b"\x00"), "little")
         else:
-            fields += struct.pack("<HHII", tag, ftype, count, extra_offset + len(extra))
-            extra += packed
-            if len(extra) % 2:
-                extra += b"\x00"
-    data_offset = extra_offset + len(extra)
-
-    # patch StripOffsets now that the data offset is known
-    out = bytearray()
-    out += struct.pack("<2sHI", b"II", 42, ifd_offset)
-    out += struct.pack("<H", len(entries))
-    pos = 0
-    for tag, ftype, count, packed in entries:
-        entry = bytes(fields[pos : pos + 12])
-        if tag == _STRIP_OFFSETS:
-            entry = struct.pack("<HHII", _STRIP_OFFSETS, 4, 1, data_offset)
-        out += entry
-        pos += 12
-    out += struct.pack("<I", 0)  # no further IFDs
-    out += extra
-    out += payload
-    Path(path).write_bytes(bytes(out))
+            value = ifd_end + len(extra)
+            extra += raw + b"\x00" * (len(raw) % 2)
+        entries.append((tag, _TYPE_IDS[a.dtype], a.size, value))
+    header = b"II" + (42).to_bytes(2, "little") + (8).to_bytes(4, "little")
+    ifd = len(entries).to_bytes(2, "little") + np.array(entries, _ENTRY).tobytes() + bytes(4)
+    with Path(path).open("wb") as fh:
+        fh.write(header + ifd + extra)
+        fh.write(pixels)

@@ -590,6 +590,28 @@ def test_evaluate_rejects_combinations_with_different_group_keys(tmp_path, capsy
     assert "group_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("defect", ["cell-over-the-field-limit", "undecodable-bytes"])
+@pytest.mark.parametrize("command", ["correct", "evaluate"])
+def test_unreadable_csv_line_is_data_error_naming_file_and_line(tmp_path, capsys, command, defect):
+    dem, fps, _ = write_flat_scene(tmp_path)
+    if command == "evaluate":
+        assert run(["correct", "--dem", dem, "--footprints", fps, "--out", tmp_path / "run"]) == 0
+        fps = tmp_path / "run" / "corrected_grid_euclidean.csv"
+    lines = fps.read_bytes().splitlines()
+    if defect == "undecodable-bytes":
+        lines[2] = lines[2].replace(b"BEAM0101", b"BEAM\xff\xfe")
+        expected = f"error: {fps}: undecodable text after line "
+    else:
+        lines[2] = lines[2].replace(b"BEAM0101", b"B" * (csv.field_size_limit() + 1))
+        expected = f"error: {fps}: line 3: field larger than field limit ({csv.field_size_limit()})\n"
+    fps.write_bytes(b"\n".join(lines) + b"\n")
+    capsys.readouterr()
+    inputs = ["--corrected", fps] if command == "evaluate" else ["--footprints", fps]
+    assert run([command, "--dem", dem, *inputs, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(expected) and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("command", ["correct", "bench", "evaluate"])
 def test_agg_mode_is_usage_error(tmp_path, capsys, command):
     dem, fps, _ = write_flat_scene(tmp_path)

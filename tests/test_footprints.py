@@ -90,6 +90,14 @@ def test_parse_rejects_a_repeated_column():
         parse_footprints(io.StringIO(text))
 
 
+def test_parse_undecodable_text_is_footprint_error(tmp_path):
+    path = tmp_path / "fps.csv"
+    path.write_bytes((CSV_HEADER + row()).encode() + b"\xff\xfe" + row().encode())
+    with path.open(newline="", encoding="utf-8") as fh:
+        with pytest.raises(FootprintError, match=f"^{path}: undecodable text after line"):
+            parse_footprints(fh, source=str(path))
+
+
 def test_quality_filter_boundaries():
     rules = QualityRules()
     keep = make_footprint(0, sensitivity=0.95)
