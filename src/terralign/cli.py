@@ -34,13 +34,7 @@ from .evaluate import (
     rows_to_json,
     rows_to_text,
 )
-from .footprints import (
-    REQUIRED_COLUMNS,
-    FootprintError,
-    parse_footprints,
-    prepare_groups,
-)
-from .metrics import MetricError
+from .footprints import REQUIRED_COLUMNS, parse_footprints, prepare_groups
 from .optimize import GroupPool, correct_dataset
 from .raster import (
     RasterError,
@@ -54,7 +48,6 @@ from .synthetic import (
     TERRAIN_KINDS,
     TRACK_BEAM,
     TerrainSpec,
-    TrackError,
     TrackSpec,
     gen_terrain,
     gen_track,
@@ -220,15 +213,9 @@ def _fmt_floats(values: Iterable[float]) -> list[str]:
 
 def _load_rasters(dem_path: str, geoid_path: str | None):
     """The DEM and the optional geoid, which must share the DEM's CRS."""
-    dem_path = Path(dem_path)
-    if not dem_path.exists():
-        raise DataError(f"DEM not found: {dem_path}")
     dem = load_raster(dem_path, "dem")
     geoid = None
     if geoid_path:
-        geoid_path = Path(geoid_path)
-        if not geoid_path.exists():
-            raise DataError(f"geoid raster not found: {geoid_path}")
         geoid = load_raster(geoid_path, "geoid")
         check_crs(geoid.crs_tag, dem.crs_tag, context="geoid vs DEM")
     return dem, geoid
@@ -426,43 +413,42 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     dem, geoid = _load_rasters(cfg.dem_path, cfg.geoid_path)
 
     with corrected_path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            if reader.fieldnames is None:
-                raise DataError(f"{corrected_path}: empty file")
-            needed = set(CORRECTED_EXTRA_COLUMNS) | {"x", "y", "elev_lowestmode"}
-            missing = needed - set(reader.fieldnames)
-            if missing:
-                raise DataError(
-                    f"{corrected_path}: missing columns: {', '.join(sorted(missing))}"
-                )
-            records = list(reader)
-        except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
-            raise DataError(f"{corrected_path}: line {reader.reader.line_num}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{corrected_path}: undecodable text after line {reader.reader.line_num}: {exc}") from exc
-    if not records:
+        table, stats = parse_footprints(fh, source=str(corrected_path))
+    header, cells = table.cells
+    missing = [c for c in CORRECTED_EXTRA_COLUMNS if c not in header]
+    if missing:
+        raise DataError(f"{corrected_path}: missing columns: {', '.join(missing)}")
+    # the k-th-row rule below pairs rows by position, so none may be dropped
+    if stats.n_dropped_na or stats.n_dropped_bad_numeric:
+        raise DataError(
+            f"{corrected_path}: {stats.n_dropped_na} NA rows and "
+            f"{stats.n_dropped_bad_numeric} unparseable rows that correct would drop"
+        )
+    if not cells:
         raise DataError(f"{corrected_path}: no data rows")
-
+    col = {c: header.index(c) for c in CORRECTED_EXTRA_COLUMNS}
     try:
-        columns = ("x", "y", "x_corrected", "y_corrected", "elev_lowestmode", "dx_m", "dy_m")
-        x, y, xc, yc, elev, dx, dy = (np.array([float(r[c]) for r in records]) for c in columns)
+        xc, yc, dx, dy = (
+            np.array([float(row[col[c]]) for row in cells])
+            for c in ("x_corrected", "y_corrected", "dx_m", "dy_m")
+        )
     except ValueError as exc:
         raise DataError(f"{corrected_path}: unparseable numeric field: {exc}") from exc
+    x, y, elev = table.x, table.y, table.elev_lowestmode
 
     # the k-th row of every (method, metric) combination is one footprint
     combos: dict[tuple[str, str], list[int]] = {}
-    for i, rec in enumerate(records):
-        combos.setdefault((rec["method"], rec["metric"]), []).append(i)
+    for i, row in enumerate(cells):
+        combos.setdefault((row[col["method"]], row[col["metric"]]), []).append(i)
     if len({len(idx) for idx in combos.values()}) > 1:
         counts = ", ".join(f"{m}/{k} {len(idx)}" for (m, k), idx in combos.items())
         raise DataError(
             f"{corrected_path}: (method, metric) combinations have different row counts: {counts}"
         )
     first = next(iter(combos.values()))
-    keys = [records[i]["group_key"] for i in first]
+    keys = [cells[i][col["group_key"]] for i in first]
     for (method, metric), idx in combos.items():
-        if [records[i]["group_key"] for i in idx] != keys:
+        if [cells[i][col["group_key"]] for i in idx] != keys:
             raise DataError(f"{corrected_path}: group_key differs row by row in {method}/{metric}")
 
     if geoid is not None:
@@ -512,14 +498,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    # ValueError covers FootprintError, MetricError and TrackError;
     # BrokenExecutor: a worker process of --workers died
-    except (DataError, RasterError, FootprintError, MetricError, TrackError, BrokenExecutor) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DATA
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DATA
-    except ValueError as exc:
+    except (DataError, RasterError, BrokenExecutor, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
 

@@ -49,6 +49,9 @@ class TerrainSpec:
             raise ValueError(f"unknown terrain kind {self.kind!r}; expected one of {TERRAIN_KINDS}")
         if self.n_rows < 1 or self.n_cols < 1:
             raise ValueError("terrain dimensions must be positive")
+        for name in ("cell_size", "relief"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.cell_size <= 0:
             raise ValueError("cell_size must be positive")
         if self.relief < 0:
@@ -68,6 +71,9 @@ class TrackSpec:
     def __post_init__(self) -> None:
         if self.n_footprints < 3:
             raise ValueError("a track needs at least 3 footprints")
+        for name in ("spacing", "heading", "noise_sd", "planted_dx", "planted_dy"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.spacing <= 0:
             raise ValueError("spacing must be positive")
         if self.noise_sd < 0:

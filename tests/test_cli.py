@@ -106,8 +106,27 @@ def test_missing_required_inputs_is_usage_error(tmp_path, capsys):
 
 def test_missing_file_is_data_error(tmp_path, capsys):
     dem, fps, _ = write_flat_scene(tmp_path)
-    rc = run(["correct", "--dem", tmp_path / "nope.tif", "--footprints", fps, "--out", tmp_path / "o"])
+    missing = tmp_path / "nope.tif"
+    rc = run(["correct", "--dem", missing, "--footprints", fps, "--out", tmp_path / "o"])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: dem file not found: {missing}\n", err
+
+
+@pytest.mark.parametrize("command", ["correct", "evaluate"])
+def test_missing_geoid_is_data_error(tmp_path, capsys, command):
+    dem, fps, _ = write_flat_scene(tmp_path)
+    if command == "evaluate":
+        assert run(["correct", "--dem", dem, "--footprints", fps, "--out", tmp_path / "run"]) == 0
+    inputs = (
+        ["--corrected", tmp_path / "run" / "corrected_grid_euclidean.csv"]
+        if command == "evaluate" else ["--footprints", fps]
+    )
+    missing = tmp_path / "nope.tif"
+    capsys.readouterr()
+    assert run([command, "--dem", dem, "--geoid", missing, *inputs, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: geoid file not found: {missing}\n", err
 
 
 @pytest.mark.parametrize("dem_kind", ["tif-scale-nan", "tif-scale-zero", "asc-inf-cell"])
@@ -610,6 +629,51 @@ def test_unreadable_csv_line_is_data_error_naming_file_and_line(tmp_path, capsys
     assert run([command, "--dem", dem, *inputs, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(expected) and err.count("\n") == 1, err
+
+
+def _cut_before_x_corrected(header, rows):
+    rows[-1] = rows[-1][:header.index("x_corrected")]
+
+
+def _repeat_dx(header, rows):
+    header.append("dx_m")
+    for row in rows:
+        row.append("0.0")
+
+
+def _na_beam(header, rows):
+    rows[1][header.index("beam")] = "NA"
+
+
+def _drop_beam(header, rows):
+    i = header.index("beam")
+    for cells in (header, *rows):
+        del cells[i]
+
+
+# each edit of a corrected CSV, and the text its error line must hold
+EVALUATE_MALFORMED = {
+    "row-cut-before-x_corrected": (_cut_before_x_corrected, "unparseable numeric field"),
+    "repeated-column": (_repeat_dx, "repeated column names: 'dx_m'"),
+    "na-in-required-column": (_na_beam, "1 NA rows"),
+    "missing-beam-column": (_drop_beam, "missing required columns: beam"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(EVALUATE_MALFORMED))
+def test_evaluate_malformed_csv_is_data_error_naming_file(tmp_path, capsys, defect):
+    edit, expected = EVALUATE_MALFORMED[defect]
+    dem, fps, _ = write_flat_scene(tmp_path)
+    assert run(["correct", "--dem", dem, "--footprints", fps, "--out", tmp_path / "run"]) == 0
+    corrected = tmp_path / "run" / "corrected_grid_euclidean.csv"
+    header, *rows = [line.split(",") for line in corrected.read_text().splitlines()]
+    edit(header, rows)
+    corrected.write_text("\n".join(",".join(cells) for cells in [header, *rows]) + "\n")
+    capsys.readouterr()
+    assert run(["evaluate", "--corrected", corrected, "--dem", dem, "--out", tmp_path / "eval"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {corrected}: ") and err.count("\n") == 1, err
+    assert expected in err, err
 
 
 @pytest.mark.parametrize("command", ["correct", "bench", "evaluate"])

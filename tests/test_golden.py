@@ -116,3 +116,30 @@ def test_golden_outputs_are_byte_identical(tmp_path, monkeypatch):
         f"golden outputs differ: changed {changed}, missing {missing}, new {extra}; "
         f"digests recorded with numpy {recorded['numpy']}, running numpy {np.__version__}"
     )
+
+
+if __name__ == "__main__":
+    # Rewrite golden/digests.json from a fresh run, for a change that alters
+    # outputs on purpose, and list what changed: `python tests/test_golden.py`
+    # with the package importable (installed, or PYTHONPATH=src).
+    import logging
+    import os
+    import tempfile
+
+    logging.basicConfig(level=logging.WARNING)
+    want = json.loads(DIGESTS_PATH.read_text())["sha256"]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            got = run_golden()
+        finally:
+            os.chdir(cwd)
+    DIGESTS_PATH.write_text(json.dumps({"numpy": np.__version__, "sha256": got}, indent=2) + "\n")
+    print(f"wrote {DIGESTS_PATH} with numpy {np.__version__}")
+    for label, names in (
+        ("changed", sorted(k for k in want.keys() & got.keys() if want[k] != got[k])),
+        ("missing", sorted(want.keys() - got.keys())),
+        ("new", sorted(got.keys() - want.keys())),
+    ):
+        print(f"{label}: {len(names)}", *names, sep="\n  ")

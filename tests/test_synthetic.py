@@ -63,6 +63,13 @@ def test_terrain_spec_validation():
         TerrainSpec(kind="flat", relief=-5.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["cell_size", "relief"])
+def test_terrain_spec_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        TerrainSpec(kind="flat", **{field: value})
+
+
 def test_track_on_flat_terrain_reads_100():
     terrain = gen_terrain(TerrainSpec(kind="flat", n_rows=120, n_cols=120, cell_size=2.0))
     group = gen_track(terrain, TrackSpec(n_footprints=5, spacing=30.0, heading=10.0, seed=2))
@@ -98,6 +105,13 @@ def test_track_spec_validation():
         TrackSpec(spacing=0.0)
     with pytest.raises(ValueError):
         TrackSpec(planted_dx=26.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["spacing", "heading", "noise_sd", "planted_dx", "planted_dy"])
+def test_track_spec_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        TrackSpec(**{field: value})
 
 
 def test_plant_offset_zero_is_identity():
