@@ -37,12 +37,21 @@ DEFAULT_RADIUS_M = 12.5  # footprint buffer radius
 DEFAULT_GRID_STEP_M = 5.0
 
 
+def _check_finite(settings: Any) -> None:
+    """Raise ValueError naming the first float field of `settings` that is NaN or infinite."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Bounds:
     max_abs_dx: float = DEFAULT_WINDOW_M
     max_abs_dy: float = DEFAULT_WINDOW_M
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.max_abs_dx <= 0 or self.max_abs_dy <= 0:
             raise ValueError("bounds must be positive")
 
@@ -61,6 +70,7 @@ class QualityRules:
     outlier_k: float = 2.0
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not self.min_elev < self.max_elev:
             raise ValueError("min_elev must be below max_elev")
         if self.outlier_window % 2 == 0 or self.outlier_window < 3:
@@ -80,6 +90,7 @@ class LbfgsbConfig:
     history: int = 10
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if self.tol <= 0:
@@ -104,6 +115,7 @@ class GaConfig:
     elitism: int = 1
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.pop < 2 or self.generations < 1 or self.tournament_size < 1:
             raise ValueError("population, generations and tournament size must be positive")
         if not (0.0 <= self.crossover_rate <= 1.0 and 0.0 <= self.mutation_rate <= 1.0):
@@ -123,6 +135,7 @@ class PsoConfig:
     inertia: float = 0.5
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.swarm < 1 or self.iterations < 1:
             raise ValueError("swarm and iterations must be positive")
         if self.cognitive < 0 or self.social < 0 or self.inertia < 0:
@@ -138,6 +151,7 @@ class OptimizerConfig:
     pso: PsoConfig = field(default_factory=PsoConfig)
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.grid_step <= 0:
             raise ValueError("grid_step must be positive")
 
@@ -168,8 +182,8 @@ class RunConfig:
             for name in names:
                 if name not in known:
                     raise ConfigError(f"{key}: unknown name {name!r}; expected one of {known}")
-        if self.radius <= 0:
-            raise ConfigError("radius: must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ConfigError(f"radius: must be finite and positive, got {self.radius!r}")
         if self.workers < 1:
             raise ConfigError("workers: must be >= 1")
 

@@ -35,7 +35,10 @@ class Objective:
     """Objective f(dx, dy) of one shot group, with a vectorized batch path.
 
     batch() scores many candidate displacements in one raster pass; its
-    per-row results are bitwise-identical to scalar calls.
+    per-row results are bitwise-identical to scalar calls. Asked for, it
+    also gives each displacement's slack: a distance the displacement can
+    move with the same value bits, the least slack of its footprints'
+    buffer centers (see `aggregate_buffer_points`).
     """
 
     def __init__(
@@ -47,8 +50,8 @@ class Objective:
         agg: AggregationKind = AggregationKind.MEAN,
     ) -> None:
         self.metric = MetricKind(metric)
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError(f"radius must be finite and positive, got {radius!r}")
         n = len(group)
         if n < 1:
             raise ValueError(f"group {group.key}: empty group has no objective")
@@ -66,7 +69,9 @@ class Objective:
     def __call__(self, dx: float, dy: float) -> float:
         return float(self.batch(np.array([[dx, dy]], dtype=np.float64))[0])
 
-    def batch(self, points: np.ndarray) -> np.ndarray:
+    def batch(self, points: np.ndarray, slack: np.ndarray | None = None) -> np.ndarray:
+        """Values of the (m, 2) `points`; `slack`, if given, an (m,) array
+        that receives each point's slack."""
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != 2:
             raise ValueError("points must have shape (m, 2)")
@@ -75,8 +80,11 @@ class Objective:
             return np.zeros(0, dtype=np.float64)
         shifted_x = (self.xs[np.newaxis, :] + points[:, 0:1]).ravel()
         shifted_y = (self.ys[np.newaxis, :] + points[:, 1:2]).ravel()
-        refs = aggregate_buffer_points(self.dem, shifted_x, shifted_y, self.radius, self.agg)
+        center_slack = None if slack is None else np.empty(shifted_x.shape[0])
+        refs = aggregate_buffer_points(self.dem, shifted_x, shifted_y, self.radius, self.agg, center_slack)
         refs = refs.reshape(m, self.n_footprints)
+        if slack is not None:
+            np.min(center_slack.reshape(m, self.n_footprints), axis=1, out=slack)
         n_nodata = np.sum(~np.isfinite(refs), axis=1)
         out = np.empty(m, dtype=np.float64)
         clean = n_nodata == 0
@@ -102,24 +110,51 @@ class _Tracker:
     """Wrap an objective to count evaluations and track the in-bounds best.
 
     Ties never displace an earlier best, so every solver inherits
-    first-wins determinism from its own evaluation order.
+    first-wins determinism from its own evaluation order. With `memo` and
+    an `Objective`, every scored point is remembered with its slack and
+    value, and a later point within an earlier one's slack takes that
+    value (the same bits) unscored. `n` counts the points actually scored.
     """
 
-    def __init__(self, f: Callable, bounds: Bounds) -> None:
+    def __init__(self, f: Callable, bounds: Bounds, memo: bool = False) -> None:
         self._f = f
         self._batch = getattr(f, "batch", None)
         self.bounds = bounds
         self.n = 0
         self.best_f = math.inf
         self.best_x = (0.0, 0.0)
+        # one column per scored point: x, y, squared slack (-1 where the slack
+        # is not positive) and value; a plain callable reports no slack
+        self._memo = np.empty((4, 0)) if memo and isinstance(f, Objective) else None
+
+    def _score(self, points: np.ndarray) -> np.ndarray:
+        self.n += points.shape[0]
+        if self._batch is not None:
+            return np.asarray(self._batch(points), dtype=np.float64)
+        return np.array([self._f(float(p[0]), float(p[1])) for p in points])
+
+    def _recall_or_score(self, points: np.ndarray) -> np.ndarray:
+        memo = self._memo
+        m = points.shape[0]
+        values = np.empty(m)
+        hit = np.zeros(m, dtype=bool)
+        if memo.shape[1]:
+            near = (points[:, 0:1] - memo[0]) ** 2 + (points[:, 1:2] - memo[1]) ** 2 <= memo[2]
+            first = near.argmax(axis=1)  # the earliest near point, 0 if none
+            hit = near[np.arange(m), first]
+            values[hit] = memo[3, first[hit]]
+        miss = points[~hit]
+        if miss.shape[0]:
+            slack = np.empty(miss.shape[0])
+            self.n += miss.shape[0]
+            values[~hit] = self._batch(miss, slack=slack)
+            reach = np.where(slack > 0, slack * slack, -1.0)
+            self._memo = np.concatenate([memo, np.vstack([miss.T, reach, values[~hit]])], axis=1)
+        return values
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
-        if self._batch is not None:
-            values = np.asarray(self._batch(points), dtype=np.float64)
-        else:
-            values = np.array([self._f(float(p[0]), float(p[1])) for p in points])
-        self.n += points.shape[0]
+        values = self._score(points) if self._memo is None else self._recall_or_score(points)
         in_bounds = (np.abs(points[:, 0]) <= self.bounds.max_abs_dx) & (
             np.abs(points[:, 1]) <= self.bounds.max_abs_dy
         )
@@ -179,20 +214,26 @@ def optimize_lbfgsb(
 ) -> DisplacementSolution:
     """Bound-constrained quasi-Newton descent with finite-difference gradients.
 
-    Each iterate (x, y) costs one batched call of 5 evaluations, in the
-    order (x, y), (x+h, y), (x-h, y), (x, y+h), (x, y-h): the value and the
-    four probes of a two-sided difference gradient. `evaluations` counts the
-    gradient probes. The returned point is the best in-bounds evaluation
-    across all starts, probes included (the best iterate even without
-    convergence). The objective is piecewise constant at raster-cell
-    granularity, so the default differencing step spans at least one cell
-    to recover a usable secant slope.
+    Each iterate (x, y) needs 5 values, in the order (x, y), (x+h, y),
+    (x-h, y), (x, y+h), (x, y-h): the value and the four probes of a
+    two-sided difference gradient. The returned point is the best in-bounds
+    probe across all starts (the best iterate even without convergence).
+    The objective is piecewise constant at raster-cell granularity, so the
+    default differencing step spans at least one cell to recover a usable
+    secant slope.
+
+    The line search often stalls on that surface, probing points a
+    micrometre apart. So an `Objective` reports each scored point's slack,
+    and one memo per call, shared by the starts, gives a probe within an
+    earlier point's slack that point's value: the same bits, so the
+    trajectory and the result are unchanged. `evaluations` counts the
+    points actually scored.
     """
     from scipy.optimize import minimize  # deferred: costs most of `import terralign`
 
     cfg = cfg or OptimizerConfig()
     lb = cfg.lbfgsb
-    tracker = _Tracker(f, bounds)
+    tracker = _Tracker(f, bounds, memo=True)
     h = lb.fd_step if lb.fd_step is not None else max(getattr(f, "cell_size", 1.0), 1.0)
     starts = five_point_starts(bounds) if lb.starts == 5 else [(0.0, 0.0)]
 

@@ -42,6 +42,18 @@ class AggregationKind(str, Enum):
 # computed independently of the chunking, so this trades only speed and memory.
 _CHUNK_ELEMENTS = 65_536
 
+# Taken off every slack that `aggregate_buffer_points` reports, to cover the
+# rounding between a moved center and the kernel's view of it. With center
+# and origin coordinates up to _SLACK_COORD_LIMIT_M in magnitude (so
+# |x - origin| < 2**25 m), each rounding of a coordinate, of an anchor
+# fraction (in metres) or of a cell-centre offset is at most half an ulp of
+# 2**25 m, 1.9e-9 m; those of the squared distances and their roots are
+# relative, under 1e-15. Fewer than ten roundings separate two centers'
+# views, so they differ by less than 2e-8 m, 1/50 of the margin. A center
+# beyond the limit, or any center on a grid whose origin is, gets slack -inf.
+SLACK_MARGIN_M = 1e-6
+_SLACK_COORD_LIMIT_M = 1e7
+
 
 @dataclass
 class RasterGrid:
@@ -125,6 +137,7 @@ def aggregate_buffer_points(
     ys: np.ndarray,
     radius: float,
     agg: AggregationKind = AggregationKind.MEAN,
+    slack: np.ndarray | None = None,
 ) -> np.ndarray:
     """Circular-buffer aggregation for many centers at once.
 
@@ -140,6 +153,13 @@ def aggregate_buffer_points(
         xs, ys: 1-D arrays of buffer center coordinates (m).
         radius: buffer radius (m), > 0.
         agg: statistic over member cells.
+        slack: optional float64 array of the same length, filled with each
+            center's slack: a distance (m) it can move in any direction
+            with the same result bits, because neither its anchor cell nor
+            any stencil cell's in/out state changes. It is the least of the
+            distances to the anchor cell's edges and of |d - radius| over
+            the stencil's on-grid cell centres at distance d, less
+            SLACK_MARGIN_M; not positive when no move is safe.
 
     Returns:
         float64 array of the same length; NaN marks empty buffers.
@@ -158,8 +178,13 @@ def aggregate_buffer_points(
     for start in range(0, xs.shape[0], chunk):
         stop = min(start + chunk, xs.shape[0])
         out[start:stop] = _buffer_stats_chunk(
-            grid, xs[start:stop], ys[start:stop], radius, agg, stencil
+            grid, xs[start:stop], ys[start:stop], radius, agg, stencil,
+            None if slack is None else slack[start:stop],
         )
+    if slack is not None:
+        slack[(np.abs(xs) > _SLACK_COORD_LIMIT_M) | (np.abs(ys) > _SLACK_COORD_LIMIT_M)] = -np.inf
+        if max(abs(grid.origin_x), abs(grid.origin_y)) > _SLACK_COORD_LIMIT_M:
+            slack[:] = -np.inf
     return out
 
 
@@ -244,6 +269,7 @@ def _buffer_stats_chunk(
     radius: float,
     agg: AggregationKind,
     stencil: _StencilPlan,
+    slack: np.ndarray | None,
 ) -> np.ndarray:
     c0 = np.floor((xs - grid.origin_x) / grid.cell_size_x).astype(np.int64)
     r0 = np.floor((ys - grid.origin_y) / grid.cell_size_y).astype(np.int64)
@@ -268,6 +294,19 @@ def _buffer_stats_chunk(
         ddy, stencil.ddy_rows, axis=0, mode="clip", out=_scratch_array("vals", shape_t, np.float64)
     )
     within = (dist <= radius * radius).T
+    if slack is not None:
+        # fractions of the anchor cell, from the same quotients as c0 and r0;
+        # `dist` is free from here on: turn it into |d - radius| in place
+        fu = (xs - grid.origin_x) / grid.cell_size_x - c0
+        fv = (ys - grid.origin_y) / grid.cell_size_y - r0
+        np.minimum(fu, 1.0 - fu, out=fu)
+        np.minimum(fv, 1.0 - fv, out=fv)
+        np.minimum(fu * grid.cell_size_x, fv * abs(grid.cell_size_y), out=slack)
+        np.sqrt(dist, out=dist)
+        dist -= radius
+        np.abs(dist, out=dist)
+        np.minimum(slack, dist.min(axis=0), out=slack)
+        slack -= SLACK_MARGIN_M
 
     # masked-out slots may gather any cell; `within` drops them
     shape = shape_t[::-1]

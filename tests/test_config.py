@@ -1,12 +1,18 @@
 """Config file parsing, validation, and round-tripping."""
 
 import argparse
+import math
+from dataclasses import fields
+from typing import get_args, get_type_hints
 
 import pytest
 
 from terralign import ConfigError, RunConfig
 from terralign.cli import build_parser, main
-from terralign.config import Bounds, QualityRules, config_from_dict, config_keys, dump_config, parse_toml
+from terralign.config import (
+    Bounds, GaConfig, LbfgsbConfig, OptimizerConfig, PsoConfig, QualityRules,
+    config_from_dict, config_keys, dump_config, parse_toml,
+)
 from terralign.raster import AggregationKind
 
 
@@ -299,3 +305,28 @@ def test_text_that_is_not_toml_is_usage_error(tmp_path, capsys, name):
 def test_dump_config_escapes_what_toml_strings_forbid(path):
     cfg = RunConfig(dem_path=path, geoid_path=path + path)
     assert config_from_dict(parse_toml(dump_config(cfg))) == cfg
+
+
+def _float_fields(cls):
+    hints = get_type_hints(cls)
+    return [(cls, f.name) for f in fields(cls) if float in (hints[f.name], *get_args(hints[f.name]))]
+
+
+FLOAT_SETTINGS = [
+    pair
+    for cls in (Bounds, QualityRules, LbfgsbConfig, GaConfig, PsoConfig, OptimizerConfig)
+    for pair in _float_fields(cls)
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, name", FLOAT_SETTINGS, ids=[f"{c.__name__}.{n}" for c, n in FLOAT_SETTINGS])
+def test_settings_reject_non_finite(cls, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("radius", [0.0, math.nan, math.inf])
+def test_run_config_rejects_bad_radius(radius):
+    with pytest.raises(ConfigError, match="^radius: must be finite and positive"):
+        RunConfig(radius=radius).validate()

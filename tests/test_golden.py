@@ -6,9 +6,11 @@ quoted cell holding a comma, an NA row, one group cut below
 MIN_GROUP_SIZE and one raised 100 m above the DEM so `max_dem_diff`
 empties it. `correct` runs grid, GA and PSO x euclidean, area and
 correlation on the ASCII DEM, and on a GeoTIFF copy of it with a ramp
-geoid, at 1 and 2 workers; `evaluate` runs on each scene's joined
+geoid, at 1 and 2 workers, and 5-start L-BFGS-B x euclidean and area once
+per scene; `evaluate` runs on each scene's joined grid, GA and PSO
 corrected CSVs. Every output's sha256 must equal the digest recorded in
-`golden/digests.json`.
+`golden/digests.json`, beside the numpy and scipy versions it was
+recorded with.
 
 Paths are relative to the run directory, so `effective_config.toml` is
 the same wherever the test runs.
@@ -19,6 +21,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from terralign import RasterGrid, load_raster, write_raster
 from terralign.cli import main
@@ -35,6 +38,7 @@ SOLVE = [
     "--methods", "grid,ga,pso", "--metrics", "euclidean,area,correlation", "--seed", "7",
     "--ga-pop", "8", "--ga-generations", "3", "--pso-swarm", "8", "--pso-iterations", "3",
 ]
+LBFGSB = ["--methods", "lbfgsb", "--lbfgsb-starts", "5", "--metrics", "euclidean,area"]
 # DEM (and geoid) flags of each golden scene
 SCENES = {
     "asc": ["--dem", "scene/terrain.asc"],
@@ -91,6 +95,8 @@ def run_golden() -> dict[str, str]:
             argv = ["correct", *dem_flags, "--footprints", "scene/edited.csv",
                     "--out", f"{name}_w{workers}", "--workers", str(workers), *SOLVE]
             assert main(argv) == 0, argv
+        argv = ["correct", *dem_flags, "--footprints", "scene/edited.csv", "--out", f"{name}_lbfgsb", *LBFGSB]
+        assert main(argv) == 0, argv
         corrected = sorted(Path(f"{name}_w1").glob("corrected_*.csv"))
         header = corrected[0].read_text().splitlines()[0]
         joined = [header] + [line for p in corrected for line in p.read_text().splitlines()[1:]]
@@ -114,7 +120,8 @@ def test_golden_outputs_are_byte_identical(tmp_path, monkeypatch):
     extra = sorted(got.keys() - want.keys())
     assert not (changed or missing or extra), (
         f"golden outputs differ: changed {changed}, missing {missing}, new {extra}; "
-        f"digests recorded with numpy {recorded['numpy']}, running numpy {np.__version__}"
+        f"digests recorded with numpy {recorded['numpy']} and scipy {recorded['scipy']}, "
+        f"running numpy {np.__version__} and scipy {scipy.__version__}"
     )
 
 
@@ -135,8 +142,9 @@ if __name__ == "__main__":
             got = run_golden()
         finally:
             os.chdir(cwd)
-    DIGESTS_PATH.write_text(json.dumps({"numpy": np.__version__, "sha256": got}, indent=2) + "\n")
-    print(f"wrote {DIGESTS_PATH} with numpy {np.__version__}")
+    versions = {"numpy": np.__version__, "scipy": scipy.__version__}
+    DIGESTS_PATH.write_text(json.dumps({**versions, "sha256": got}, indent=2) + "\n")
+    print(f"wrote {DIGESTS_PATH} with numpy {np.__version__} and scipy {scipy.__version__}")
     for label, names in (
         ("changed", sorted(k for k in want.keys() & got.keys() if want[k] != got[k])),
         ("missing", sorted(want.keys() - got.keys())),

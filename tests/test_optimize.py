@@ -312,8 +312,9 @@ def test_objective_flat_dem_is_zero_everywhere():
 def test_objective_rejects_bad_arguments():
     dem = flat_grid(16)
     group = make_group([5.0, 6.0], [5.0, 5.0], [100.0] * 2)
-    with pytest.raises(ValueError, match="radius"):
-        Objective(group, dem, radius=0.0)
+    for radius in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^radius must be finite and positive"):
+            Objective(group, dem, radius=radius)
     with pytest.raises(ValueError, match="empty group"):
         Objective(make_group([], [], []), dem)
     with pytest.raises(ValueError, match="correlation"):
@@ -416,7 +417,9 @@ def scalar_probe_lbfgsb(f, cfg, bounds=Bounds()):
 
 def test_lbfgsb_batched_probes_match_scalar_paths():
     """One 5-row batch per iterate gives the bits of five scalar calls, both
-    through the tracker's fallback and against the scalar-probe reference."""
+    through the tracker's fallback and against the scalar-probe reference.
+    The Objective's slack memo scores fewer of those points, with the same
+    result."""
     for seed, planted in ((11, (8.0, -3.0)), (5, (-14.0, 9.0)), (23, (2.5, 17.0))):
         terrain, group = planted_scene(seed=seed, planted=planted)
         f = Objective(group, terrain, metric=MetricKind.EUCLIDEAN)
@@ -424,11 +427,51 @@ def test_lbfgsb_batched_probes_match_scalar_paths():
         scalar.cell_size = f.cell_size
         for starts in (1, 5):
             cfg = OptimizerConfig(lbfgsb=LbfgsbConfig(starts=starts))
-            got = [
-                (s.dx, s.dy, s.objective_value, s.evaluations, s.converged)
-                for s in (optimize_lbfgsb(f, cfg=cfg), optimize_lbfgsb(scalar, cfg=cfg))
-            ]
-            assert got[0] == got[1] == scalar_probe_lbfgsb(f, cfg)
+            dx, dy, value, probes, converged = scalar_probe_lbfgsb(f, cfg)
+            s = optimize_lbfgsb(scalar, cfg=cfg)
+            assert (s.dx, s.dy, s.objective_value, s.evaluations, s.converged) == (dx, dy, value, probes, converged)
+            s = optimize_lbfgsb(f, cfg=cfg)
+            assert (s.dx, s.dy, s.objective_value, s.converged) == (dx, dy, value, converged)
+            assert s.evaluations < probes
+
+
+class ScoredCount(Objective):
+    """An Objective that counts the points it scores."""
+
+    scored = 0
+
+    def batch(self, points, slack=None):
+        self.scored += len(points)
+        return super().batch(points, slack)
+
+
+class BatchOnly:
+    """An objective's `batch` and `cell_size` alone: no slack, so no memo."""
+
+    def __init__(self, f):
+        self.batch = lambda points: f.batch(points)
+        self.cell_size = f.cell_size
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "area", "correlation"])
+def test_lbfgsb_slack_memo_keeps_the_result(metric):
+    """The memo changes only how many points are scored: the best point, its
+    value and the convergence flag equal an unmemoized run's."""
+    scored = unmemoized = 0
+    for seed, planted in ((3, (6.0, 4.0)), (17, (-9.0, -12.0)), (29, (15.0, -1.5))):
+        terrain, group = planted_scene(seed=seed, planted=planted)
+        for starts in (1, 5):
+            cfg = OptimizerConfig(lbfgsb=LbfgsbConfig(starts=starts))
+            f = ScoredCount(group, terrain, metric=metric)
+            memo = optimize_lbfgsb(f, cfg=cfg)
+            plain = optimize_lbfgsb(BatchOnly(Objective(group, terrain, metric=metric)), cfg=cfg)
+            assert (memo.dx, memo.dy, memo.objective_value, memo.converged) == (
+                plain.dx, plain.dy, plain.objective_value, plain.converged
+            )
+            assert memo.evaluations == f.scored <= plain.evaluations
+            scored += memo.evaluations
+            unmemoized += plain.evaluations
+    assert scored < unmemoized
 
 
 def test_correct_group_skips_undersized():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from terralign import CrsMismatchError, RasterFormatError, RasterGrid, load_raster, write_raster
+from terralign.config import DEFAULT_RADIUS_M
 from terralign.raster import AggregationKind, aggregate_buffer_points, check_crs, sample_points
 from terralign import esri_ascii, raster
 from terralign.geotiff import read_geotiff, write_geotiff
@@ -282,6 +283,68 @@ def test_all_off_grid_batch_is_all_nan():
     ys = np.array([2.0, 2.0, -1e9, 1e9, -5.0])
     for agg in AggregationKind:
         assert np.isnan(aggregate_buffer_points(grid, xs, ys, 3.0, agg)).all()
+
+
+def exact_event_distance(grid, x, y, radius):
+    """Distance from (x, y) to the nearest edge of its anchor cell or to the
+    nearest move that carries an on-grid cell centre across the radius, by a
+    loop over every cell of the window around the anchor cell."""
+    u = (x - grid.origin_x) / grid.cell_size_x
+    v = (y - grid.origin_y) / grid.cell_size_y
+    c0, r0 = math.floor(u), math.floor(v)
+    best = min(min(u - c0, c0 + 1 - u) * grid.cell_size_x, min(v - r0, r0 + 1 - v) * abs(grid.cell_size_y))
+    kx = math.ceil(radius / grid.cell_size_x) + 1
+    ky = math.ceil(radius / abs(grid.cell_size_y)) + 1
+    for r in range(max(r0 - ky, 0), min(r0 + ky + 1, grid.n_rows)):
+        for c in range(max(c0 - kx, 0), min(c0 + kx + 1, grid.n_cols)):
+            cx = grid.origin_x + (c + 0.5) * grid.cell_size_x
+            cy = grid.origin_y + (r + 0.5) * grid.cell_size_y
+            best = min(best, abs(math.hypot(cx - x, cy - y) - radius))
+    return best
+
+
+@pytest.mark.parametrize("agg", list(AggregationKind))
+@pytest.mark.parametrize("origin", [(0.0, 0.0), (500_000.0, 4_500_000.0)], ids=["origin0", "utm"])
+@pytest.mark.parametrize("cell", [4.0, 10.0, 30.0])
+def test_buffer_slack_is_safe_and_tight(rng, cell, origin, agg):
+    """Moves shorter than a center's slack keep the result bits, and the
+    slack lies between half the exact event distance (less the margin) and
+    that distance, on a grid with a nodata patch, at and over its edge."""
+    values = rng.normal(100.0, 5.0, (30, 30))
+    values[10:16, 4:12] = np.nan
+    grid = RasterGrid(origin[0], origin[1] + 30 * cell, cell, -cell, values)
+    x0, y0, x1, y1 = grid.extent
+    n = 300
+    xs = np.concatenate([rng.uniform(x0 - 2 * cell, x1 + 2 * cell, n), [x0, x0 + 3 * cell, x0 + 3.5 * cell]])
+    ys = np.concatenate([rng.uniform(y0 - 2 * cell, y1 + 2 * cell, n), [y0 + 5.5 * cell, y1, y0 + 7.5 * cell]])
+    slack = np.empty(xs.size)
+    base = aggregate_buffer_points(grid, xs, ys, DEFAULT_RADIUS_M, agg, slack)
+
+    exact = np.array([exact_event_distance(grid, x, y, DEFAULT_RADIUS_M) for x, y in zip(xs, ys)])
+    assert (slack <= exact).all()
+    assert (slack >= exact / 2 - raster.SLACK_MARGIN_M).all()
+    assert (slack[-3:-1] <= 0).all()  # on a cell edge no move is safe
+
+    movable = np.flatnonzero(slack > 0)
+    assert movable.size > n // 2
+    reps = 8
+    idx = np.repeat(movable, reps)
+    angle = rng.uniform(0.0, 2.0 * math.pi, idx.size)
+    length = slack[idx] * np.where(np.arange(idx.size) % reps == 0, 1.0, rng.random(idx.size))
+    moved = aggregate_buffer_points(
+        grid, xs[idx] + length * np.cos(angle), ys[idx] + length * np.sin(angle), DEFAULT_RADIUS_M, agg
+    )
+    assert moved.tobytes() == base[idx].tobytes()
+
+
+def test_buffer_slack_beyond_coordinate_limit_is_never_safe():
+    grid = make_grid(np.ones((6, 5)), cell=4.0)
+    slack = np.empty(3)
+    aggregate_buffer_points(grid, np.array([2.0, 2.0, 2e7]), np.array([2.0, -2e7, 2.0]), 3.0, slack=slack)
+    assert slack[0] > 0 and (slack[1:] == -np.inf).all()
+    far = RasterGrid(2e7, 0.0, 4.0, -4.0, np.ones((6, 5)))
+    aggregate_buffer_points(far, np.array([2e7 + 2.0]), np.array([-2.0]), 3.0, slack=slack[:1])
+    assert slack[0] == -np.inf
 
 
 def test_stencil_offsets_cached_read_only():
