@@ -1,9 +1,9 @@
 """Command-line entry point: correct, evaluate, simulate and bench workflows.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error. Diagnostics go
-to stderr; machine-readable output only ever lands in files under --out.
-The `correct` reports blank the wall_time_s column so reruns with the same
-seed are byte-identical; `bench` keeps real timings.
+Exit codes: 0 success, 1 usage/config error, 2 data error or out of memory.
+Diagnostics go to stderr; machine-readable output only ever lands in files
+under --out. The `correct` reports blank the wall_time_s column so reruns
+with the same seed are byte-identical; `bench` keeps real timings.
 """
 
 from __future__ import annotations
@@ -237,15 +237,7 @@ def _load_pipeline(cfg: RunConfig):
             f"({parse_stats.n_dropped_na} NA rows, {parse_stats.n_dropped_bad_numeric} bad rows)"
         )
 
-    groups, stats = prepare_groups(
-        table,
-        dem,
-        geoid=geoid,
-        rules=cfg.quality,
-        radius=cfg.radius,
-        agg=cfg.agg,
-        footprint_crs=dem.crs_tag,
-    )
+    groups, stats = prepare_groups(table, dem, geoid=geoid, rules=cfg.quality, radius=cfg.radius, agg=cfg.agg)
     if stats.n_after_attach == 0:
         raise DataError(f"no footprints left after preprocessing; {stats.empty_stage()} removed the last row")
     return dem, groups, stats
@@ -502,6 +494,10 @@ def main(argv: list[str] | None = None) -> int:
     # BrokenExecutor: a worker process of --workers died
     except (DataError, RasterError, BrokenExecutor, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_DATA
+    except MemoryError as exc:  # a setting, such as a tiny --grid-step, that needs too large an array
+        reason = f": {exc}" if str(exc) else ""
+        sys.stderr.write(f"error: out of memory{reason}\n")
         return EXIT_DATA
 
 

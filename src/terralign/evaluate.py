@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,18 +59,19 @@ class OffsetSummary:
     n_groups: int
 
 
-def displacement_stats(solutions: Sequence) -> OffsetSummary:
+def displacement_stats(dx: Sequence[float], dy: Sequence[float]) -> OffsetSummary:
     """Mean/sd of per-group offsets and unsigned displacement magnitudes.
 
-    Sample (n-1) standard deviations; NaN marks statistics that are
-    undefined for fewer than 2 groups.
+    `dx[i]` and `dy[i]` are the offset of group i. Sample (n-1) standard
+    deviations; NaN marks statistics that are undefined for fewer than 2
+    groups.
     """
-    n = len(solutions)
+    n = len(dx)
     if n == 0:
         nan = math.nan
         return OffsetSummary(nan, nan, nan, nan, nan, nan, 0)
-    dxs = np.array([s.dx for s in solutions], dtype=np.float64)
-    dys = np.array([s.dy for s in solutions], dtype=np.float64)
+    dxs = np.asarray(dx, dtype=np.float64)
+    dys = np.asarray(dy, dtype=np.float64)
     disp = np.hypot(dxs, dys)
 
     def sd(v: np.ndarray) -> float:
@@ -113,11 +114,6 @@ class Combination:
     wall_time_s: float = math.nan
 
 
-class _Offset(NamedTuple):
-    dx: float
-    dy: float
-
-
 def report_rows(
     group_keys: Sequence[str],
     elev: np.ndarray,
@@ -148,7 +144,7 @@ def report_rows(
     original = OffsetSummary(*[math.nan] * 6, len(members))
     entries = [(ORIGINAL_LABEL, "", ref_before, original, math.nan)]
     for c in combinations:
-        offsets = displacement_stats([_Offset(c.dx[i], c.dy[i]) for i in solved])
+        offsets = displacement_stats(c.dx[solved], c.dy[solved])
         entries.append((c.method, c.metric, c.ref_after, offsets, c.wall_time_s))
     return [
         ReportRow(method, metric, mae(elev[keep], ref[keep]), offsets, n_kept, wall)

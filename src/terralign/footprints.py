@@ -257,7 +257,9 @@ def filter_quality(table: FootprintTable, rules: QualityRules) -> FootprintTable
     return table.take(keep)
 
 
-def flag_rolling_outliers(series: Sequence[float], window: int = 7, k: float = 2.0) -> np.ndarray:
+def flag_rolling_outliers(
+    series: Sequence[float], window: int = QualityRules.outlier_window, k: float = QualityRules.outlier_k
+) -> np.ndarray:
     """Flag elements deviating more than k local standard deviations.
 
     The window of `window` consecutive elements is centered at each index
@@ -296,9 +298,7 @@ def flag_rolling_outliers(series: Sequence[float], window: int = 7, k: float = 2
     return mask
 
 
-def apply_geoid(
-    table: FootprintTable, geoid: RasterGrid | None, footprint_crs: str = ""
-) -> FootprintTable:
+def apply_geoid(table: FootprintTable, geoid: RasterGrid | None) -> FootprintTable:
     """Set gedi_dem = elev_lowestmode minus the geoid undulation at (x, y).
 
     With no geoid grid, gedi_dem = elev_lowestmode. Footprints whose
@@ -306,7 +306,6 @@ def apply_geoid(
     """
     if geoid is None:
         return table.take(slice(None), gedi_dem=table.elev_lowestmode)
-    check_crs(geoid.crs_tag, footprint_crs, context="geoid vs footprints")
     und = sample_points(geoid, table.x, table.y)
     out = table.take(np.isfinite(und), gedi_dem=table.elev_lowestmode - und)
     n_dropped = len(table) - len(out)
@@ -315,19 +314,18 @@ def apply_geoid(
     return out
 
 
-def group_by_shot(table: FootprintTable, prefix_len: int = GROUP_PREFIX_LEN) -> list[ShotGroup]:
-    """Partition footprints by shot-number prefix, sorted by group key.
+def group_by_shot(table: FootprintTable) -> list[ShotGroup]:
+    """Partition footprints by their GROUP_PREFIX_LEN-character shot-number
+    prefix, sorted by group key.
 
     Input order is preserved within each group.
     """
-    if prefix_len < 1:
-        raise ValueError("prefix_len must be >= 1")
-    short = [s for s in table.shot_number if len(s) < prefix_len]
+    short = [s for s in table.shot_number if len(s) < GROUP_PREFIX_LEN]
     if short:
         raise FootprintError(
-            f"shot_number {short[0]!r} shorter than the {prefix_len}-character group prefix"
+            f"shot_number {short[0]!r} shorter than the {GROUP_PREFIX_LEN}-character group prefix"
         )
-    keys = np.array([s[:prefix_len] for s in table.shot_number], dtype=object)
+    keys = np.array([s[:GROUP_PREFIX_LEN] for s in table.shot_number], dtype=object)
     order = np.argsort(keys, kind="stable")
     ordered = table.take(order)
     unique, starts = np.unique(keys[order], return_index=True)
@@ -338,7 +336,9 @@ def group_by_shot(table: FootprintTable, prefix_len: int = GROUP_PREFIX_LEN) -> 
     ]
 
 
-def remove_outliers(group: ShotGroup, window: int = 7, k: float = 2.0) -> ShotGroup:
+def remove_outliers(
+    group: ShotGroup, window: int = QualityRules.outlier_window, k: float = QualityRules.outlier_k
+) -> ShotGroup:
     """Drop footprints flagged by the rolling window on gedi_dem."""
     mask = flag_rolling_outliers(group.gedi_dem, window, k)
     return ShotGroup(key=group.key, table=group.table.take(~mask))
@@ -349,17 +349,13 @@ def attach_reference(
     dem: RasterGrid,
     radius: float = DEFAULT_RADIUS_M,
     agg: AggregationKind = AggregationKind.MEAN,
-    max_dem_diff: float = 50.0,
-    footprint_crs: str = "",
+    max_dem_diff: float = QualityRules.max_dem_diff,
 ) -> ShotGroup:
     """Attach buffer-aggregated DEM elevations at uncorrected positions.
 
     Footprints with a nodata reference or |gedi_dem - ref_elev| above
     max_dem_diff are dropped; the pruned group may be empty.
     """
-    check_crs(dem.crs_tag, footprint_crs, context="DEM vs footprints")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
     refs = aggregate_buffer_points(dem, group.x, group.y, radius, agg)
     keep = np.isfinite(refs) & (np.abs(group.gedi_dem - refs) <= max_dem_diff)
     return ShotGroup(key=group.key, table=group.table.take(keep, ref_elev=refs))
@@ -372,14 +368,19 @@ def prepare_groups(
     rules: QualityRules | None = None,
     radius: float = DEFAULT_RADIUS_M,
     agg: AggregationKind = AggregationKind.MEAN,
-    prefix_len: int = GROUP_PREFIX_LEN,
     footprint_crs: str = "",
 ) -> tuple[list[ShotGroup], PipelineStats]:
     """Run the full preprocessing pipeline and report per-stage counts.
 
-    Groups are returned regardless of size (including empty ones) so the
+    `footprint_crs` is the CRS tag of the footprint coordinates. The DEM's
+    and the geoid's tags are checked against it before the first stage, and
+    a mismatch raises CrsMismatchError; an empty tag matches any. Groups
+    are returned regardless of size (including empty ones) so the
     optimizer can account skips; callers enforce MIN_GROUP_SIZE.
     """
+    check_crs(dem.crs_tag, footprint_crs, context="DEM vs footprints")
+    if geoid is not None:
+        check_crs(geoid.crs_tag, footprint_crs, context="geoid vs footprints")
     rules = rules or QualityRules()
     stats = PipelineStats(n_input=len(table))
 
@@ -387,19 +388,16 @@ def prepare_groups(
     stats.n_after_quality = len(kept)
     logger.info("quality filters kept %d of %d footprints", len(kept), len(table))
 
-    kept = apply_geoid(kept, geoid, footprint_crs)
+    kept = apply_geoid(kept, geoid)
     stats.n_after_geoid = len(kept)
 
-    groups = group_by_shot(kept, prefix_len)
+    groups = group_by_shot(kept)
     stats.n_groups = len(groups)
 
     groups = [remove_outliers(g, rules.outlier_window, rules.outlier_k) for g in groups]
     stats.n_after_outliers = sum(len(g) for g in groups)
 
-    groups = [
-        attach_reference(g, dem, radius, agg, rules.max_dem_diff, footprint_crs)
-        for g in groups
-    ]
+    groups = [attach_reference(g, dem, radius, agg, rules.max_dem_diff) for g in groups]
     stats.n_after_attach = sum(len(g) for g in groups)
     stats.n_groups_ready = sum(1 for g in groups if len(g) >= MIN_GROUP_SIZE)
     logger.info(

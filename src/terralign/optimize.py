@@ -102,7 +102,6 @@ class DisplacementSolution:
     objective_value: float
     evaluations: int
     converged: bool
-    method: str
     skipped: bool = False
 
 
@@ -167,14 +166,13 @@ class _Tracker:
                 self.best_x = (float(points[i, 0]), float(points[i, 1]))
         return values
 
-    def solution(self, method: str, converged: bool) -> DisplacementSolution:
+    def solution(self, converged: bool) -> DisplacementSolution:
         return DisplacementSolution(
             dx=self.best_x[0],
             dy=self.best_x[1],
             objective_value=self.best_f,
             evaluations=self.n,
             converged=converged,
-            method=method,
         )
 
 
@@ -199,7 +197,7 @@ def grid_search(f: Callable, bounds: Bounds = Bounds(), step: float = DEFAULT_GR
         raise ValueError("step must not exceed the window size")
     tracker = _Tracker(f, bounds)
     tracker.batch(lattice_points(bounds, step))
-    return tracker.solution("grid", converged=True)
+    return tracker.solution(converged=True)
 
 
 def five_point_starts(bounds: Bounds) -> list[tuple[float, float]]:
@@ -265,7 +263,7 @@ def optimize_lbfgsb(
         # the convergence flag follows whichever start owns the current best
         if start_idx == 0 or tracker.best_f < best_before:
             converged = res.status == 0
-    return tracker.solution("lbfgsb", converged=converged)
+    return tracker.solution(converged=converged)
 
 
 def optimize_ga(
@@ -333,7 +331,7 @@ def optimize_ga(
         elite_idx = np.argsort(fit, kind="stable")[: g.elitism]
         pop = np.concatenate([pop[elite_idx], children])
         fit = np.concatenate([fit[elite_idx], child_fit])
-    return tracker.solution("ga", converged=True)
+    return tracker.solution(converged=True)
 
 
 def optimize_pso(
@@ -381,7 +379,7 @@ def optimize_pso(
         if pbest_f[g_idx] < gbest_f:
             gbest = pbest[g_idx].copy()
             gbest_f = float(pbest_f[g_idx])
-    return tracker.solution("pso", converged=True)
+    return tracker.solution(converged=True)
 
 
 def derive_group_seed(seed: int, group_key: str) -> int:
@@ -433,7 +431,7 @@ def correct_group(
     if len(group) < MIN_GROUP_SIZE:
         sol = DisplacementSolution(
             dx=0.0, dy=0.0, objective_value=0.0, evaluations=0,
-            converged=False, method=method, skipped=True,
+            converged=False, skipped=True,
         )
         return sol, group.ref_elev
 

@@ -188,33 +188,6 @@ def aggregate_buffer_points(
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _stencil_offsets(csx: float, csy: float, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Relative (row, col) offsets of cells that could fall in the buffer.
-
-    The stencil is anchored at the cell containing the buffer center, so cells
-    whose nearest possible center distance already exceeds the radius are
-    pruned up front (roughly the square's corners). Keyed on the cell sizes
-    (|cell_size_y| for csy) rather than the unhashable grid; the cached arrays
-    are shared by every caller, hence read-only.
-    """
-    kx = int(math.ceil(radius / csx)) + 1
-    ky = int(math.ceil(radius / csy)) + 1
-    dr, dc = np.meshgrid(np.arange(-ky, ky + 1), np.arange(-kx, kx + 1), indexing="ij")
-    dr = dr.ravel()
-    dc = dc.ravel()
-    # Anchor cell contains the center, so a stencil cell's center is at least
-    # (|offset| - 1) cells away in each axis.
-    min_dx = np.maximum(np.abs(dc) - 1, 0) * csx
-    min_dy = np.maximum(np.abs(dr) - 1, 0) * csy
-    keep = min_dx * min_dx + min_dy * min_dy <= radius * radius
-    dr = dr[keep]
-    dc = dc[keep]
-    dr.setflags(write=False)
-    dc.setflags(write=False)
-    return dr, dc
-
-
 class _StencilPlan(NamedTuple):
     """Index arrays of one stencil on grids `n_cols` wide; all read-only."""
 
@@ -227,9 +200,26 @@ class _StencilPlan(NamedTuple):
 
 @functools.lru_cache(maxsize=64)
 def _stencil_plan(csx: float, csy: float, radius: float, n_cols: int) -> _StencilPlan:
-    """What every chunk of a buffer query needs of its stencil, computed once."""
-    offs_r, offs_c = _stencil_offsets(csx, csy, radius)
-    kx, ky = int(offs_c.max()), int(offs_r.max())
+    """What every chunk of a buffer query needs of its stencil, computed once.
+
+    The stencil holds the (row, col) offsets of the cells that could fall in
+    the buffer. It is anchored at the cell containing the buffer center, so
+    cells whose nearest possible center distance already exceeds the radius
+    are pruned up front (roughly the square's corners). Keyed on the cell
+    sizes (|cell_size_y| for csy) rather than the unhashable grid; the cached
+    arrays are shared by every caller, hence read-only.
+    """
+    kx = int(math.ceil(radius / csx)) + 1
+    ky = int(math.ceil(radius / csy)) + 1
+    offs_r, offs_c = np.meshgrid(np.arange(-ky, ky + 1), np.arange(-kx, kx + 1), indexing="ij")
+    # Anchor cell contains the center, so a stencil cell's center is at least
+    # (|offset| - 1) cells away in each axis.
+    min_dx = np.maximum(np.abs(offs_c) - 1, 0) * csx
+    min_dy = np.maximum(np.abs(offs_r) - 1, 0) * csy
+    keep = min_dx * min_dx + min_dy * min_dy <= radius * radius
+    offs_r = offs_r[keep]
+    offs_c = offs_c[keep]
+    kx, ky = int(offs_c.max()), int(offs_r.max())  # the pruning can drop the outer ring
     plan = _StencilPlan(
         col_steps=np.arange(-kx, kx + 1)[:, None],
         row_steps=np.arange(-ky, ky + 1)[:, None],

@@ -14,14 +14,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_RADIUS_M, RunConfig
+from .config import DEFAULT_RADIUS_M, DEFAULT_WINDOW_M, RunConfig, _check_finite
 from .evaluate import ReportRow, compare_methods
-from .footprints import FootprintTable, ShotGroup, attach_reference
+from .footprints import GROUP_PREFIX_LEN, FootprintTable, ShotGroup, attach_reference
 from .optimize import CorrectionResult, correct_dataset
 from .raster import AggregationKind, RasterGrid, aggregate_buffer_points
 
 BASE_ELEVATION_M = 100.0
-TRACK_MARGIN_M = 25.0
+TRACK_MARGIN_M = DEFAULT_WINDOW_M
 TRACK_BEAM = "BEAM0101"  # the `beam` cell `simulate` writes for every footprint
 TERRAIN_KINDS = ("flat", "ramp", "gaussian_hills", "fractal")
 
@@ -49,13 +49,13 @@ class TerrainSpec:
             raise ValueError(f"unknown terrain kind {self.kind!r}; expected one of {TERRAIN_KINDS}")
         if self.n_rows < 1 or self.n_cols < 1:
             raise ValueError("terrain dimensions must be positive")
-        for name in ("cell_size", "relief"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        _check_finite(self)
         if self.cell_size <= 0:
             raise ValueError("cell_size must be positive")
         if self.relief < 0:
             raise ValueError("relief must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"terrain seed must be non-negative, got {self.seed!r}")
 
 
 @dataclass
@@ -71,15 +71,15 @@ class TrackSpec:
     def __post_init__(self) -> None:
         if self.n_footprints < 3:
             raise ValueError("a track needs at least 3 footprints")
-        for name in ("spacing", "heading", "noise_sd", "planted_dx", "planted_dy"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        _check_finite(self)
         if self.spacing <= 0:
             raise ValueError("spacing must be positive")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be non-negative")
-        if abs(self.planted_dx) > 25.0 or abs(self.planted_dy) > 25.0:
-            raise ValueError("planted offsets must stay within the 25 m window")
+        if abs(self.planted_dx) > DEFAULT_WINDOW_M or abs(self.planted_dy) > DEFAULT_WINDOW_M:
+            raise ValueError(f"planted offsets must stay within the {DEFAULT_WINDOW_M:g} m window")
+        if self.seed < 0:
+            raise ValueError(f"track seed must be non-negative, got {self.seed!r}")
 
 
 def _rescale(z: np.ndarray, relief: float) -> np.ndarray:
@@ -168,7 +168,7 @@ def gen_terrain(spec: TerrainSpec) -> RasterGrid:
 
 
 def _group_key(seed: int) -> str:
-    return f"{abs(seed) % 10**10:010d}"
+    return f"{seed % 10**GROUP_PREFIX_LEN:0{GROUP_PREFIX_LEN}d}"
 
 
 def gen_track(

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from terralign import load_raster, parse_footprints, prepare_groups
 from terralign.cli import main
 from terralign.optimize import correct_dataset
 
@@ -74,3 +75,12 @@ def test_traced_correct_records_every_solver_span(tracing, tmp_path):
     # at 2 workers each group is solved in a forked process, out of the tracer's sight
     tracer = traced_correct(1)
     assert sum(s.name == "optimize.correct_group" for s in tracer.spans) == 4
+
+
+def test_setup_seconds_call_shapes_bind():
+    """`benchmarks/run.py::setup_seconds` times these calls outside the hooks."""
+    inspect.signature(load_raster).bind("dem.tif")
+    inspect.signature(parse_footprints).bind("fh")
+    inspect.signature(prepare_groups).bind(
+        "table", "dem", geoid=None, rules=None, radius=12.5, footprint_crs=""
+    )

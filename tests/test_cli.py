@@ -312,6 +312,41 @@ def test_crs_mismatch_is_data_error_naming_tags(tmp_path, capsys):
     assert "EPSG:32654" in err and "EPSG:4326" in err
 
 
+# the address space a child of the test below allows itself, as in tests/test_fuzz.py
+ADDRESS_SPACE_CAP = 1536 * 2**20
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--grid-step", "0.0001"],
+        ["--radius", "1e6"],
+        ["--methods", "ga", "--ga-pop", "1000000000"],
+        ["--max-dx", "1e9", "--max-dy", "1e9"],
+    ],
+)
+def test_setting_that_needs_too_much_memory_is_data_error(tmp_path, flags):
+    """Each of these settings asks numpy for an array of terabytes or more.
+
+    `correct` runs in a child process that caps its own address space, so the
+    allocation fails there instead of drawing on the machine's memory.
+    """
+    dem, fps, _ = write_flat_scene(tmp_path)
+    src = str(Path(terralign.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["correct", "--dem", str(dem), "--footprints", str(fps), "--out", str(tmp_path / "o"), *flags]
+    code = (
+        "import resource, sys, terralign.cli\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE_CAP}, {ADDRESS_SPACE_CAP}))\n"
+        f"sys.exit(terralign.cli.main({argv!r}))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2, out.stderr
+    errors = [line for line in out.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: out of memory: "), out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_empty_pipeline_names_the_filter(tmp_path, capsys):
     dem, fps, _ = write_flat_scene(tmp_path, sensitivity=0.5)
     rc = run(["correct", "--dem", dem, "--footprints", fps, "--out", tmp_path / "o"])
@@ -363,7 +398,8 @@ def test_simulate_bad_float_flag_is_usage_error(tmp_path, capsys, flag, value):
 
 @pytest.mark.parametrize(
     ("flag", "value"),
-    [("dx", "30"), ("dy", "-26"), ("n-footprints", "2"), ("rows", "0"), ("cols", "-3"), ("n-groups", "0")],
+    [("dx", "30"), ("dy", "-26"), ("n-footprints", "2"), ("rows", "0"), ("cols", "-3"), ("n-groups", "0"),
+     ("terrain-seed", "-3"), ("track-seed", "-1")],
 )
 def test_simulate_bad_spec_is_usage_error(tmp_path, capsys, flag, value):
     out = tmp_path / "scene"

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from terralign import FootprintError, QualityRules, parse_footprints, prepare_groups
+from terralign import CrsMismatchError, FootprintError, QualityRules, parse_footprints, prepare_groups
 from terralign.footprints import (
     apply_geoid,
     attach_reference,
@@ -346,6 +346,47 @@ def test_pipeline_stats_empty_stage_naming():
     off_dem = make_table([make_footprint(0, x=900.0, y=900.0, gedi_dem=None)])
     _, stats2 = prepare_groups(off_dem, dem)
     assert stats2.empty_stage() == "reference attachment"
+
+
+def crs_grid(tag, value):
+    grid = flat_grid(64, value=value)
+    grid.crs_tag = tag
+    return grid
+
+
+def crs_table(degrade=0):
+    return make_table([make_footprint(i, x=20.0 + 4 * i, y=30.0, degrade=degrade, gedi_dem=None) for i in range(4)])
+
+
+@pytest.mark.parametrize("degrade", [0, 1])  # 1: the quality filters drop every row
+@pytest.mark.parametrize(
+    ("dem_tag", "geoid_tag", "context"),
+    [
+        ("EPSG:4326", "", "DEM vs footprints"),
+        ("", "EPSG:4326", "geoid vs footprints"),
+        ("EPSG:4326", "EPSG:4326", "DEM vs footprints"),
+    ],
+)
+def test_prepare_groups_rejects_a_crs_unlike_the_footprints(dem_tag, geoid_tag, context, degrade):
+    dem, geoid = crs_grid(dem_tag, 100.0), crs_grid(geoid_tag, 0.0)
+    with pytest.raises(CrsMismatchError, match=rf"^CRS mismatch \({context}\): 'EPSG:4326' vs 'EPSG:32654'$"):
+        prepare_groups(crs_table(degrade), dem, geoid=geoid, footprint_crs="EPSG:32654")
+
+
+@pytest.mark.parametrize(
+    ("dem_tag", "geoid_tag", "footprint_crs"),
+    [
+        ("", "", "EPSG:32654"),
+        ("EPSG:32654", "", "EPSG:32654"),
+        ("", "EPSG:32654", "EPSG:32654"),
+        ("EPSG:32654", "EPSG:32654", ""),
+        ("EPSG:4326", "EPSG:32654", ""),
+    ],
+)
+def test_prepare_groups_empty_crs_tag_matches_any(dem_tag, geoid_tag, footprint_crs):
+    dem, geoid = crs_grid(dem_tag, 100.0), crs_grid(geoid_tag, 0.0)
+    groups, stats = prepare_groups(crs_table(), dem, geoid=geoid, footprint_crs=footprint_crs)
+    assert stats.n_groups_ready == 1 and len(groups[0]) == 4
 
 
 def test_parse_round_trip_from_synthetic(tmp_path):

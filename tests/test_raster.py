@@ -350,12 +350,12 @@ def test_buffer_slack_beyond_coordinate_limit_is_never_safe():
 def test_stencil_offsets_cached_read_only():
     grid = make_grid(np.zeros((8, 8)), cell=2.0)
     aggregate_buffer_points(grid, np.array([4.0]), np.array([4.0]), 3.0)
-    offs_r, offs_c = raster._stencil_offsets(2.0, 2.0, 3.0)
-    assert raster._stencil_offsets(2.0, 2.0, 3.0)[0] is offs_r
     plan = raster._stencil_plan(2.0, 2.0, 3.0, 8)
     assert raster._stencil_plan(2.0, 2.0, 3.0, 8) is plan
+    offs_r = plan.ddy_rows + plan.row_steps[0, 0]
+    offs_c = plan.ddx_rows + plan.col_steps[0, 0]
     np.testing.assert_array_equal(plan.flat_offsets, offs_r * 8 + offs_c)
-    for offs in (offs_r, offs_c, *plan):
+    for offs in plan:
         assert not offs.flags.writeable
         with pytest.raises(ValueError):
             offs[0] = 0
