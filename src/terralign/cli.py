@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage/config error, 2 data error or out of memory.
 Diagnostics go to stderr; machine-readable output only ever lands in files
-under --out. The `correct` reports blank the wall_time_s column so reruns
-with the same seed are byte-identical; `bench` keeps real timings.
+under --out, made after the last solve. Only `bench` reads the clock, for the
+wall_time_s column, so `correct` reruns with the same seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import logging
 import math
 import os
 import sys
+import time
 from concurrent.futures import BrokenExecutor
 from enum import Enum
 from functools import partial
@@ -294,18 +295,22 @@ def _run(args: argparse.Namespace, timed: bool) -> int:
     """`correct` (timed=False) and `bench` (timed=True): the same pipeline and outputs."""
     cfg = _build_config(args)
     dem, groups, _ = _load_pipeline(cfg)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    results = []
+    results, walls = [], []
     # one pool serves every combination: workers are forked once per run
     with GroupPool(groups, dem, cfg, cfg.workers, cfg.methods) as pool:
         for method in cfg.methods:
             for metric in cfg.metrics:
                 logger.info("correcting with method=%s metric=%s", method, metric)
+                start = time.perf_counter() if timed else 0.0
                 results.append(correct_dataset(
                     groups, dem, method=method, metric=metric, cfg=cfg, workers=cfg.workers, pool=pool
                 ))
+                if timed:
+                    walls.append(time.perf_counter() - start)
+    # made after the last solve, so a run that fails leaves no --out behind
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     writer = _CorrectedCsvWriter(groups)
     for result in results:
         name = f"corrected_{result.method}_{result.metric}.csv"
@@ -313,10 +318,8 @@ def _run(args: argparse.Namespace, timed: bool) -> int:
         logger.info("wrote %s", out_dir / name)
 
     rows = compare_methods(results, groups)
-    if not timed:
-        # only `bench` reports carry timings, so equal seeds give `correct` equal bytes
-        for row in rows:
-            row.wall_time_s = math.nan
+    for row, wall in zip(rows[1:], walls):  # rows[0] is the "original" row
+        row.wall_time_s = wall
     _write_reports(out_dir, rows)
     (out_dir / "effective_config.toml").write_text(dump_config(cfg), encoding="utf-8")
     if timed:

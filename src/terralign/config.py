@@ -186,6 +186,10 @@ class RunConfig:
             raise ConfigError(f"radius: must be finite and positive, got {self.radius!r}")
         if self.workers < 1:
             raise ConfigError("workers: must be >= 1")
+        window = 2.0 * min(self.bounds.max_abs_dx, self.bounds.max_abs_dy)
+        if "grid" in self.methods and self.optimizer.grid_step > window:  # only grid reads the step
+            step = self.optimizer.grid_step
+            raise ConfigError(f"optimizer.grid_step: must not exceed the window width {window!r} m, got {step!r}")
 
 
 def parse_toml(text: str) -> dict:

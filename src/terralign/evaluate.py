@@ -95,7 +95,7 @@ class ReportRow:
     mae_m: float
     offsets: OffsetSummary
     n_footprints: int
-    wall_time_s: float = math.nan
+    wall_time_s: float = math.nan  # only `bench` sets it
 
 
 @dataclass
@@ -111,7 +111,6 @@ class Combination:
     ref_after: np.ndarray
     dx: np.ndarray
     dy: np.ndarray
-    wall_time_s: float = math.nan
 
 
 def report_rows(
@@ -142,14 +141,11 @@ def report_rows(
     solved = [idx[0] for idx in members.values() if len(idx) >= MIN_GROUP_SIZE]
 
     original = OffsetSummary(*[math.nan] * 6, len(members))
-    entries = [(ORIGINAL_LABEL, "", ref_before, original, math.nan)]
+    rows = [ReportRow(ORIGINAL_LABEL, "", mae(elev[keep], ref_before[keep]), original, n_kept)]
     for c in combinations:
         offsets = displacement_stats(c.dx[solved], c.dy[solved])
-        entries.append((c.method, c.metric, c.ref_after, offsets, c.wall_time_s))
-    return [
-        ReportRow(method, metric, mae(elev[keep], ref[keep]), offsets, n_kept, wall)
-        for method, metric, ref, offsets, wall in entries
-    ]
+        rows.append(ReportRow(c.method, c.metric, mae(elev[keep], c.ref_after[keep]), offsets, n_kept))
+    return rows
 
 
 def compare_methods(results: Sequence, groups: Sequence[ShotGroup]) -> list[ReportRow]:
@@ -177,7 +173,6 @@ def compare_methods(results: Sequence, groups: Sequence[ShotGroup]) -> list[Repo
             result.method, result.metric, result.ref_after,
             dx=np.repeat([s.dx for s in result.solutions], base_sizes),
             dy=np.repeat([s.dy for s in result.solutions], base_sizes),
-            wall_time_s=result.wall_time_s,
         )
         for result in results
     ]

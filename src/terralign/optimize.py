@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -402,7 +401,6 @@ class CorrectionResult:
     solutions: list[DisplacementSolution]
     groups: Sequence[ShotGroup]
     ref_after: np.ndarray
-    wall_time_s: float
 
     @property
     def n_skipped(self) -> int:
@@ -548,10 +546,8 @@ def correct_dataset(
     """
     if pool is not None and (pool.groups is not groups or pool.dem is not dem or pool.cfg is not cfg):
         raise ValueError("pool was opened on other groups, DEM or config")
-    start = time.perf_counter()
     with GroupPool(groups, dem, cfg, workers, (method,)) if pool is None else nullcontext(pool) as pool:
         outcomes = pool.solve(method, metric)
-    wall = time.perf_counter() - start
 
     result = CorrectionResult(
         method=method,
@@ -559,7 +555,6 @@ def correct_dataset(
         solutions=[sol for sol, _ in outcomes],
         groups=groups,
         ref_after=np.concatenate([refs for _, refs in outcomes]) if outcomes else np.empty(0),
-        wall_time_s=wall,
     )
     if result.n_skipped:
         logger.info("skipped %d of %d groups below the minimum size", result.n_skipped, len(groups))

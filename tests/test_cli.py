@@ -345,6 +345,47 @@ def test_setting_that_needs_too_much_memory_is_data_error(tmp_path, flags):
     errors = [line for line in out.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith("error: out of memory: "), out.stderr
     assert "Traceback" not in out.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_correct_that_fails_while_solving_leaves_no_out(tmp_path, capsys, monkeypatch):
+    scene = tmp_path / "scene"
+    assert run(["simulate", "--out", scene, "--rows", 96, "--cols", 96, "--cell-size", 4,
+                "--n-groups", 2, "--n-footprints", 8, "--spacing", 20, "--dx", 4, "--dy", -2]) == 0
+    solve = terralign.optimize.correct_group
+
+    def failing(group, dem, method, *args, **kwargs):
+        if method == "ga":  # every grid solve has succeeded by then
+            raise ValueError(f"group {group.key} is bad")
+        return solve(group, dem, method, *args, **kwargs)
+
+    monkeypatch.setattr(terralign.optimize, "correct_group", failing)
+    capsys.readouterr()
+    rc = run([
+        "correct", "--dem", scene / "terrain.asc", "--footprints", scene / "footprints.csv",
+        "--out", tmp_path / "o", "--methods", "grid,ga", "--workers", 1,
+    ])
+    assert rc == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: group ") and errors[0].endswith(" is bad")
+    assert not (tmp_path / "o").exists()
+
+
+def test_grid_step_wider_than_the_window_is_usage_error(tmp_path, capsys):
+    dem, fps, _ = write_flat_scene(tmp_path)
+    for dem_path in (dem, tmp_path / "missing.tif"):  # the rule is checked before any file is read
+        rc = run([
+            "correct", "--dem", dem_path, "--footprints", fps, "--out", tmp_path / "o",
+            "--methods", "lbfgsb,grid", "--grid-step", 60,
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: optimizer.grid_step: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
+    assert run([
+        "correct", "--dem", dem, "--footprints", fps, "--out", tmp_path / "o",
+        "--methods", "ga", "--ga-pop", 4, "--ga-generations", 2, "--grid-step", 60,
+    ]) == 0
 
 
 def test_empty_pipeline_names_the_filter(tmp_path, capsys):

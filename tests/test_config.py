@@ -330,3 +330,23 @@ def test_settings_reject_non_finite(cls, name, value):
 def test_run_config_rejects_bad_radius(radius):
     with pytest.raises(ConfigError, match="^radius: must be finite and positive"):
         RunConfig(radius=radius).validate()
+
+
+@pytest.mark.parametrize(
+    "methods, bounds, step, accepted",
+    [
+        (["lbfgsb", "grid"], {}, 60.0, False),
+        (["grid"], {"max_abs_dx": 10.0}, 25.0, False),
+        (["grid"], {"max_abs_dx": 10.0}, 20.0, True),
+        (["ga"], {}, 60.0, True),
+        (["lbfgsb", "ga", "pso"], {}, 60.0, True),
+    ],
+    ids=["grid-after-lbfgsb", "narrow-dx", "step-equals-window", "ga", "no-grid"],
+)
+def test_grid_step_wider_than_the_window_is_rejected_only_for_grid(methods, bounds, step, accepted):
+    data = {"methods": methods, "bounds": bounds, "optimizer": {"grid_step": step}}
+    if accepted:
+        assert config_from_dict(data).optimizer.grid_step == step
+    else:
+        with pytest.raises(ConfigError, match=r"^optimizer\.grid_step: must not exceed the window width"):
+            config_from_dict(data)

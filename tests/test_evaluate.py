@@ -185,13 +185,13 @@ def test_serializers_shape_and_timing_blank():
     csv_text = rows_to_csv(rows)
     header = csv_text.splitlines()[0].split(",")
     assert header == list(REPORT_COLUMNS)
-    timed = csv_text.splitlines()[2].split(",")
-    assert timed[-1] != ""
+    blank = csv_text.splitlines()[2].split(",")
+    assert blank[-1] == ""  # library rows carry no time
 
-    for row in rows:
-        row.wall_time_s = math.nan  # as `correct` blanks them
-    blank = rows_to_csv(rows).splitlines()[2].split(",")
-    assert blank[-1] == ""
+    rows[1].wall_time_s = 0.25  # as `bench` sets it
+    timed = rows_to_csv(rows).splitlines()[2].split(",")
+    assert timed[-1] == "0.250000"
+    rows[1].wall_time_s = math.nan
 
     payload = json.loads(rows_to_json(rows))
     assert payload[0]["method"] == "original"

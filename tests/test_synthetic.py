@@ -209,8 +209,6 @@ def test_recovery_experiment_report_bytes_deterministic():
 
     def run_once():
         results, rows = run_recovery_experiment(*args, **kwargs)
-        for row in rows:
-            row.wall_time_s = math.nan
         solutions = [(s.dx, s.dy, s.objective_value, s.evaluations) for r in results for s in r.solutions]
         return [(r.method, r.metric) for r in results], rows_to_csv(rows), solutions
 
