@@ -1,9 +1,9 @@
 """ESRI ASCII grid (.asc) reader and writer.
 
-Header keys are case-insensitive; both xllcorner/yllcorner and
-xllcenter/yllcenter anchors are accepted. The writer emits corner-anchored
-headers and prints values with repr precision so a write/read round trip
-reproduces the grid bit for bit.
+Header keys are case-insensitive, and each may be given once; an axis is
+anchored by either xllcorner/yllcorner or xllcenter/yllcenter, not both. The
+writer emits corner-anchored headers and prints values with repr precision
+so a write/read round trip reproduces the grid bit for bit.
 """
 
 from __future__ import annotations
@@ -43,10 +43,13 @@ def read_ascii_grid(path: str | Path) -> RasterGrid:
                 line = fh.readline(_CHUNK_CHARS)
                 parts = line.split()
                 cut = len(line) == _CHUNK_CHARS and not line.endswith("\n")  # too long for a header
-                if cut or len(parts) != 2 or parts[0].lower() not in _HEADER_KEYS:
+                key = parts[0].lower() if len(parts) == 2 else ""
+                if cut or key not in _HEADER_KEYS:
                     break  # `line` starts the body
+                if key in header:
+                    raise RasterFormatError(f"{path}: header key {key!r} is set twice")
                 try:
-                    header[parts[0].lower()] = float(parts[1])
+                    header[key] = float(parts[1])
                 except ValueError as exc:
                     raise RasterFormatError(f"{path}: bad header line {line!r}") from exc
             n_rows, n_cols, xll, yll, cellsize = _grid_geometry(path, header)
@@ -88,18 +91,17 @@ def _grid_geometry(path: Path, header: dict[str, float]) -> tuple[int, int, floa
     if not (0 < cellsize < math.inf):
         raise RasterFormatError(f"{path}: cellsize must be positive and finite, got {cellsize}")
 
-    if "xllcorner" in header:
-        xll = header["xllcorner"]
-    elif "xllcenter" in header:
-        xll = header["xllcenter"] - cellsize / 2.0
-    else:
-        raise RasterFormatError(f"{path}: missing xllcorner/xllcenter")
-    if "yllcorner" in header:
-        yll = header["yllcorner"]
-    elif "yllcenter" in header:
-        yll = header["yllcenter"] - cellsize / 2.0
-    else:
-        raise RasterFormatError(f"{path}: missing yllcorner/yllcenter")
+    anchors = []
+    for axis in "xy":
+        corner, center = header.get(f"{axis}llcorner"), header.get(f"{axis}llcenter")
+        if corner is not None and center is not None:
+            raise RasterFormatError(
+                f"{path}: header keys {axis}llcorner and {axis}llcenter both set the {axis} anchor"
+            )
+        if corner is None and center is None:
+            raise RasterFormatError(f"{path}: missing {axis}llcorner/{axis}llcenter")
+        anchors.append(center - cellsize / 2.0 if corner is None else corner)
+    xll, yll = anchors
     return n_rows, n_cols, xll, yll, cellsize
 
 

@@ -54,6 +54,9 @@ _CHUNK_ELEMENTS = 65_536
 SLACK_MARGIN_M = 1e-6
 _SLACK_COORD_LIMIT_M = 1e7
 
+# -0.0 read as an int64
+_NEG_ZERO_BITS = np.float64(-0.0).view(np.int64)
+
 
 @dataclass
 class RasterGrid:
@@ -86,9 +89,13 @@ class RasterGrid:
             raise ValueError(f"cell_size_x must be finite and > 0, got {self.cell_size_x}")
         if not math.isfinite(self.cell_size_y) or self.cell_size_y == 0:
             raise ValueError(f"cell_size_y must be finite and nonzero, got {self.cell_size_y}")
-        if np.isinf(self.values).any():
+        finite = bool(np.isfinite(self.values).all())
+        if not finite and np.isinf(self.values).any():
             raise ValueError("raster contains non-finite (inf) values")
         self.values.setflags(write=False)
+        # No nodata and no -0.0 cell: the buffer MEAN may then take validity
+        # from the radius test alone (see `_buffer_stats_chunk`).
+        self._plain = finite and not (self.values.view(np.int64) == _NEG_ZERO_BITS).any()
 
     @property
     def n_rows(self) -> int:
@@ -273,8 +280,12 @@ def _buffer_stats_chunk(
     ddy = grid.origin_y + (rows + 0.5) * grid.cell_size_y - ys
     ddx *= ddx
     ddy *= ddy
-    ddx[(cols < 0) | (cols >= grid.n_cols)] = np.inf
-    ddy[(rows < 0) | (rows >= grid.n_rows)] = np.inf
+    # an interior chunk, whose stencil stays on the grid, has nothing to mask
+    kx, ky = stencil.col_steps[-1, 0], stencil.row_steps[-1, 0]
+    if c0.min() < kx or c0.max() >= grid.n_cols - kx:
+        ddx[(cols < 0) | (cols >= grid.n_cols)] = np.inf
+    if r0.min() < ky or r0.max() >= grid.n_rows - ky:
+        ddy[(rows < 0) | (rows >= grid.n_rows)] = np.inf
     shape_t = (stencil.flat_offsets.size, xs.shape[0])
     # mode="raise" would gather through a hidden temporary; the indices are in
     # range. The ddy rows pass through the `vals` buffer, unused until later.
@@ -283,7 +294,8 @@ def _buffer_stats_chunk(
     dist += np.take(
         ddy, stencil.ddy_rows, axis=0, mode="clip", out=_scratch_array("vals", shape_t, np.float64)
     )
-    within = (dist <= radius * radius).T
+    within_t = dist <= radius * radius
+    within = within_t.T
     if slack is not None:
         # fractions of the anchor cell, from the same quotients as c0 and r0;
         # `dist` is free from here on: turn it into |d - radius| in place
@@ -305,6 +317,16 @@ def _buffer_stats_chunk(
         out=_scratch_array("flat", shape, np.int64),
     )
     vals = grid.values.ravel().take(flat, mode="clip", out=_scratch_array("vals", shape, np.float64))
+    if agg is AggregationKind.MEAN and grid._plain:
+        # Every gathered value is a number, so `within` alone is validity. The
+        # product makes the masked slot of a negative cell -0.0 where the
+        # general path below makes it +0.0. Adding either zero leaves a nonzero
+        # sum as it is, and a sum is -0.0 only when all its terms are, which
+        # with no -0.0 cell means that every slot is masked: an empty buffer.
+        # So the output bits are those of the general path.
+        counts = np.count_nonzero(within_t, axis=0)
+        vals *= np.ascontiguousarray(within)  # a C-ordered mask, like `vals`, multiplies ~5x faster
+        return np.where(counts > 0, vals.sum(axis=1) / np.maximum(counts, 1), np.nan)
     valid = ~np.isnan(vals)
     valid &= within
     counts = valid.sum(axis=1)

@@ -1,5 +1,6 @@
 """Raster sampling, buffer aggregation, and file round trips."""
 
+import dataclasses
 import gc
 import math
 import statistics
@@ -195,6 +196,26 @@ def kernel_scene(rng):
     return grid, centers[:, 0], centers[:, 1]
 
 
+SCENE_CELLS = ("nodata", "plain", "signed")
+
+
+def recell(grid, cells):
+    """A copy of `grid` with the cell values `cells` names. "nodata" keeps its
+    NaN cells. "plain" sets them to 100.0, so the MEAN kernel takes its tail
+    for grids with no NaN and no -0.0 cell. "signed" subtracts 100, so that
+    the values straddle 0, and sets every 9th cell to +0.0 and the NaN cells
+    to -0.0, so the kernel must take its general path."""
+    values = np.array(grid.values)
+    hole = np.isnan(values)
+    if cells == "plain":
+        values[hole] = 100.0
+    elif cells == "signed":
+        values -= 100.0
+        values.flat[::9] = 0.0
+        values[hole] = -0.0
+    return dataclasses.replace(grid, values=values)
+
+
 @pytest.mark.parametrize("radius", [1.2, 5.0, 9.5])
 def test_aggregate_points_match_brute_force_reference(rng, radius):
     grid, xs, ys = kernel_scene(rng)
@@ -242,18 +263,22 @@ def frozen_buffer_kernel(grid, xs, ys, radius, agg):
 
 
 def bit_exact_scene(rng):
-    """`kernel_scene` plus centers on cell edges and corners, and centers far
-    off the grid (|x| or |y| up to 1e9)."""
+    """`kernel_scene` plus centers on cell edges and corners, centers 0 to 3
+    cells in from each edge that reach a cell centre off the grid when the
+    stencil is that wide, and centers far off the grid (|x| or |y| up to 1e9)."""
     grid, xs, ys = kernel_scene(rng)
-    x0, _, _, y1 = grid.extent
+    x0, y0, x1, y1 = grid.extent
     i = rng.integers(0, grid.n_cols + 1, 40)
     j = rng.integers(0, grid.n_rows, 40)
     # vertical cell edges at row centers, then cell corners
     edge_x = np.concatenate([x0 + 3.0 * i, x0 + 3.0 * i])
     edge_y = np.concatenate([y1 - 2.0 * j - 1.0, y1 - 2.0 * j])
+    k = np.arange(4) + 0.02
+    near_x = np.concatenate([x0 + 3.0 * k, x1 - 3.0 * k, np.full(16, (x0 + x1) / 2)])
+    near_y = np.concatenate([np.full(16, (y0 + y1) / 2), y0 + 2.0 * k, y1 - 2.0 * k])
     far_x = np.array([1e9, -1e9, 0.0, 0.0, 1e9, -1e9, x0 + 1.0, 5e8])
     far_y = np.array([10.0, 10.0, 1e9, -1e9, 1e9, -1e9, -1e9, y1])
-    return grid, np.concatenate([xs, edge_x, far_x]), np.concatenate([ys, edge_y, far_y])
+    return grid, np.concatenate([xs, edge_x, near_x, far_x]), np.concatenate([ys, edge_y, near_y, far_y])
 
 
 # 2.5 and 4.5 equal cell-center distances from the edge centers (1.5 m and
@@ -261,12 +286,20 @@ def bit_exact_scene(rng):
 @pytest.mark.parametrize("radius", [1.2, 2.5, 4.5, 5.0, 9.5])
 @pytest.mark.parametrize("agg", list(AggregationKind))
 def test_aggregate_points_bit_exact_against_frozen_kernel(rng, monkeypatch, radius, agg):
-    grid, xs, ys = bit_exact_scene(rng)
-    want = frozen_buffer_kernel(grid, xs, ys, radius, agg)
-    assert np.isnan(want[-8:]).all() and np.isfinite(want).any()
-    for chunk in (1, 64, raster._CHUNK_ELEMENTS):
-        monkeypatch.setattr(raster, "_CHUNK_ELEMENTS", chunk)
-        np.testing.assert_array_equal(aggregate_buffer_points(grid, xs, ys, radius, agg), want)
+    """On the scene with NaN cells, its NaN-free copy and its copy with signed
+    zeros (which must take the general path), at any chunk size, with and
+    without slack: the kernel's bytes are the frozen kernel's."""
+    scene, xs, ys = bit_exact_scene(rng)
+    for cells in SCENE_CELLS:
+        grid = recell(scene, cells)
+        assert grid._plain == (cells == "plain")
+        want = frozen_buffer_kernel(grid, xs, ys, radius, agg)
+        assert np.isnan(want[-8:]).all() and np.isfinite(want).any()
+        for chunk in (1, 64, raster._CHUNK_ELEMENTS):
+            monkeypatch.setattr(raster, "_CHUNK_ELEMENTS", chunk)
+            for slack in (None, np.empty(xs.size)):
+                got = aggregate_buffer_points(grid, xs, ys, radius, agg, slack)
+                assert got.tobytes() == want.tobytes(), (cells, chunk, slack is None)
 
 
 @pytest.mark.parametrize("radius", [2.5, 4.5])
@@ -309,32 +342,36 @@ def exact_event_distance(grid, x, y, radius):
 def test_buffer_slack_is_safe_and_tight(rng, cell, origin, agg):
     """Moves shorter than a center's slack keep the result bits, and the
     slack lies between half the exact event distance (less the margin) and
-    that distance, on a grid with a nodata patch, at and over its edge."""
+    that distance, at and over the edge of a grid with a nodata patch, of its
+    NaN-free copy and of its copy with signed zeros."""
     values = rng.normal(100.0, 5.0, (30, 30))
     values[10:16, 4:12] = np.nan
-    grid = RasterGrid(origin[0], origin[1] + 30 * cell, cell, -cell, values)
-    x0, y0, x1, y1 = grid.extent
+    scene = RasterGrid(origin[0], origin[1] + 30 * cell, cell, -cell, values)
+    x0, y0, x1, y1 = scene.extent
     n = 300
     xs = np.concatenate([rng.uniform(x0 - 2 * cell, x1 + 2 * cell, n), [x0, x0 + 3 * cell, x0 + 3.5 * cell]])
     ys = np.concatenate([rng.uniform(y0 - 2 * cell, y1 + 2 * cell, n), [y0 + 5.5 * cell, y1, y0 + 7.5 * cell]])
-    slack = np.empty(xs.size)
-    base = aggregate_buffer_points(grid, xs, ys, DEFAULT_RADIUS_M, agg, slack)
+    for cells in SCENE_CELLS:
+        grid = recell(scene, cells)
+        assert grid._plain == (cells == "plain")
+        slack = np.empty(xs.size)
+        base = aggregate_buffer_points(grid, xs, ys, DEFAULT_RADIUS_M, agg, slack)
 
-    exact = np.array([exact_event_distance(grid, x, y, DEFAULT_RADIUS_M) for x, y in zip(xs, ys)])
-    assert (slack <= exact).all()
-    assert (slack >= exact / 2 - raster.SLACK_MARGIN_M).all()
-    assert (slack[-3:-1] <= 0).all()  # on a cell edge no move is safe
+        exact = np.array([exact_event_distance(grid, x, y, DEFAULT_RADIUS_M) for x, y in zip(xs, ys)])
+        assert (slack <= exact).all()
+        assert (slack >= exact / 2 - raster.SLACK_MARGIN_M).all()
+        assert (slack[-3:-1] <= 0).all()  # on a cell edge no move is safe
 
-    movable = np.flatnonzero(slack > 0)
-    assert movable.size > n // 2
-    reps = 8
-    idx = np.repeat(movable, reps)
-    angle = rng.uniform(0.0, 2.0 * math.pi, idx.size)
-    length = slack[idx] * np.where(np.arange(idx.size) % reps == 0, 1.0, rng.random(idx.size))
-    moved = aggregate_buffer_points(
-        grid, xs[idx] + length * np.cos(angle), ys[idx] + length * np.sin(angle), DEFAULT_RADIUS_M, agg
-    )
-    assert moved.tobytes() == base[idx].tobytes()
+        movable = np.flatnonzero(slack > 0)
+        assert movable.size > n // 2
+        reps = 8
+        idx = np.repeat(movable, reps)
+        angle = rng.uniform(0.0, 2.0 * math.pi, idx.size)
+        length = slack[idx] * np.where(np.arange(idx.size) % reps == 0, 1.0, rng.random(idx.size))
+        moved = aggregate_buffer_points(
+            grid, xs[idx] + length * np.cos(angle), ys[idx] + length * np.sin(angle), DEFAULT_RADIUS_M, agg
+        )
+        assert moved.tobytes() == base[idx].tobytes()
 
 
 def test_buffer_slack_beyond_coordinate_limit_is_never_safe():
@@ -536,6 +573,22 @@ def test_ascii_center_anchored_header(tmp_path):
     assert (grid.origin_x, grid.origin_y) == (10.0, 24.0)
     assert sample_one(grid, 11.0, 23.0) == 1.0
     assert sample_one(grid, 15.0, 21.0) == 6.0
+
+
+@pytest.mark.parametrize(
+    ("header", "match"),
+    [
+        pytest.param("ncols 2\nnrows 2\nNCOLS 3\n", "'ncols' is set twice", id="repeated-ncols"),
+        pytest.param("ncols 3\nnrows 2\ncellsize 1\n", "'cellsize' is set twice", id="repeated-cellsize"),
+        pytest.param("ncols 3\nnrows 2\nxllcenter 0.5\n", "xllcorner and xllcenter", id="x-corner-and-center"),
+        pytest.param("ncols 3\nnrows 2\nyllcenter 9\n", "yllcorner and yllcenter", id="y-corner-and-center"),
+    ],
+)
+def test_ascii_header_that_sets_a_value_twice_is_format_error(tmp_path, header, match):
+    path = tmp_path / "grid.asc"
+    path.write_text(header + "xllcorner 0\nyllcorner 0\ncellsize 1\n1 2 3\n4 5 6\n")
+    with pytest.raises(RasterFormatError, match=match):
+        load_raster(path)
 
 
 def test_ascii_huge_header_allocates_only_what_the_file_holds(tmp_path):
