@@ -441,10 +441,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"{corrected_path}: (method, metric) combinations have different row counts: {counts}"
         )
     first = next(iter(combos.values()))
-    keys = [cells[i][col["group_key"]] for i in first]
+    order = [(cells[i][col["group_key"]], table.shot_number[i]) for i in first]
     for (method, metric), idx in combos.items():
-        if [cells[i][col["group_key"]] for i in idx] != keys:
-            raise DataError(f"{corrected_path}: group_key differs row by row in {method}/{metric}")
+        if [(cells[i][col["group_key"]], table.shot_number[i]) for i in idx] != order:
+            raise DataError(f"{corrected_path}: group_key or shot_number differs row by row in {method}/{metric}")
+    keys = [key for key, _ in order]
 
     if geoid is not None:
         elev = elev - sample_points(geoid, x, y)

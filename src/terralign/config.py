@@ -174,7 +174,7 @@ class RunConfig:
     workers: int = 1
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         lists = (("methods", self.methods, METHOD_NAMES), ("metrics", self.metrics, _METRIC_NAMES))
         for key, names, known in lists:
             if not names:
@@ -271,12 +271,14 @@ def _build(cls: type, data: Any, overrides: dict[str, Any], prefix: str) -> Any:
         raise ConfigError(f"unknown config key: {prefix}{unknown[0]}")
     try:
         return cls(**kwargs)
+    except ConfigError:  # RunConfig's own checks name their key
+        raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{prefix[:-1] or 'config'}: {exc}") from exc
 
 
 def config_from_dict(data: dict, overrides: Mapping[str, Any] | None = None) -> RunConfig:
-    """Build a validated RunConfig: defaults, then `data`, then `overrides`.
+    """Build a RunConfig: defaults, then `data`, then `overrides`.
 
     `data` is nested like the TOML file; `overrides` maps dotted keys to
     values. An unknown key, a value of the wrong type or a value that a
@@ -286,7 +288,6 @@ def config_from_dict(data: dict, overrides: Mapping[str, Any] | None = None) -> 
     cfg = _build(RunConfig, data, overrides, "")
     if overrides:
         raise ConfigError(f"unknown config key: {sorted(overrides)[0]}")
-    cfg.validate()
     return cfg
 
 

@@ -145,8 +145,7 @@ def write_ascii_grid(grid: RasterGrid, path: str | Path) -> None:
     if grid.cell_size_y > 0:
         raise RasterFormatError("ESRI ASCII writer expects a north-up grid (cell_size_y < 0)")
     values = grid.values
-    has_nan = bool(np.isnan(values).any())
-    nodata = grid.nodata if grid.nodata is not None else (DEFAULT_NODATA if has_nan else None)
+    nodata = grid.nodata if grid.nodata is not None else (DEFAULT_NODATA if grid.has_nodata else None)
 
     yll = grid.origin_y + grid.n_rows * grid.cell_size_y
     out = [
@@ -158,6 +157,7 @@ def write_ascii_grid(grid: RasterGrid, path: str | Path) -> None:
     ]
     if nodata is not None:
         out.append(f"NODATA_value {nodata!r}")
+    if grid.has_nodata:
         values = np.where(np.isnan(values), nodata, values)
     for row in values:
         out.append(" ".join(repr(v) for v in row.tolist()))

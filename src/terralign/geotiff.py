@@ -224,7 +224,7 @@ def write_geotiff(grid: RasterGrid, path: str | Path) -> None:
     otherwise NaN itself is stored (readers treat non-finite as nodata).
     """
     values = grid.values
-    if grid.nodata is not None:
+    if grid.nodata is not None and grid.has_nodata:
         values = np.where(np.isnan(values), grid.nodata, values)
     pixels = np.ascontiguousarray(values, dtype="<f8")
 

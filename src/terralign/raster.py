@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
@@ -54,10 +54,6 @@ _CHUNK_ELEMENTS = 65_536
 SLACK_MARGIN_M = 1e-6
 _SLACK_COORD_LIMIT_M = 1e7
 
-# -0.0 read as an int64
-_NEG_ZERO_BITS = np.float64(-0.0).view(np.int64)
-
-
 @dataclass
 class RasterGrid:
     """Single-band elevation grid with affine (axis-aligned) cell geometry.
@@ -70,6 +66,8 @@ class RasterGrid:
         values: (n_rows, n_cols) float64 array, NaN where nodata.
         nodata: on-disk nodata sentinel, or None if the source had none.
         crs_tag: opaque CRS identifier (e.g. "EPSG:32654"); "" if unknown.
+        has_nodata: whether any cell of `values` is NaN; set from `values`
+            when the grid is built (not a field), never to be reassigned.
     """
 
     origin_x: float
@@ -93,9 +91,7 @@ class RasterGrid:
         if not finite and np.isinf(self.values).any():
             raise ValueError("raster contains non-finite (inf) values")
         self.values.setflags(write=False)
-        # No nodata and no -0.0 cell: the buffer MEAN may then take validity
-        # from the radius test alone (see `_buffer_stats_chunk`).
-        self._plain = finite and not (self.values.view(np.int64) == _NEG_ZERO_BITS).any()
+        self.has_nodata = not finite
 
     @property
     def n_rows(self) -> int:
@@ -294,8 +290,11 @@ def _buffer_stats_chunk(
     dist += np.take(
         ddy, stencil.ddy_rows, axis=0, mode="clip", out=_scratch_array("vals", shape_t, np.float64)
     )
-    within_t = dist <= radius * radius
-    within = within_t.T
+    # A slot counts when its cell centre is within the radius and its cell holds
+    # data. `valid` is C-ordered like `vals`, so the MEAN's product is fast.
+    within = dist <= radius * radius
+    counts = np.count_nonzero(within, axis=0)
+    valid = np.ascontiguousarray(within.T)
     if slack is not None:
         # fractions of the anchor cell, from the same quotients as c0 and r0;
         # `dist` is free from here on: turn it into |d - radius| in place
@@ -310,31 +309,27 @@ def _buffer_stats_chunk(
         np.minimum(slack, dist.min(axis=0), out=slack)
         slack -= SLACK_MARGIN_M
 
-    # masked-out slots may gather any cell; `within` drops them
+    # masked-out slots may gather any cell; `valid` drops them
     shape = shape_t[::-1]
     flat = np.add(
         (r0 * grid.n_cols + c0)[:, None], stencil.flat_offsets,
         out=_scratch_array("flat", shape, np.int64),
     )
     vals = grid.values.ravel().take(flat, mode="clip", out=_scratch_array("vals", shape, np.float64))
-    if agg is AggregationKind.MEAN and grid._plain:
-        # Every gathered value is a number, so `within` alone is validity. The
-        # product makes the masked slot of a negative cell -0.0 where the
-        # general path below makes it +0.0. Adding either zero leaves a nonzero
-        # sum as it is, and a sum is -0.0 only when all its terms are, which
-        # with no -0.0 cell means that every slot is masked: an empty buffer.
-        # So the output bits are those of the general path.
-        counts = np.count_nonzero(within_t, axis=0)
-        vals *= np.ascontiguousarray(within)  # a C-ordered mask, like `vals`, multiplies ~5x faster
-        return np.where(counts > 0, vals.sum(axis=1) / np.maximum(counts, 1), np.nan)
-    valid = ~np.isnan(vals)
-    valid &= within
-    counts = valid.sum(axis=1)
+    if grid.has_nodata:
+        nodata = np.isnan(vals)
+        np.copyto(vals, 0.0, where=nodata)  # NaN * 0 is NaN
+        nodata &= valid  # the slots counted above, cleared here
+        valid ^= nodata
+        counts -= np.bincount(np.flatnonzero(nodata) // shape[1], minlength=shape[0])
 
     # Reduce `vals` in place: it is C-ordered like the per-cell gather, so row
-    # sums round the same way. (`within` is its transpose, F-ordered.)
+    # sums round the same way.
     if agg is AggregationKind.MEAN:
-        np.copyto(vals, 0.0, where=~valid)
+        # A masked slot of a negative cell is -0.0 here and +0.0 in the per-cell
+        # formula. numpy's row sum starts from +0.0, so neither sum ends at -0.0
+        # and their bits agree (tests/test_raster.py pins this).
+        vals *= valid
         return np.where(counts > 0, vals.sum(axis=1) / np.maximum(counts, 1), np.nan)
     np.copyto(vals, np.nan, where=~valid)  # MEDIAN
     out = np.full(xs.shape[0], np.nan)

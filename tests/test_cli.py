@@ -686,6 +686,26 @@ def test_evaluate_rejects_combinations_with_different_group_keys(tmp_path, capsy
     assert "group_key" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_a_combination_that_lists_its_footprints_in_another_order(tmp_path, capsys):
+    """The grid/area rows reversed inside each group, as a run on a reordered
+    input writes them: the group keys still agree row by row, the shots not."""
+    dem_path, header, rows = two_combination_csv(tmp_path)
+    n = len(rows) // 2
+    key = header.split(",").index("group_key")
+    groups: dict[str, list[str]] = {}
+    for row in rows[n:]:
+        groups.setdefault(row.split(",")[key], []).append(row)
+    reordered = [row for members in groups.values() for row in reversed(members)]
+    assert [r.split(",")[key] for r in reordered] == [r.split(",")[key] for r in rows[:n]]
+    assert reordered != rows[n:]
+    corrected = tmp_path / "joined.csv"
+    corrected.write_text("\n".join([header] + rows[:n] + reordered) + "\n")
+    assert run(["evaluate", "--corrected", corrected, "--dem", dem_path, "--out", tmp_path / "eval"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "shot_number differs row by row in grid/area" in err
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.parametrize("defect", ["cell-over-the-field-limit", "undecodable-bytes"])
 @pytest.mark.parametrize("command", ["correct", "evaluate"])
 def test_unreadable_csv_line_is_data_error_naming_file_and_line(tmp_path, capsys, command, defect):

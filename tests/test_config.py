@@ -329,7 +329,7 @@ def test_settings_reject_non_finite(cls, name, value):
 @pytest.mark.parametrize("radius", [0.0, math.nan, math.inf])
 def test_run_config_rejects_bad_radius(radius):
     with pytest.raises(ConfigError, match="^radius: must be finite and positive"):
-        RunConfig(radius=radius).validate()
+        RunConfig(radius=radius)
 
 
 @pytest.mark.parametrize(
@@ -350,3 +350,21 @@ def test_grid_step_wider_than_the_window_is_rejected_only_for_grid(methods, boun
     else:
         with pytest.raises(ConfigError, match=r"^optimizer\.grid_step: must not exceed the window width"):
             config_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"workers": 0}, r"^workers: must be >= 1"),
+        ({"methods": ["x"]}, r"^methods: unknown name 'x'"),
+        ({"metrics": []}, r"^metrics: at least one is required"),
+    ],
+    ids=["workers", "methods", "metrics"],
+)
+def test_run_config_checks_itself_when_built(kwargs, match):
+    """A library RunConfig is checked as config_from_dict's is, with the same message."""
+    with pytest.raises(ConfigError, match=match):
+        RunConfig(**kwargs)
+    key = next(iter(kwargs))
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict({key: kwargs[key]})

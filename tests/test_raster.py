@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import math
 import statistics
 import sys
@@ -196,15 +197,18 @@ def kernel_scene(rng):
     return grid, centers[:, 0], centers[:, 1]
 
 
-SCENE_CELLS = ("nodata", "plain", "signed")
+SCENE_CELLS = ("nodata", "plain", "signed", "zero-block")
 
 
 def recell(grid, cells):
-    """A copy of `grid` with the cell values `cells` names. "nodata" keeps its
-    NaN cells. "plain" sets them to 100.0, so the MEAN kernel takes its tail
-    for grids with no NaN and no -0.0 cell. "signed" subtracts 100, so that
-    the values straddle 0, and sets every 9th cell to +0.0 and the NaN cells
-    to -0.0, so the kernel must take its general path."""
+    """A copy of `grid` with the cell values `cells` names; only "nodata"
+    keeps its NaN cells. "plain" sets them to 100.0. "signed" subtracts 100,
+    so that the values straddle 0, and sets every 9th cell to +0.0 and the
+    NaN cells to -0.0. "zero-block" negates every cell and sets the NaN cells
+    and a block two thirds of the grid wide and high to -0.0: a center inside
+    it gathers -0.0 cells alone, so the MEAN kernel's product makes each
+    masked slot -0.0 where the per-cell formula has +0.0, and the two agree
+    only if the row sum starts from +0.0."""
     values = np.array(grid.values)
     hole = np.isnan(values)
     if cells == "plain":
@@ -213,6 +217,11 @@ def recell(grid, cells):
         values -= 100.0
         values.flat[::9] = 0.0
         values[hole] = -0.0
+    elif cells == "zero-block":
+        values = -values
+        values[hole] = -0.0
+        r, c = values.shape[0] // 6, values.shape[1] // 6
+        values[r:-r, c:-c] = -0.0
     return dataclasses.replace(grid, values=values)
 
 
@@ -265,9 +274,13 @@ def frozen_buffer_kernel(grid, xs, ys, radius, agg):
 def bit_exact_scene(rng):
     """`kernel_scene` plus centers on cell edges and corners, centers 0 to 3
     cells in from each edge that reach a cell centre off the grid when the
-    stencil is that wide, and centers far off the grid (|x| or |y| up to 1e9)."""
+    stencil is that wide, centers about the middle of the grid, whose widest
+    stencil stays inside the block of `recell`'s "zero-block", and centers far
+    off the grid (|x| or |y| up to 1e9)."""
     grid, xs, ys = kernel_scene(rng)
     x0, y0, x1, y1 = grid.extent
+    mid_x = (x0 + x1) / 2 + rng.uniform(-6.0, 6.0, 8)
+    mid_y = (y0 + y1) / 2 + rng.uniform(-2.0, 2.0, 8)
     i = rng.integers(0, grid.n_cols + 1, 40)
     j = rng.integers(0, grid.n_rows, 40)
     # vertical cell edges at row centers, then cell corners
@@ -278,7 +291,8 @@ def bit_exact_scene(rng):
     near_y = np.concatenate([np.full(16, (y0 + y1) / 2), y0 + 2.0 * k, y1 - 2.0 * k])
     far_x = np.array([1e9, -1e9, 0.0, 0.0, 1e9, -1e9, x0 + 1.0, 5e8])
     far_y = np.array([10.0, 10.0, 1e9, -1e9, 1e9, -1e9, -1e9, y1])
-    return grid, np.concatenate([xs, edge_x, near_x, far_x]), np.concatenate([ys, edge_y, near_y, far_y])
+    xs = np.concatenate([xs, edge_x, near_x, mid_x, far_x])
+    return grid, xs, np.concatenate([ys, edge_y, near_y, mid_y, far_y])
 
 
 # 2.5 and 4.5 equal cell-center distances from the edge centers (1.5 m and
@@ -286,13 +300,13 @@ def bit_exact_scene(rng):
 @pytest.mark.parametrize("radius", [1.2, 2.5, 4.5, 5.0, 9.5])
 @pytest.mark.parametrize("agg", list(AggregationKind))
 def test_aggregate_points_bit_exact_against_frozen_kernel(rng, monkeypatch, radius, agg):
-    """On the scene with NaN cells, its NaN-free copy and its copy with signed
-    zeros (which must take the general path), at any chunk size, with and
-    without slack: the kernel's bytes are the frozen kernel's."""
+    """On the scene with NaN cells and each of its NaN-free copies, at any
+    chunk size, with and without slack: the kernel's bytes are the frozen
+    kernel's."""
     scene, xs, ys = bit_exact_scene(rng)
     for cells in SCENE_CELLS:
         grid = recell(scene, cells)
-        assert grid._plain == (cells == "plain")
+        assert grid.has_nodata == (cells == "nodata")
         want = frozen_buffer_kernel(grid, xs, ys, radius, agg)
         assert np.isnan(want[-8:]).all() and np.isfinite(want).any()
         for chunk in (1, 64, raster._CHUNK_ELEMENTS):
@@ -342,8 +356,8 @@ def exact_event_distance(grid, x, y, radius):
 def test_buffer_slack_is_safe_and_tight(rng, cell, origin, agg):
     """Moves shorter than a center's slack keep the result bits, and the
     slack lies between half the exact event distance (less the margin) and
-    that distance, at and over the edge of a grid with a nodata patch, of its
-    NaN-free copy and of its copy with signed zeros."""
+    that distance, at and over the edge of a grid with a nodata patch and of
+    each of its NaN-free copies."""
     values = rng.normal(100.0, 5.0, (30, 30))
     values[10:16, 4:12] = np.nan
     scene = RasterGrid(origin[0], origin[1] + 30 * cell, cell, -cell, values)
@@ -353,7 +367,7 @@ def test_buffer_slack_is_safe_and_tight(rng, cell, origin, agg):
     ys = np.concatenate([rng.uniform(y0 - 2 * cell, y1 + 2 * cell, n), [y0 + 5.5 * cell, y1, y0 + 7.5 * cell]])
     for cells in SCENE_CELLS:
         grid = recell(scene, cells)
-        assert grid._plain == (cells == "plain")
+        assert grid.has_nodata == (cells == "nodata")
         slack = np.empty(xs.size)
         base = aggregate_buffer_points(grid, xs, ys, DEFAULT_RADIUS_M, agg, slack)
 
@@ -619,6 +633,39 @@ def test_geotiff_round_trip_bit_identical(tmp_path, rng):
     assert back.cell_size_x == grid.cell_size_x
     assert back.cell_size_y == grid.cell_size_y
     assert back.crs_tag == "EPSG:32654"
+
+
+# What both writers write for a NaN-free grid with a sentinel: the sentinel is
+# declared and no cell is replaced.
+SENTINEL_NO_NAN_TIF_SHA256 = "7d85f3494118bdc8e4b67ddc0ed7d885065151fec5650e60a256b6cbfedb6ebf"
+SENTINEL_NO_NAN_ASC = """\
+ncols 3
+nrows 2
+xllcorner 500000.0
+yllcorner 0.0
+cellsize 30.0
+NODATA_value -9999.0
+1.5 -0.0 2.25
+3.0 4.0 -7.125
+"""
+
+
+@pytest.mark.parametrize("suffix", [".asc", ".tif"])
+def test_nan_free_grid_with_a_sentinel_round_trips_byte_for_byte(tmp_path, suffix):
+    grid = make_grid([[1.5, -0.0, 2.25], [3.0, 4.0, -7.125]], origin_x=500000.0, cell=30.0, crs="EPSG:32654")
+    assert grid.nodata == -9999.0 and not grid.has_nodata
+    path = tmp_path / f"grid{suffix}"
+    write_raster(grid, path)
+    data = path.read_bytes()
+    if suffix == ".asc":
+        assert data.decode("ascii") == SENTINEL_NO_NAN_ASC
+    else:
+        assert hashlib.sha256(data).hexdigest() == SENTINEL_NO_NAN_TIF_SHA256
+    back = load_raster(path)
+    assert back.nodata == -9999.0 and not back.has_nodata
+    assert back.values.tobytes() == grid.values.tobytes()
+    write_raster(back, tmp_path / f"again{suffix}")
+    assert (tmp_path / f"again{suffix}").read_bytes() == data
 
 
 def test_load_raster_dispatches_on_magic(tmp_path):
