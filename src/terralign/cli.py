@@ -227,7 +227,7 @@ def _load_pipeline(cfg: RunConfig):
     fps_path = Path(cfg.footprints_path)
     if not fps_path.exists():
         raise DataError(f"footprint CSV not found: {fps_path}")
-    with fps_path.open(newline="") as fh:
+    with fps_path.open(newline="", encoding="utf-8-sig") as fh:
         table, parse_stats = parse_footprints(fh, source=str(fps_path))
     taken = [c for c in CORRECTED_EXTRA_COLUMNS if c in table.cells.header]
     if taken:
@@ -271,7 +271,7 @@ class _CorrectedCsvWriter:
         """The numbers are repr-formatted and never need CSV quoting."""
         refs_after = _fmt_floats(result.ref_after.tolist())
         tail = f",{result.method},{result.metric}\n"
-        with path.open("w", newline="") as fh:
+        with path.open("w", newline="", encoding="utf-8") as fh:
             fh.write(self.header)
             start = 0
             for group, sol in zip(result.groups, result.solutions):
@@ -391,7 +391,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_raster(terrain, out_dir / "terrain.asc")
-    with (out_dir / "footprints.csv").open("w", newline="") as fh:
+    with (out_dir / "footprints.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(REQUIRED_COLUMNS)
         writer.writerows(all_rows)
@@ -407,7 +407,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise DataError(f"corrected CSV not found: {corrected_path}")
     dem, geoid = _load_rasters(cfg.dem_path, cfg.geoid_path)
 
-    with corrected_path.open(newline="") as fh:
+    with corrected_path.open(newline="", encoding="utf-8-sig") as fh:
         table, stats = parse_footprints(fh, source=str(corrected_path))
     header, cells = table.cells
     missing = [c for c in CORRECTED_EXTRA_COLUMNS if c not in header]

@@ -182,6 +182,8 @@ class RunConfig:
             for name in names:
                 if name not in known:
                     raise ConfigError(f"{key}: unknown name {name!r}; expected one of {known}")
+                if names.count(name) > 1:
+                    raise ConfigError(f"{key}: {getattr(name, 'value', name)!r} is listed twice")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ConfigError(f"radius: must be finite and positive, got {self.radius!r}")
         if self.workers < 1:

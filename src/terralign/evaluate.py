@@ -10,27 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .footprints import MIN_GROUP_SIZE, ShotGroup
-
-REPORT_COLUMNS = (
-    "method",
-    "metric",
-    "mae_m",
-    "mean_dx",
-    "sd_dx",
-    "mean_dy",
-    "sd_dy",
-    "mean_disp",
-    "sd_disp",
-    "n_groups",
-    "n_footprints",
-    "wall_time_s",
-)
 
 ORIGINAL_LABEL = "original"
 
@@ -48,8 +33,43 @@ def mae(elev: np.ndarray, ref: np.ndarray) -> float:
     return float(np.mean(np.abs(elev - ref)))
 
 
+def displacement_stats(dx: Sequence[float], dy: Sequence[float]) -> dict[str, float]:
+    """Mean/sd of per-group offsets and unsigned displacement magnitudes.
+
+    `dx[i]` and `dy[i]` are the offset of group i. Returns the report cells
+    `mean_dx` to `n_groups`, keyed by column. Sample (n-1) standard
+    deviations; NaN marks statistics that are undefined for fewer than 2
+    groups (the means, for none).
+    """
+    n = len(dx)
+    dxs = np.asarray(dx, dtype=np.float64)
+    dys = np.asarray(dy, dtype=np.float64)
+    disp = np.hypot(dxs, dys)
+
+    def mean(v: np.ndarray) -> float:
+        return float(np.mean(v)) if n >= 1 else math.nan
+
+    def sd(v: np.ndarray) -> float:
+        return float(np.std(v, ddof=1)) if n >= 2 else math.nan
+
+    return {
+        "mean_dx": mean(dxs),
+        "sd_dx": sd(dxs),
+        "mean_dy": mean(dys),
+        "sd_dy": sd(dys),
+        "mean_disp": mean(disp),
+        "sd_disp": sd(disp),
+        "n_groups": n,
+    }
+
+
 @dataclass
-class OffsetSummary:
+class ReportRow:
+    """One report line; its fields, in order, are the report columns."""
+
+    method: str
+    metric: str
+    mae_m: float
     mean_dx: float
     sd_dx: float
     mean_dy: float
@@ -57,45 +77,11 @@ class OffsetSummary:
     mean_disp: float
     sd_disp: float
     n_groups: int
-
-
-def displacement_stats(dx: Sequence[float], dy: Sequence[float]) -> OffsetSummary:
-    """Mean/sd of per-group offsets and unsigned displacement magnitudes.
-
-    `dx[i]` and `dy[i]` are the offset of group i. Sample (n-1) standard
-    deviations; NaN marks statistics that are undefined for fewer than 2
-    groups.
-    """
-    n = len(dx)
-    if n == 0:
-        nan = math.nan
-        return OffsetSummary(nan, nan, nan, nan, nan, nan, 0)
-    dxs = np.asarray(dx, dtype=np.float64)
-    dys = np.asarray(dy, dtype=np.float64)
-    disp = np.hypot(dxs, dys)
-
-    def sd(v: np.ndarray) -> float:
-        return float(np.std(v, ddof=1)) if n >= 2 else math.nan
-
-    return OffsetSummary(
-        mean_dx=float(np.mean(dxs)),
-        sd_dx=sd(dxs),
-        mean_dy=float(np.mean(dys)),
-        sd_dy=sd(dys),
-        mean_disp=float(np.mean(disp)),
-        sd_disp=sd(disp),
-        n_groups=n,
-    )
-
-
-@dataclass
-class ReportRow:
-    method: str
-    metric: str
-    mae_m: float
-    offsets: OffsetSummary
     n_footprints: int
     wall_time_s: float = math.nan  # only `bench` sets it
+
+
+REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 @dataclass
@@ -140,11 +126,12 @@ def report_rows(
         members.setdefault(key, []).append(i)
     solved = [idx[0] for idx in members.values() if len(idx) >= MIN_GROUP_SIZE]
 
-    original = OffsetSummary(*[math.nan] * 6, len(members))
-    rows = [ReportRow(ORIGINAL_LABEL, "", mae(elev[keep], ref_before[keep]), original, n_kept)]
+    original = displacement_stats([], []) | {"n_groups": len(members)}
+    rows = [ReportRow(ORIGINAL_LABEL, "", mae(elev[keep], ref_before[keep]), **original, n_footprints=n_kept)]
     for c in combinations:
         offsets = displacement_stats(c.dx[solved], c.dy[solved])
-        rows.append(ReportRow(c.method, c.metric, mae(elev[keep], c.ref_after[keep]), offsets, n_kept))
+        after = mae(elev[keep], c.ref_after[keep])
+        rows.append(ReportRow(c.method, c.metric, after, **offsets, n_footprints=n_kept))
     return rows
 
 
@@ -182,12 +169,6 @@ def compare_methods(results: Sequence, groups: Sequence[ShotGroup]) -> list[Repo
     return report_rows(keys, elev, ref_before, combinations)
 
 
-def _row_values(row: ReportRow) -> list:
-    """The row's values in REPORT_COLUMNS order, which every writer formats."""
-    values = vars(row) | vars(row.offsets)
-    return [values[column] for column in REPORT_COLUMNS]
-
-
 def _cell(value, blank: str = "") -> str:
     if isinstance(value, str):
         return value
@@ -201,7 +182,7 @@ def _cell(value, blank: str = "") -> str:
 def rows_to_csv(rows: Sequence[ReportRow]) -> str:
     lines = [",".join(REPORT_COLUMNS)]
     for row in rows:
-        lines.append(",".join(_cell(value) for value in _row_values(row)))
+        lines.append(",".join(_cell(value) for value in astuple(row)))
     return "\n".join(lines) + "\n"
 
 
@@ -209,7 +190,7 @@ def rows_to_text(rows: Sequence[ReportRow]) -> str:
     """Aligned plain-text table; '-' marks undefined cells."""
     table = [list(REPORT_COLUMNS)]
     for row in rows:
-        table.append([_cell(value, blank="-") for value in _row_values(row)])
+        table.append([_cell(value, blank="-") for value in astuple(row)])
     widths = [max(len(line[i]) for line in table) for i in range(len(REPORT_COLUMNS))]
     out = []
     for line in table:
@@ -225,5 +206,5 @@ def rows_to_json(rows: Sequence[ReportRow]) -> str:
             return None
         return value
 
-    payload = [dict(zip(REPORT_COLUMNS, map(num, _row_values(row)))) for row in rows]
+    payload = [dict(zip(REPORT_COLUMNS, map(num, astuple(row)))) for row in rows]
     return json.dumps(payload, indent=2) + "\n"

@@ -147,17 +147,21 @@ def read_geotiff(path: str | Path) -> RasterGrid:
     if offsets is None or counts is None:
         raise RasterFormatError(f"{path}: missing strip layout tags")
     # the strips are read in order up to the grid's size, which the file must
-    # hold, so overlapping strips cannot make the pixel bytes outgrow the file
+    # hold, so overlapping strips cannot make the pixel bytes outgrow the file;
+    # they are copied once, into the grid's own buffer
     need = width * height * dtype.itemsize
     if need > len(data):
         raise RasterFormatError(f"{path}: truncated pixel data")
-    strips = []
+    pixels = np.empty(need, np.uint8)
+    filled = 0
     for offset, count in zip(offsets, counts):
-        strips.append(data[offset : offset + min(count, need)])
-        need -= len(strips[-1])
-    if need:
+        n = min(count, need - filled, len(data) - offset)
+        if n > 0:  # a strip past the end of the file holds no bytes
+            pixels[filled : filled + n] = np.frombuffer(data, np.uint8, n, offset)
+            filled += n
+    if filled < need:
         raise RasterFormatError(f"{path}: truncated pixel data")
-    values = np.frombuffer(b"".join(strips), dtype=dtype).reshape(height, width).astype(np.float64)
+    values = pixels.view(dtype).reshape(height, width).astype(np.float64, copy=False)
 
     origin_x, origin_y, csx, csy = _georeference(tags, path)
 
@@ -169,7 +173,7 @@ def read_geotiff(path: str | Path) -> RasterGrid:
         except (UnicodeDecodeError, ValueError):
             nodata = None
     if nodata is not None and not np.isnan(nodata):
-        values = np.where(values == nodata, np.nan, values)
+        values[values == nodata] = np.nan
 
     return RasterGrid(
         origin_x=origin_x,

@@ -232,7 +232,7 @@ def optimize_lbfgsb(
     lb = cfg.lbfgsb
     tracker = _Tracker(f, bounds, memo=True)
     h = lb.fd_step if lb.fd_step is not None else max(getattr(f, "cell_size", 1.0), 1.0)
-    starts = five_point_starts(bounds) if lb.starts == 5 else [(0.0, 0.0)]
+    starts = five_point_starts(bounds)[: lb.starts]
 
     def value_and_gradient(v: np.ndarray) -> tuple[float, np.ndarray]:
         x, y = v
@@ -343,7 +343,9 @@ def optimize_pso(
     """Global-best particle swarm with velocity clamping.
 
     Positions start uniform in bounds with zero velocities; clamped
-    position components get their velocity zeroed.
+    position components get their velocity zeroed. The social term pulls
+    toward the tracker's best point, the best any particle has scored; a
+    NaN value never becomes it.
     """
     cfg = cfg or OptimizerConfig()
     p = cfg.pso
@@ -357,14 +359,11 @@ def optimize_pso(
     fx = tracker.batch(x)
     pbest = x.copy()
     pbest_f = fx.copy()
-    g_idx = int(np.argmin(pbest_f))
-    gbest = pbest[g_idx].copy()
-    gbest_f = float(pbest_f[g_idx])
 
     for _ in range(p.iterations):
         r1 = rng.random((p.swarm, 2))
         r2 = rng.random((p.swarm, 2))
-        v = p.inertia * v + p.cognitive * r1 * (pbest - x) + p.social * r2 * (gbest - x)
+        v = p.inertia * v + p.cognitive * r1 * (pbest - x) + p.social * r2 * (np.array(tracker.best_x) - x)
         v = np.clip(v, -v_max, v_max)
         moved = x + v
         clamped = (moved < lo) | (moved > hi)
@@ -374,10 +373,6 @@ def optimize_pso(
         improved = fx < pbest_f
         pbest[improved] = x[improved]
         pbest_f[improved] = fx[improved]
-        g_idx = int(np.argmin(pbest_f))
-        if pbest_f[g_idx] < gbest_f:
-            gbest = pbest[g_idx].copy()
-            gbest_f = float(pbest_f[g_idx])
     return tracker.solution(converged=True)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .optimize import CorrectionResult, correct_dataset
 from .raster import AggregationKind, RasterGrid, aggregate_buffer_points
 
 BASE_ELEVATION_M = 100.0
-TRACK_MARGIN_M = DEFAULT_WINDOW_M
 TRACK_BEAM = "BEAM0101"  # the `beam` cell `simulate` writes for every footprint
 TERRAIN_KINDS = ("flat", "ramp", "gaussian_hills", "fractal")
 
@@ -194,7 +192,7 @@ def gen_track(
     xs = cx + s * ux
     ys = cy + s * uy
 
-    margin = TRACK_MARGIN_M
+    margin = DEFAULT_WINDOW_M
     if (
         xs.min() < x_min + margin
         or xs.max() > x_max - margin
@@ -234,18 +232,16 @@ def plant_offset(group: ShotGroup, spec: TrackSpec) -> ShotGroup:
 def run_recovery_experiment(
     terrain_spec: TerrainSpec,
     track_spec: TrackSpec,
-    methods: Sequence[str],
-    metrics: Sequence[str],
     cfg: RunConfig | None = None,
 ) -> tuple[list[CorrectionResult], list[ReportRow]]:
-    """Plant an offset and run every method x metric on the one track.
+    """Plant an offset and run every `cfg.methods` x `cfg.metrics` on the one track.
 
     Returns the `CorrectionResult`s in methods x metrics order and the
     `compare_methods` rows, "original" first: every MAE covers the
     footprints with a reference in all of them. The recovery error of a
     result is the distance from `solutions[0]` to the negated planted
-    offset. Reads `radius`, `agg`, `bounds`, `optimizer` and `seed` from
-    `cfg`.
+    offset. Also reads `radius`, `agg`, `bounds`, `optimizer` and `seed`
+    from `cfg`.
     """
     cfg = cfg or RunConfig()
     terrain = gen_terrain(terrain_spec)
@@ -255,7 +251,7 @@ def run_recovery_experiment(
     observed = attach_reference(observed, terrain, cfg.radius, cfg.agg, max_dem_diff=math.inf)
     results = [
         correct_dataset([observed], terrain, method=method, metric=metric, cfg=cfg)
-        for method in methods
-        for metric in metrics
+        for method in cfg.methods
+        for metric in cfg.metrics
     ]
     return results, compare_methods(results, [observed])

@@ -273,7 +273,7 @@ def test_c5_correction_improves_mae_on_noisy_scenes():
                 planted_dx=r * math.sin(theta), planted_dy=r * math.cos(theta),
                 seed=4000 + i,
             ),
-            methods=["lbfgsb"], metrics=[MetricKind.AREA],
+            RunConfig(methods=["lbfgsb"], metrics=[MetricKind.AREA]),
         )
         improved += row.mae_m < original.mae_m
     print(f"mae improved on {improved}/{N_SCENES} noisy scenes")
@@ -288,7 +288,7 @@ def test_c6_flat_terrain_keeps_mae_unchanged():
             TerrainSpec("flat", 160, 160, 4.0, 150.0, seed=seed),
             TrackSpec(n_footprints=n, spacing=25.0, heading=37.0 * seed,
                       noise_sd=noise_sd, planted_dx=6.0, planted_dy=-9.0, seed=6000 + seed),
-            methods=["grid", "lbfgsb", "ga", "pso"], metrics=[MetricKind.EUCLIDEAN],
+            RunConfig(methods=["grid", "lbfgsb", "ga", "pso"], metrics=[MetricKind.EUCLIDEAN]),
         )
         for row in rows:
             assert abs(row.mae_m - original.mae_m) <= bound, (seed, row.method)

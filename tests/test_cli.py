@@ -388,6 +388,38 @@ def test_grid_step_wider_than_the_window_is_usage_error(tmp_path, capsys):
     ]) == 0
 
 
+def test_name_listed_twice_is_usage_error(tmp_path, capsys):
+    dem, fps, _ = write_flat_scene(tmp_path)
+    for dem_path in (dem, tmp_path / "missing.tif"):  # the rule is checked before any file is read
+        rc = run([
+            "correct", "--dem", dem_path, "--footprints", fps, "--out", tmp_path / "o",
+            "--methods", "grid,grid",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: methods: 'grid' is listed twice\n", err
+        assert not (tmp_path / "o").exists()
+
+
+def test_footprint_csv_with_a_byte_order_mark_gives_the_same_outputs(tmp_path):
+    dem, fps, _ = write_flat_scene(tmp_path)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + fps.read_bytes())
+    flags = ["--dem", dem, "--metrics", "euclidean,area"]
+    assert run(["correct", *flags, "--footprints", fps, "--out", tmp_path / "plain"]) == 0
+    assert run(["correct", *flags, "--footprints", bom, "--out", tmp_path / "bom"]) == 0
+    names = ["corrected_grid_euclidean.csv", "corrected_grid_area.csv", "report.csv", "report.json", "report.txt"]
+    for name in names:
+        assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
+    corrected = tmp_path / "bom" / "corrected_grid_euclidean.csv"
+    assert run(["evaluate", "--dem", dem, "--corrected", corrected, "--out", tmp_path / "eval_plain"]) == 0
+    bom_corrected = tmp_path / "bom_corrected.csv"
+    bom_corrected.write_bytes(b"\xef\xbb\xbf" + corrected.read_bytes())
+    assert run(["evaluate", "--dem", dem, "--corrected", bom_corrected, "--out", tmp_path / "eval_bom"]) == 0
+    for name in ("report.csv", "report.json", "report.txt"):
+        assert (tmp_path / "eval_bom" / name).read_bytes() == (tmp_path / "eval_plain" / name).read_bytes(), name
+
+
 def test_empty_pipeline_names_the_filter(tmp_path, capsys):
     dem, fps, _ = write_flat_scene(tmp_path, sensitivity=0.5)
     rc = run(["correct", "--dem", dem, "--footprints", fps, "--out", tmp_path / "o"])

@@ -7,7 +7,7 @@ from typing import get_args, get_type_hints
 
 import pytest
 
-from terralign import ConfigError, RunConfig
+from terralign import ConfigError, MetricKind, RunConfig
 from terralign.cli import build_parser, main
 from terralign.config import (
     Bounds, GaConfig, LbfgsbConfig, OptimizerConfig, PsoConfig, QualityRules,
@@ -358,8 +358,12 @@ def test_grid_step_wider_than_the_window_is_rejected_only_for_grid(methods, boun
         ({"workers": 0}, r"^workers: must be >= 1"),
         ({"methods": ["x"]}, r"^methods: unknown name 'x'"),
         ({"metrics": []}, r"^metrics: at least one is required"),
+        # each name runs once: a repeat would solve and write one combination twice
+        ({"methods": ["grid", "ga", "grid"]}, r"^methods: 'grid' is listed twice$"),
+        ({"metrics": ["euclidean", "euclidean"]}, r"^metrics: 'euclidean' is listed twice$"),
+        ({"metrics": ["area", MetricKind.AREA]}, r"^metrics: 'area' is listed twice$"),
     ],
-    ids=["workers", "methods", "metrics"],
+    ids=["workers", "methods", "metrics", "method-twice", "metric-twice", "name-and-enum-twice"],
 )
 def test_run_config_checks_itself_when_built(kwargs, match):
     """A library RunConfig is checked as config_from_dict's is, with the same message."""

@@ -9,6 +9,7 @@ import hashlib
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,3 +261,22 @@ def test_writer_bytes_are_pinned(tmp_path, nodata, crs):
     path = tmp_path / "grid.tif"
     write_geotiff(_pinned_grid(nodata, crs), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITER_DIGESTS[nodata, crs]
+
+
+@pytest.mark.parametrize("nodata", [-9999.0, None], ids=["sentinel", "no-sentinel"])
+def test_reader_holds_the_file_and_the_grid_not_copies(tmp_path, nodata):
+    """Peak memory of a read is the file's bytes plus the grid's, not a copy per step."""
+    values = np.random.default_rng(0).normal(100.0, 5.0, (1024, 1024))  # 8 MB of float64
+    values[::7, ::5] = np.nan
+    grid = make_grid(values)
+    grid.nodata = nodata
+    path = tmp_path / "big.tif"
+    write_geotiff(grid, path)
+    tracemalloc.start()
+    try:
+        got = read_geotiff(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got.values, values)
+    assert peak <= path.stat().st_size + values.nbytes + 2 * 2**20, peak

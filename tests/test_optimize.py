@@ -264,6 +264,22 @@ def test_pso_gbest_monotone_in_budget():
     assert all(v2 <= v1 for v1, v2 in zip(values, values[1:]))
 
 
+def test_pso_recovers_the_minimum_when_its_first_particle_scores_nan():
+    """A NaN never becomes the swarm's attractor; the best scored point does."""
+    calls = []
+
+    def bowl(dx, dy):
+        calls.append((dx, dy))
+        return math.nan if len(calls) == 1 else (dx - 7.0) ** 2 + (dy + 4.0) ** 2
+
+    cfg = OptimizerConfig()
+    cfg.pso.swarm, cfg.pso.iterations = 20, 60
+    for seed in range(5):
+        calls.clear()
+        sol = optimize_pso(bowl, cfg=cfg, rng=np.random.default_rng(seed))
+        assert math.hypot(sol.dx - 7.0, sol.dy + 4.0) < 1e-3, seed
+
+
 def test_all_solvers_respect_bounds_exactly(rng):
     bounds = Bounds(7.0, 13.0)
     cfg = OptimizerConfig()

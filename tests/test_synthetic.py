@@ -180,8 +180,7 @@ def test_recovery_experiment_grid_euclidean_within_lattice_bound():
     results, (original, row) = run_recovery_experiment(
         TerrainSpec(kind="gaussian_hills", n_rows=250, n_cols=250, cell_size=2.0, relief=200.0, seed=6),
         TrackSpec(n_footprints=12, spacing=25.0, heading=120.0, planted_dx=8.0, planted_dy=-3.0, seed=6),
-        methods=["grid"],
-        metrics=["euclidean"],
+        RunConfig(methods=["grid"], metrics=["euclidean"]),
     )
     assert len(results) == 1
     (sol,) = results[0].solutions
@@ -193,8 +192,7 @@ def test_recovery_experiment_flat_mae_unchanged():
     _, (original, *rows) = run_recovery_experiment(
         TerrainSpec(kind="flat", n_rows=200, n_cols=200, cell_size=2.0, seed=1),
         TrackSpec(n_footprints=10, spacing=25.0, noise_sd=0.4, planted_dx=9.0, planted_dy=4.0, seed=1),
-        methods=["grid", "lbfgsb", "ga", "pso"],
-        metrics=["euclidean"],
+        RunConfig(methods=["grid", "lbfgsb", "ga", "pso"], metrics=["euclidean"]),
     )
     for row in rows:
         assert row.mae_m == pytest.approx(original.mae_m, abs=1e-12)
@@ -205,7 +203,7 @@ def test_recovery_experiment_report_bytes_deterministic():
         TerrainSpec(kind="fractal", n_rows=220, n_cols=220, cell_size=2.0, relief=120.0, seed=12),
         TrackSpec(n_footprints=8, spacing=25.0, heading=200.0, planted_dx=-5.0, planted_dy=7.0, seed=12),
     )
-    kwargs = dict(methods=["grid", "ga"], metrics=["euclidean", "area"], cfg=RunConfig(seed=5))
+    kwargs = dict(cfg=RunConfig(methods=["grid", "ga"], metrics=["euclidean", "area"], seed=5))
 
     def run_once():
         results, rows = run_recovery_experiment(*args, **kwargs)
