@@ -4,13 +4,15 @@ The processing order mirrors the acquisition pipeline: parse the footprint
 table, keep high-quality shots, subtract the geoid undulation, partition
 into shot groups, reject per-group elevation outliers with a rolling
 window, then attach reference elevations sampled from the DEM. Each stage
-selects rows of a FootprintTable with `take`; a shot group is a slice of
-the table sorted by group key.
+runs once over the whole table and selects its rows with one keep mask
+(`take`); the shot groups are slices of the final table, sorted by group
+key, cut only after the last stage.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
 from dataclasses import dataclass, fields
@@ -40,6 +42,7 @@ GROUP_PREFIX_LEN = 10
 MIN_GROUP_SIZE = 3
 
 _NA_TOKENS = frozenset({"", "na", "nan", "null", "none"})
+_NA_MAX_LEN = max(map(len, _NA_TOKENS))
 _TREE_COVER = {"1": 1.0, "true": 1.0, "0": 0.0, "false": 0.0}
 
 
@@ -58,13 +61,15 @@ class InputCells(NamedTuple):
 class FootprintTable:
     """Footprints as equal-length columns, one entry per footprint.
 
-    Every column but `shot_number` (str objects) and `row` is float64:
-    `degrade_flag` and `quality_flag` hold the integer value of their cell,
-    `tree_cover` is 1, 0 or NaN (not given) and `ref_elev` is NaN until
-    `attach_reference`. `row[i]` indexes `cells.rows`, the input cells the
-    footprint was parsed from, which every table taken from a parsed one
-    shares; a table not read from a CSV has `cells` None. Columns are never
-    modified in place: each stage takes a new table.
+    Every column but `shot_number` (str objects), `row` and `group_id` is
+    float64: `degrade_flag` and `quality_flag` hold the integer value of
+    their cell, `tree_cover` is 1, 0 or NaN (not given) and `ref_elev` is
+    NaN until `attach_reference`. `row[i]` indexes `cells.rows`, the input
+    cells the footprint was parsed from, which every table taken from a
+    parsed one shares; a table not read from a CSV has `cells` None.
+    `group_id[i]` is the index of the footprint's group among the keys
+    `group_by_shot` returned, and 0 in a table not yet grouped. Columns are
+    never modified in place: each stage takes a new table.
     """
 
     x: np.ndarray
@@ -79,6 +84,7 @@ class FootprintTable:
     tree_cover: np.ndarray
     shot_number: np.ndarray
     row: np.ndarray
+    group_id: np.ndarray
     cells: InputCells | None = None
 
     def __len__(self) -> int:
@@ -166,6 +172,33 @@ def _csv_rows(lines: Iterable[str], source: str) -> Iterator[list[str]]:
         raise FootprintError(f"{source}: undecodable text after line {reader.line_num}: {exc}") from exc
 
 
+def _na_mask(column: Sequence[str]) -> np.ndarray:
+    """`_is_na` of every cell, tested only where the stripped cell is as
+    short as an NA token: `lower` never shortens a string."""
+    n = len(column)
+    mask = np.zeros(n, dtype=bool)
+    short = np.flatnonzero(np.fromiter(map(len, map(str.strip, column)), np.int64, n) <= _NA_MAX_LEN)
+    mask[short] = [_is_na(column[i]) for i in short]
+    return mask
+
+
+def _floats(column: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """`float` of every cell, NaN where it raises, and where it raised."""
+    n = len(column)
+    try:
+        return np.fromiter(map(float, column), np.float64, n), np.zeros(n, bool)
+    except ValueError:
+        pass
+    values = np.full(n, math.nan)
+    failed = np.zeros(n, bool)
+    for i, cell in enumerate(column):
+        try:
+            values[i] = float(cell)
+        except ValueError:
+            failed[i] = True
+    return values, failed
+
+
 def parse_footprints(lines: Iterable[str], source: str = "<stream>") -> tuple[FootprintTable, ParseStats]:
     """Read a footprint CSV into a FootprintTable.
 
@@ -173,7 +206,8 @@ def parse_footprints(lines: Iterable[str], source: str = "<stream>") -> tuple[Fo
     with "" or cut to the header's length, and kept as it is in the
     table's `cells`. Rows with missing/NA required fields or unparseable
     numerics are dropped and counted in the returned stats, not raised.
-    `shot_number` is stripped of surrounding spaces.
+    `shot_number` is stripped of surrounding spaces. Each column is
+    converted in one pass, and each drop rule is a mask over the rows.
     """
     rows = _csv_rows(lines, source)
     header = next(rows, None)
@@ -186,58 +220,51 @@ def parse_footprints(lines: Iterable[str], source: str = "<stream>") -> tuple[Fo
     if repeated:
         raise FootprintError(f"{source}: repeated column names: {', '.join(map(repr, repeated))}")
     width = len(header)
-    required = [header.index(c) for c in REQUIRED_COLUMNS]
-    i_shot, _, i_x, i_y, i_elev, i_degrade, i_quality, i_sens, i_rh100 = required
-    i_tree = header.index("tree_cover") if "tree_cover" in header else None
+    cells = [r if len(r) == width else r[:width] + [""] * (width - len(r)) for r in rows if r]
+    n = len(cells)
+    columns = list(zip(*cells)) if n else [()] * width
+    column = {name: columns[header.index(name)] for name in REQUIRED_COLUMNS}
 
-    kept: list[list[str]] = []
-    shots: list[str] = []
-    values: list[tuple[float, ...]] = []
-    stats = ParseStats()
-    for cells in rows:
-        if not cells:
-            continue
-        stats.n_rows += 1
-        if len(cells) != width:
-            cells = cells[:width] + [""] * (width - len(cells))
-        if any(_is_na(cells[i]) for i in required):
-            stats.n_dropped_na += 1
-            continue
-        try:
-            x = float(cells[i_x])
-            y = float(cells[i_y])
-            elev = float(cells[i_elev])
-            degrade = int(float(cells[i_degrade]))
-            quality = int(float(cells[i_quality]))
-            sens = float(cells[i_sens])
-            rh100 = float(cells[i_rh100])
-        except (ValueError, OverflowError):  # OverflowError: int() of an infinite flag
-            stats.n_dropped_bad_numeric += 1
-            continue
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(elev)):
-            stats.n_dropped_bad_numeric += 1
-            continue
-        tree_cover = math.nan
-        if i_tree is not None and not _is_na(cells[i_tree]):
-            tree_cover = _TREE_COVER.get(cells[i_tree].strip().lower())
-            if tree_cover is None:
-                stats.n_dropped_bad_numeric += 1
-                continue
-        kept.append(cells)
-        shots.append(cells[i_shot].strip())
-        values.append((x, y, elev, degrade, quality, sens, rh100, tree_cover))
+    shots = [c.strip() for c in column["shot_number"]]
+    na = _na_mask(column["shot_number"]) | _na_mask(column["beam"])
+    bad = np.zeros(n, bool)
+    values = {}
+    for name in REQUIRED_COLUMNS[2:]:  # x to rh100, the numeric columns
+        v, failed = _floats(column[name])
+        # only a cell that float() rejects or reads as NaN can be an NA token
+        maybe_na = np.flatnonzero(failed | np.isnan(v))
+        na[maybe_na] |= _na_mask([column[name][i] for i in maybe_na])
+        if name in ("x", "y", "elev_lowestmode"):
+            bad |= ~np.isfinite(v)
+        elif name in ("degrade_flag", "quality_flag"):
+            bad |= ~np.isfinite(v)  # int() of an infinite flag raises
+            v = np.trunc(v) + 0.0  # int(float(cell)), whose -0.5 gives +0.0
+        else:
+            bad |= failed
+        values[name] = v
+    tree_cover = np.full(n, math.nan)
+    if "tree_cover" in header:
+        tokens = [c.strip().lower() for c in columns[header.index("tree_cover")]]
+        tree_cover = np.fromiter((_TREE_COVER.get(t, math.nan) for t in tokens), np.float64, n)
+        bad |= np.fromiter((t not in _TREE_COVER and t not in _NA_TOKENS for t in tokens), bool, n)
+
+    keep = ~(na | bad)
+    stats = ParseStats(n_rows=n, n_dropped_na=int(na.sum()), n_dropped_bad_numeric=int((bad & ~na).sum()))
     if stats.n_dropped_na or stats.n_dropped_bad_numeric:
         logger.info(
             "%s: dropped %d NA rows and %d unparseable rows of %d",
             source, stats.n_dropped_na, stats.n_dropped_bad_numeric, stats.n_rows,
         )
-    numeric = np.array(values, dtype=np.float64).reshape(-1, 8).T.copy()
-    x, y, elev, degrade, quality, sens, rh100, tree_cover = numeric
+    kept = list(itertools.compress(cells, keep))
+    elev = values["elev_lowestmode"][keep]
     table = FootprintTable(
-        x=x, y=y, elev_lowestmode=elev, gedi_dem=elev, ref_elev=np.full(len(kept), math.nan),
-        degrade_flag=degrade, quality_flag=quality, sensitivity=sens, rh100=rh100,
-        tree_cover=tree_cover, shot_number=np.array(shots, dtype=object),
-        row=np.arange(len(kept)), cells=InputCells(tuple(header), kept),
+        x=values["x"][keep], y=values["y"][keep], elev_lowestmode=elev, gedi_dem=elev,
+        ref_elev=np.full(len(kept), math.nan), degrade_flag=values["degrade_flag"][keep],
+        quality_flag=values["quality_flag"][keep], sensitivity=values["sensitivity"][keep],
+        rh100=values["rh100"][keep], tree_cover=tree_cover[keep],
+        shot_number=np.array(list(itertools.compress(shots, keep)), dtype=object),
+        row=np.arange(len(kept)), group_id=np.zeros(len(kept), np.int64),
+        cells=InputCells(tuple(header), kept),
     )
     return table, stats
 
@@ -258,14 +285,19 @@ def filter_quality(table: FootprintTable, rules: QualityRules) -> FootprintTable
 
 
 def flag_rolling_outliers(
-    series: Sequence[float], window: int = QualityRules.outlier_window, k: float = QualityRules.outlier_k
+    series: Sequence[float],
+    window: int = QualityRules.outlier_window,
+    k: float = QualityRules.outlier_k,
+    starts: Sequence[int] = (0,),
 ) -> np.ndarray:
     """Flag elements deviating more than k local standard deviations.
 
     The window of `window` consecutive elements is centered at each index
     and truncated at the series ends. The standard deviation uses the
     sample (n-1) formula; windows with fewer than 3 elements or zero
-    deviation never flag.
+    deviation never flag. `starts` cuts `series` into consecutive series at
+    these ascending indices, the first 0: no window crosses a cut, and each
+    piece is flagged exactly as it would be alone.
     """
     if window % 2 == 0 or window < 3:
         raise ValueError("window must be odd and >= 3")
@@ -275,18 +307,31 @@ def flag_rolling_outliers(
     if x.ndim != 1:
         raise ValueError("series must be 1-D")
     n = x.size
+    starts = np.asarray(starts, dtype=np.int64)
+    if starts.ndim != 1 or starts.size == 0 or starts[0] != 0 or np.any(np.diff(starts) < 0) or starts[-1] > n:
+        raise ValueError("starts must ascend from 0 and stay within the series")
     if n == 0:
         return np.zeros(0, dtype=bool)
 
+    # Piece p's running sums fill cum[a + p : b + p + 1] for its rows a..b-1,
+    # from 0.0: each piece takes its own cumsum, which is sequential, so its
+    # sums round as if the piece were alone.
+    ends = np.append(starts[1:], n)
+    xsq = x * x
+    cum = np.zeros(n + starts.size)
+    cum_sq = np.zeros(n + starts.size)
+    for p, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
+        np.cumsum(x[a:b], out=cum[a + p + 1 : b + p + 1])
+        np.cumsum(xsq[a:b], out=cum_sq[a + p + 1 : b + p + 1])
+
     half = window // 2
+    piece = np.repeat(np.arange(starts.size), ends - starts)
     idx = np.arange(n)
-    lo = np.maximum(idx - half, 0)
-    hi = np.minimum(idx + half + 1, n)
+    lo = np.maximum(idx - half, starts[piece])
+    hi = np.minimum(idx + half + 1, ends[piece])
     count = (hi - lo).astype(np.float64)
-    cum = np.concatenate(([0.0], np.cumsum(x)))
-    cum_sq = np.concatenate(([0.0], np.cumsum(x * x)))
-    wsum = cum[hi] - cum[lo]
-    wsq = cum_sq[hi] - cum_sq[lo]
+    wsum = cum[hi + piece] - cum[lo + piece]
+    wsq = cum_sq[hi + piece] - cum_sq[lo + piece]
     mean = wsum / count
     with np.errstate(divide="ignore", invalid="ignore"):
         var = (wsq - wsum * wsum / count) / (count - 1.0)
@@ -314,51 +359,68 @@ def apply_geoid(table: FootprintTable, geoid: RasterGrid | None) -> FootprintTab
     return out
 
 
-def group_by_shot(table: FootprintTable) -> list[ShotGroup]:
-    """Partition footprints by their GROUP_PREFIX_LEN-character shot-number
-    prefix, sorted by group key.
+def group_by_shot(table: FootprintTable) -> tuple[FootprintTable, list[str]]:
+    """Sort footprints by their GROUP_PREFIX_LEN-character shot-number prefix.
 
-    Input order is preserved within each group.
+    Returns the sorted table, whose `group_id` indexes the second result:
+    the distinct prefixes (the group keys), ascending. Input order is
+    preserved within each group.
     """
     short = [s for s in table.shot_number if len(s) < GROUP_PREFIX_LEN]
     if short:
         raise FootprintError(
             f"shot_number {short[0]!r} shorter than the {GROUP_PREFIX_LEN}-character group prefix"
         )
-    keys = np.array([s[:GROUP_PREFIX_LEN] for s in table.shot_number], dtype=object)
-    order = np.argsort(keys, kind="stable")
-    ordered = table.take(order)
-    unique, starts = np.unique(keys[order], return_index=True)
-    ends = np.append(starts[1:], len(keys))
+    # Every prefix has GROUP_PREFIX_LEN characters, so as fixed-width numpy
+    # strings they sort and compare as the Python strings do.
+    prefixes = table.shot_number.astype(f"U{GROUP_PREFIX_LEN}")
+    order = np.argsort(prefixes, kind="stable")
+    prefixes = prefixes[order]
+    new_key = np.ones(len(order), dtype=bool)
+    new_key[1:] = prefixes[1:] != prefixes[:-1]
+    group_id = np.empty(len(order), dtype=np.int64)
+    group_id[order] = np.cumsum(new_key) - 1
+    keys = [table.shot_number[i][:GROUP_PREFIX_LEN] for i in order[new_key]]
+    return table.take(order, group_id=group_id), keys
+
+
+def split_groups(table: FootprintTable, keys: Sequence[str]) -> list[ShotGroup]:
+    """One ShotGroup per key, empty ones included, from a table sorted by `group_id`."""
+    bounds = np.searchsorted(table.group_id, np.arange(len(keys) + 1))
     return [
-        ShotGroup(key=key, table=ordered.take(slice(a, b)))
-        for key, a, b in zip(unique, starts, ends)
+        ShotGroup(key=key, table=table.take(slice(a, b)))
+        for key, a, b in zip(keys, bounds[:-1].tolist(), bounds[1:].tolist())
     ]
 
 
 def remove_outliers(
-    group: ShotGroup, window: int = QualityRules.outlier_window, k: float = QualityRules.outlier_k
-) -> ShotGroup:
-    """Drop footprints flagged by the rolling window on gedi_dem."""
-    mask = flag_rolling_outliers(group.gedi_dem, window, k)
-    return ShotGroup(key=group.key, table=group.table.take(~mask))
+    table: FootprintTable, window: int = QualityRules.outlier_window, k: float = QualityRules.outlier_k
+) -> FootprintTable:
+    """Drop footprints flagged by the rolling window on gedi_dem.
+
+    Each run of equal `group_id` (a group, in a table from `group_by_shot`)
+    is one series: no window crosses into the next run.
+    """
+    starts = np.flatnonzero(table.group_id[1:] != table.group_id[:-1]) + 1
+    mask = flag_rolling_outliers(table.gedi_dem, window, k, np.concatenate(([0], starts)))
+    return table.take(~mask)
 
 
 def attach_reference(
-    group: ShotGroup,
+    table: FootprintTable,
     dem: RasterGrid,
     radius: float = DEFAULT_RADIUS_M,
     agg: AggregationKind = AggregationKind.MEAN,
     max_dem_diff: float = QualityRules.max_dem_diff,
-) -> ShotGroup:
+) -> FootprintTable:
     """Attach buffer-aggregated DEM elevations at uncorrected positions.
 
     Footprints with a nodata reference or |gedi_dem - ref_elev| above
-    max_dem_diff are dropped; the pruned group may be empty.
+    max_dem_diff are dropped; the result may be empty.
     """
-    refs = aggregate_buffer_points(dem, group.x, group.y, radius, agg)
-    keep = np.isfinite(refs) & (np.abs(group.gedi_dem - refs) <= max_dem_diff)
-    return ShotGroup(key=group.key, table=group.table.take(keep, ref_elev=refs))
+    refs = aggregate_buffer_points(dem, table.x, table.y, radius, agg)
+    keep = np.isfinite(refs) & (np.abs(table.gedi_dem - refs) <= max_dem_diff)
+    return table.take(keep, ref_elev=refs)
 
 
 def prepare_groups(
@@ -391,14 +453,16 @@ def prepare_groups(
     kept = apply_geoid(kept, geoid)
     stats.n_after_geoid = len(kept)
 
-    groups = group_by_shot(kept)
-    stats.n_groups = len(groups)
+    kept, keys = group_by_shot(kept)
+    stats.n_groups = len(keys)
 
-    groups = [remove_outliers(g, rules.outlier_window, rules.outlier_k) for g in groups]
-    stats.n_after_outliers = sum(len(g) for g in groups)
+    kept = remove_outliers(kept, rules.outlier_window, rules.outlier_k)
+    stats.n_after_outliers = len(kept)
 
-    groups = [attach_reference(g, dem, radius, agg, rules.max_dem_diff) for g in groups]
-    stats.n_after_attach = sum(len(g) for g in groups)
+    kept = attach_reference(kept, dem, radius, agg, rules.max_dem_diff)
+    stats.n_after_attach = len(kept)
+
+    groups = split_groups(kept, keys)
     stats.n_groups_ready = sum(1 for g in groups if len(g) >= MIN_GROUP_SIZE)
     logger.info(
         "prepared %d groups (%d meet the minimum size of %d)",

@@ -345,7 +345,7 @@ def optimize_pso(
     Positions start uniform in bounds with zero velocities; clamped
     position components get their velocity zeroed. The social term pulls
     toward the tracker's best point, the best any particle has scored; a
-    NaN value never becomes it.
+    NaN value never becomes it, nor a particle's own best.
     """
     cfg = cfg or OptimizerConfig()
     p = cfg.pso
@@ -358,7 +358,7 @@ def optimize_pso(
     v = np.zeros_like(x)
     fx = tracker.batch(x)
     pbest = x.copy()
-    pbest_f = fx.copy()
+    pbest_f = np.where(np.isnan(fx), np.inf, fx)  # a NaN start is beaten by any score
 
     for _ in range(p.iterations):
         r1 = rng.random((p.swarm, 2))

@@ -331,11 +331,17 @@ def _buffer_stats_chunk(
         # and their bits agree (tests/test_raster.py pins this).
         vals *= valid
         return np.where(counts > 0, vals.sum(axis=1) / np.maximum(counts, 1), np.nan)
-    np.copyto(vals, np.nan, where=~valid)  # MEDIAN
+    # MEDIAN: masked slots sort last, so a row's c counted values fill its
+    # slots 0..c-1 and its middle pair sits at (c - 1) // 2 and c // 2.
+    np.copyto(vals, np.inf, where=~valid)
+    vals.sort(axis=1)
     out = np.full(xs.shape[0], np.nan)
-    has = counts > 0
-    if has.any():
-        out[has] = np.nanmedian(vals[has], axis=1)
+    has = np.flatnonzero(counts)
+    c = counts[has]
+    pair = np.stack([vals[has, (c - 1) // 2], vals[has, c // 2]], axis=1)
+    # A row sum, not `lo + hi`: numpy's row sum starts from +0.0, so two -0.0
+    # middles give +0.0, as np.nanmedian does (tests/test_raster.py pins it).
+    out[has] = pair.sum(axis=1) / 2.0
     return out
 
 

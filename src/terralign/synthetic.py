@@ -217,6 +217,7 @@ def gen_track(
         degrade_flag=np.zeros(n), quality_flag=np.ones(n), sensitivity=np.full(n, 0.98),
         rh100=np.full(n, 10.0), tree_cover=np.full(n, math.nan),
         shot_number=np.array([f"{prefix}{i:05d}" for i in range(n)], dtype=object), row=np.arange(n),
+        group_id=np.zeros(n, dtype=np.int64),
     )
     return ShotGroup(key=prefix, table=table)
 
@@ -248,7 +249,9 @@ def run_recovery_experiment(
     truth = gen_track(terrain, track_spec, cfg.radius, cfg.agg)
     observed = plant_offset(truth, track_spec)
     # no 50 m exclusion here: synthetic elevations are honest by construction
-    observed = attach_reference(observed, terrain, cfg.radius, cfg.agg, max_dem_diff=math.inf)
+    observed = ShotGroup(
+        observed.key, attach_reference(observed.table, terrain, cfg.radius, cfg.agg, max_dem_diff=math.inf)
+    )
     results = [
         correct_dataset([observed], terrain, method=method, metric=metric, cfg=cfg)
         for method in cfg.methods

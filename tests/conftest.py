@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from terralign import RasterGrid
-from terralign.footprints import COLUMNS, FootprintTable, ShotGroup
+from terralign.footprints import COLUMNS, FootprintTable, ShotGroup, attach_reference
 
 
 def make_grid(values, origin_x=0.0, origin_y=None, cell=1.0, crs=""):
@@ -71,10 +71,12 @@ def make_table(fps):
     columns = {
         name: np.array([fp.get(name, defaults.get(name)) for fp in fps], dtype=float)
         for name in COLUMNS
-        if name not in ("shot_number", "row")
+        if name not in ("shot_number", "row", "group_id")
     }
     shots = np.array([fp["shot_number"] for fp in fps], dtype=object)
-    return FootprintTable(**columns, shot_number=shots, row=np.arange(len(fps)))
+    return FootprintTable(
+        **columns, shot_number=shots, row=np.arange(len(fps)), group_id=np.zeros(len(fps), dtype=np.int64)
+    )
 
 
 def make_group(xs, ys, elevs, key="0000000001"):
@@ -83,6 +85,11 @@ def make_group(xs, ys, elevs, key="0000000001"):
         for i, (x, y, e) in enumerate(zip(xs, ys, elevs))
     ]
     return ShotGroup(key=key, table=make_table(fps))
+
+
+def attach_group(group, dem, **kw):
+    """`group` with `attach_reference` run over its table."""
+    return ShotGroup(key=group.key, table=attach_reference(group.table, dem, **kw))
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ import terralign
 import terralign.optimize
 from terralign.cli import CORRECTED_EXTRA_COLUMNS, _CorrectedCsvWriter, build_parser, main
 from terralign.evaluate import REPORT_COLUMNS
-from terralign.footprints import group_by_shot, parse_footprints
+from terralign.footprints import group_by_shot, parse_footprints, split_groups
 from terralign.geotiff import write_geotiff
 from terralign.raster import RasterFormatError, aggregate_buffer_points, load_raster
 
@@ -238,7 +238,7 @@ def test_corrected_csv_writer_matches_csv_writer_reference(tmp_path):
     )
     table, _ = parse_footprints(io.StringIO(text))
     table = table.take(slice(None), ref_elev=np.array([99.5, math.nan, math.inf, -math.inf, 1e-300]))
-    groups = group_by_shot(table)
+    groups = split_groups(*group_by_shot(table))
     assert [g.key for g in groups] == ['00000"0002', "00000,0001", "0000000003"]
     solutions = [SimpleNamespace(dx=-2.5, dy=0.1), SimpleNamespace(dx=0.0, dy=-0.0),
                  SimpleNamespace(dx=1e-17, dy=3.0)]

@@ -20,7 +20,7 @@ from terralign.evaluate import (
 from terralign.footprints import ShotGroup
 from terralign.metrics import distance
 
-from conftest import flat_grid, make_group, ramp_grid
+from conftest import attach_group, flat_grid, make_group, ramp_grid
 
 
 def test_mae_identity():
@@ -98,9 +98,7 @@ def groups_on_flat(n_groups=3, n_fps=4):
         )
         for g in range(n_groups)
     ]
-    from terralign.footprints import attach_reference
-
-    return dem, [attach_reference(g, dem) for g in groups]
+    return dem, [attach_group(g, dem) for g in groups]
 
 
 def test_compare_methods_row_accounting():
@@ -127,13 +125,12 @@ def test_compare_methods_identity_result_matches_original_mae():
 
 def test_compare_methods_corrected_beats_original_on_planted_scene():
     from terralign import TerrainSpec, gen_terrain
-    from terralign.footprints import attach_reference
     from terralign.synthetic import TrackSpec, gen_track, plant_offset
 
     terrain = gen_terrain(TerrainSpec(kind="gaussian_hills", n_rows=220, n_cols=220, cell_size=2.0, relief=140.0, seed=21))
     spec = TrackSpec(n_footprints=10, spacing=25.0, heading=75.0, planted_dx=9.0, planted_dy=-6.0, seed=21)
     observed = plant_offset(gen_track(terrain, spec), spec)
-    group = attach_reference(observed, terrain, max_dem_diff=math.inf)
+    group = attach_group(observed, terrain, max_dem_diff=math.inf)
     result = correct_dataset([group], terrain, method="grid", metric="euclidean")
     rows = compare_methods([result], [group])
     assert rows[1].mae_m < rows[0].mae_m
@@ -206,12 +203,10 @@ def test_serializers_shape_and_timing_blank():
 
 def test_compare_methods_skipped_groups_do_not_enter_offsets():
     dem = flat_grid(256)
-    from terralign.footprints import attach_reference
-
-    big = attach_reference(
+    big = attach_group(
         make_group([60.0, 70.0, 80.0, 90.0], [80.0] * 4, [100.0] * 4, key="0000000001"), dem
     )
-    small = attach_reference(
+    small = attach_group(
         make_group([120.0, 130.0], [120.0] * 2, [100.0] * 2, key="0000000002"), dem
     )
     result = correct_dataset([big, small], dem, method="grid", metric="euclidean")

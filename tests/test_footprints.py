@@ -1,22 +1,35 @@
 """Footprint parsing, quality filters, outlier rejection, grouping, attachment."""
 
+import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from terralign import CrsMismatchError, FootprintError, QualityRules, parse_footprints, prepare_groups
 from terralign.footprints import (
+    _TREE_COVER,
+    COLUMNS,
+    MIN_GROUP_SIZE,
+    REQUIRED_COLUMNS,
+    FootprintTable,
+    ParseStats,
+    PipelineStats,
+    _is_na,
     apply_geoid,
     attach_reference,
     filter_quality,
     flag_rolling_outliers,
     group_by_shot,
     remove_outliers,
+    split_groups,
 )
 
-from conftest import flat_grid, make_footprint, make_group, make_table
+from terralign.raster import AggregationKind, aggregate_buffer_points
+
+from conftest import flat_grid, make_footprint, make_grid, make_group, make_table
 
 CSV_HEADER = "shot_number,beam,x,y,elev_lowestmode,degrade_flag,quality_flag,sensitivity,rh100\n"
 
@@ -177,6 +190,9 @@ def test_rolling_outliers_rejects_bad_window():
         flag_rolling_outliers(np.zeros(5), window=4, k=2.0)
     with pytest.raises(ValueError):
         flag_rolling_outliers(np.zeros(5), window=1, k=2.0)
+    for starts in ([], [1], [0, 6], [0, 3, 2]):
+        with pytest.raises(ValueError, match="starts"):
+            flag_rolling_outliers(np.zeros(5), starts=starts)
 
 
 def naive_rolling_mask(series, window, k):
@@ -253,13 +269,14 @@ def test_group_by_shot_prefix_partition():
         make_footprint(1, key="ABCDEFGHIJ"),
         make_footprint(2, key="ABCDEFGHIJ"),
     ])
-    groups = group_by_shot(fps)
+    groups = split_groups(*group_by_shot(fps))
     assert [g.key for g in groups] == ["ABCDEFGHIJ", "KLMNOPQRST"]
     assert [len(g) for g in groups] == [2, 1]
 
 
 def test_group_by_shot_empty():
-    assert group_by_shot(make_table([])) == []
+    table, keys = group_by_shot(make_table([]))
+    assert keys == [] and len(table) == 0 and split_groups(table, keys) == []
 
 
 def test_group_by_shot_short_key_raises():
@@ -274,7 +291,7 @@ def test_group_by_shot_is_partition(rng):
         make_footprint(int(rng.integers(0, 99999)), key=f"{rng.integers(0, 20):010d}")
         for _ in range(1000)
     ])
-    groups = group_by_shot(fps)
+    groups = split_groups(*group_by_shot(fps))
     merged = np.concatenate([g.row for g in groups])
     assert sorted(merged) == list(range(1000))
     assert [g.key for g in groups] == sorted(g.key for g in groups)
@@ -288,7 +305,7 @@ def test_group_by_shot_is_partition(rng):
 def test_attach_reference_constant_dem():
     dem = flat_grid(64)
     group = make_group([30.0, 32.0, 34.0], [30.0, 30.0, 30.0], [100.0, 100.0, 100.0])
-    out = attach_reference(group, dem)
+    out = attach_reference(group.table, dem)
     assert len(out) == 3
     assert list(out.ref_elev) == [100.0] * 3
 
@@ -296,23 +313,23 @@ def test_attach_reference_constant_dem():
 def test_attach_reference_dem_diff_threshold():
     dem = flat_grid(64, value=151.0)
     group = make_group([30.0], [30.0], [100.0])
-    assert len(attach_reference(group, dem)) == 0
+    assert len(attach_reference(group.table, dem)) == 0
 
     dem_close = flat_grid(64, value=149.9)
-    assert len(attach_reference(group, dem_close)) == 1
+    assert len(attach_reference(group.table, dem_close)) == 1
 
 
 def test_attach_reference_drops_uncovered():
     dem = flat_grid(32)
     group = make_group([16.0, 500.0], [16.0, 500.0], [100.0, 100.0])
-    out = attach_reference(group, dem)
+    out = attach_reference(group.table, dem)
     assert len(out) == 1 and out.x[0] == 16.0
 
 
 def test_remove_outliers_prunes_gedi_dem_spike():
     elevs = [10.0, 10.0, 10.0, 100.0, 10.0, 10.0, 10.0]
     group = make_group(list(range(7)), [0.0] * 7, elevs)
-    out = remove_outliers(group, window=7, k=2.0)
+    out = remove_outliers(group.table, window=7, k=2.0)
     assert len(out) == 6
     assert list(out.gedi_dem) == [10.0] * 6
 
@@ -412,3 +429,222 @@ def test_parse_round_trip_from_synthetic(tmp_path):
     np.testing.assert_array_equal(fps.x, observed.x)
     np.testing.assert_array_equal(fps.y, observed.y)
     np.testing.assert_array_equal(fps.elev_lowestmode, observed.elev_lowestmode)
+
+
+def reference_parse(text):
+    """The per-row parser that `parse_footprints` replaced, kept as its reference.
+
+    Returns the header, the kept rows, their stripped shot numbers, one
+    float64 column per numeric field (x, y, elev, degrade, quality,
+    sensitivity, rh100, tree_cover) and the ParseStats.
+    """
+    rows = csv.reader(io.StringIO(text))
+    header = next(rows)
+    width = len(header)
+    required = [header.index(c) for c in REQUIRED_COLUMNS]
+    i_shot, _, i_x, i_y, i_elev, i_degrade, i_quality, i_sens, i_rh100 = required
+    i_tree = header.index("tree_cover") if "tree_cover" in header else None
+    kept, shots, values = [], [], []
+    stats = ParseStats()
+    for cells in rows:
+        if not cells:
+            continue
+        stats.n_rows += 1
+        if len(cells) != width:
+            cells = cells[:width] + [""] * (width - len(cells))
+        if any(_is_na(cells[i]) for i in required):
+            stats.n_dropped_na += 1
+            continue
+        try:
+            x = float(cells[i_x])
+            y = float(cells[i_y])
+            elev = float(cells[i_elev])
+            degrade = int(float(cells[i_degrade]))
+            quality = int(float(cells[i_quality]))
+            sens = float(cells[i_sens])
+            rh100 = float(cells[i_rh100])
+        except (ValueError, OverflowError):
+            stats.n_dropped_bad_numeric += 1
+            continue
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(elev)):
+            stats.n_dropped_bad_numeric += 1
+            continue
+        tree_cover = math.nan
+        if i_tree is not None and not _is_na(cells[i_tree]):
+            tree_cover = _TREE_COVER.get(cells[i_tree].strip().lower())
+            if tree_cover is None:
+                stats.n_dropped_bad_numeric += 1
+                continue
+        kept.append(cells)
+        shots.append(cells[i_shot].strip())
+        values.append((x, y, elev, degrade, quality, sens, rh100, tree_cover))
+    columns = np.array(values, dtype=np.float64).reshape(-1, 8).T.copy()
+    return header, kept, shots, columns, stats
+
+
+NA_CELLS = ["", " ", "NA", " na ", "nan", "NaN", "nAN", " nan　", "NULL", "null", "None", " NONE\t"]
+NUMERIC_CELLS = [
+    "-nan", "+nan", " -NaN ", "inf", "-inf", "Infinity", "1e400", "-1e400", "1_0", "-0.5", "0.5", "-0.0",
+    "0", "1", "2.9", "-3.7", " 12.25 ", " 4.5 ", "oops", "1.2.3", "0x10", "nana", "İ", "K",
+]
+TREE_CELLS = ["1", "0", "true", "FALSE", " True ", "tRuE", "yes", "2", "1.0"]
+
+
+def random_cell(rng, column):
+    """A cell of `column`: mostly valid, often NA or odd."""
+    u = rng.random()
+    if u < 0.08:
+        return str(rng.choice(NA_CELLS))
+    if column == "shot_number":
+        return f"{int(rng.integers(0, 4)):010d}{int(rng.integers(0, 10**5)):05d}" + (" " if u < 0.2 else "")
+    if column == "beam":
+        return "BEAM0101" if u < 0.9 else "N/A"
+    if column == "tree_cover":
+        return str(rng.choice(TREE_CELLS))
+    if column == "note":
+        return "a,b" if u < 0.5 else "x"
+    if u < 0.25:
+        return str(rng.choice(NUMERIC_CELLS))
+    if column in ("degrade_flag", "quality_flag"):
+        return str(int(rng.integers(0, 2)))
+    return repr(float(rng.normal(100.0, 50.0)))
+
+
+def random_footprint_csv(rng):
+    """A footprint CSV with shuffled columns, ragged rows and blank lines."""
+    header = list(REQUIRED_COLUMNS)
+    if rng.random() < 0.6:
+        header.append("tree_cover")
+    if rng.random() < 0.5:
+        header.append("note")
+    header = [header[i] for i in rng.permutation(len(header))]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for _ in range(int(rng.integers(0, 30))):
+        if rng.random() < 0.05:
+            buf.write("\n")
+            continue
+        row = [random_cell(rng, c) for c in header]
+        u = rng.random()
+        if u < 0.05:
+            row = row[: int(rng.integers(1, len(row)))]
+        elif u < 0.1:
+            row += ["extra"] * int(rng.integers(1, 3))
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def test_columnar_parse_matches_the_per_row_parser_bit_for_bit():
+    rng = np.random.default_rng(2026)
+    fields = ("x", "y", "elev_lowestmode", "degrade_flag", "quality_flag", "sensitivity", "rh100", "tree_cover")
+    for _ in range(600):
+        text = random_footprint_csv(rng)
+        header, kept, shots, columns, stats = reference_parse(text)
+        table, got_stats = parse_footprints(io.StringIO(text))
+        assert got_stats == stats, text
+        assert table.cells.header == tuple(header) and table.cells.rows == kept, text
+        assert table.shot_number.tolist() == shots and table.row.tolist() == list(range(len(kept)))
+        for name, want in zip(fields, columns):
+            assert getattr(table, name).tobytes() == want.tobytes(), (name, text)
+        assert table.gedi_dem.tobytes() == columns[2].tobytes()
+        assert np.isnan(table.ref_elev).all() and not table.group_id.any()
+
+
+def per_group_prepare(table, dem, geoid, rules, radius, agg):
+    """`prepare_groups` as the composition of its stages, applied one group at
+    a time: the outlier rule on each group's series alone, and the reference
+    from one kernel call per group."""
+    kept = apply_geoid(filter_quality(table, rules), geoid)
+    stats = PipelineStats(n_input=len(table), n_after_quality=len(filter_quality(table, rules)))
+    stats.n_after_geoid = len(kept)
+    prefixes = [s[:10] for s in kept.shot_number]
+    keys = sorted(set(prefixes))
+    groups = []
+    for key in keys:
+        group = kept.take(np.array([i for i, p in enumerate(prefixes) if p == key], dtype=np.int64))
+        group = group.take(~flag_rolling_outliers(group.gedi_dem, rules.outlier_window, rules.outlier_k))
+        stats.n_after_outliers += len(group)
+        refs = aggregate_buffer_points(dem, group.x, group.y, radius, agg)
+        group = group.take(np.isfinite(refs) & (np.abs(group.gedi_dem - refs) <= rules.max_dem_diff), ref_elev=refs)
+        stats.n_after_attach += len(group)
+        groups.append((key, group))
+    stats.n_groups = len(keys)
+    stats.n_groups_ready = sum(1 for _, g in groups if len(g) >= MIN_GROUP_SIZE)
+    return groups, stats
+
+
+def ragged_scene(rng):
+    """A 2 m DEM near 100 m with some nodata cells, and up to 12 groups of 0
+    to 60 footprints, shuffled together. Each group has its own level, so a
+    window that crossed into the next group would flag other footprints, and
+    elevation spikes; some lie off the DEM or 80 m above it, so a stage
+    empties them."""
+    values = rng.normal(100.0, 2.0, (60, 60))
+    values[rng.random(values.shape) < 0.03] = np.nan
+    dem = make_grid(values, cell=2.0)
+    fps = []
+    for g in range(int(rng.integers(1, 13))):
+        n = int(rng.choice([0, 1, 2, 3, 5, 17, 60]))
+        x0, y0 = rng.uniform(10.0, 110.0, 2)
+        base = 180.0 if rng.random() < 0.15 else float(rng.uniform(75.0, 125.0))
+        if rng.random() < 0.1:
+            x0 = 500.0  # off the DEM: every reference is NaN
+        for i in range(n):
+            elev = base + float(rng.normal(0.0, 1.0)) + (15.0 if rng.random() < 0.1 else 0.0)
+            fps.append(make_footprint(
+                i, key=f"{g:010d}", x=x0 + 0.7 * i, y=y0 + 0.3 * i, elev=elev, gedi_dem=None,
+                sensitivity=0.9 if rng.random() < 0.05 else 0.98,
+            ))
+    table = make_table([fps[i] for i in rng.permutation(len(fps))]) if fps else make_table([])
+    geoid = make_grid(np.full((8, 8), 1.5), cell=20.0) if rng.random() < 0.5 else None
+    return table, dem, geoid
+
+
+@pytest.mark.parametrize("agg", list(AggregationKind))
+def test_prepare_groups_matches_the_per_group_stages_bit_for_bit(agg):
+    rng = np.random.default_rng(7)
+    rules = QualityRules()
+    emptied = flagged = 0
+    for _ in range(60):
+        table, dem, geoid = ragged_scene(rng)
+        groups, stats = prepare_groups(table, dem, geoid=geoid, rules=rules, radius=3.0, agg=agg)
+        want, want_stats = per_group_prepare(table, dem, geoid, rules, 3.0, agg)
+        assert stats == want_stats
+        assert [g.key for g in groups] == [key for key, _ in want]
+        for i, (group, (_, ref)) in enumerate(zip(groups, want)):
+            assert group.group_id.tolist() == [i] * len(group)
+            for name in COLUMNS:
+                if name != "group_id":
+                    assert getattr(group, name).tobytes() == getattr(ref, name).tobytes(), name
+        emptied += sum(1 for g in groups if len(g) == 0)
+        flagged += stats.n_after_geoid - stats.n_after_outliers
+    assert emptied > 0 and flagged > 0  # the scenes exercise both dropping stages
+
+
+def test_prepare_groups_memory_stays_linear_in_the_footprints():
+    """One group of 50,000 footprints beside 5,000 groups of 3: the peak stays
+    a small multiple of the table, where a (groups x longest group) layout
+    would need about 2 GB."""
+    sizes = [50_000] + [3] * 5_000
+    n = sum(sizes)
+    shots = np.array([f"{g:010d}{i:05d}" for g, size in enumerate(sizes) for i in range(size)], dtype=object)
+    rng = np.random.default_rng(3)
+    elev = np.full(n, 100.0)
+    table = FootprintTable(
+        x=rng.uniform(10.0, 50.0, n), y=rng.uniform(10.0, 50.0, n), elev_lowestmode=elev, gedi_dem=elev,
+        ref_elev=np.full(n, np.nan), degrade_flag=np.zeros(n), quality_flag=np.ones(n),
+        sensitivity=np.full(n, 0.98), rh100=np.full(n, 10.0), tree_cover=np.full(n, np.nan),
+        shot_number=shots, row=np.arange(n), group_id=np.zeros(n, dtype=np.int64),
+    )
+    table_bytes = sum(getattr(table, name).nbytes for name in COLUMNS)
+    dem = flat_grid(64)
+    tracemalloc.start()
+    try:
+        groups, stats = prepare_groups(table, dem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.n_groups == 5_001 and stats.n_after_attach == n
+    assert [len(g) for g in groups[:2]] == [50_000, 3]
+    assert peak < 6 * table_bytes, (peak, table_bytes)

@@ -6,11 +6,11 @@ quoted cell holding a comma, an NA row, one group cut below
 MIN_GROUP_SIZE and one raised 100 m above the DEM so `max_dem_diff`
 empties it. `correct` runs grid, GA and PSO x euclidean, area and
 correlation on the ASCII DEM, and on a GeoTIFF copy of it with a ramp
-geoid, at 1 and 2 workers, and 5-start L-BFGS-B x euclidean and area once
-per scene; `evaluate` runs on each scene's joined grid, GA and PSO
-corrected CSVs. Every output's sha256 must equal the digest recorded in
-`golden/digests.json`, beside the numpy and scipy versions it was
-recorded with.
+geoid, at 1 and 2 workers and once more at 1 worker with `--agg median`,
+and 5-start L-BFGS-B x euclidean and area once per scene; `evaluate` runs
+on each scene's joined grid, GA and PSO corrected CSVs. Every output's
+sha256 must equal the digest recorded in `golden/digests.json`, beside the
+numpy and scipy versions it was recorded with.
 
 Paths are relative to the run directory, so `effective_config.toml` is
 the same wherever the test runs.
@@ -38,6 +38,7 @@ SOLVE = [
     "--methods", "grid,ga,pso", "--metrics", "euclidean,area,correlation", "--seed", "7",
     "--ga-pop", "8", "--ga-generations", "3", "--pso-swarm", "8", "--pso-iterations", "3",
 ]
+MEDIAN = [*SOLVE, "--agg", "median"]
 LBFGSB = ["--methods", "lbfgsb", "--lbfgsb-starts", "5", "--metrics", "euclidean,area"]
 # DEM (and geoid) flags of each golden scene
 SCENES = {
@@ -95,8 +96,9 @@ def run_golden() -> dict[str, str]:
             argv = ["correct", *dem_flags, "--footprints", "scene/edited.csv",
                     "--out", f"{name}_w{workers}", "--workers", str(workers), *SOLVE]
             assert main(argv) == 0, argv
-        argv = ["correct", *dem_flags, "--footprints", "scene/edited.csv", "--out", f"{name}_lbfgsb", *LBFGSB]
-        assert main(argv) == 0, argv
+        for out, flags in ((f"{name}_median", MEDIAN), (f"{name}_lbfgsb", LBFGSB)):
+            argv = ["correct", *dem_flags, "--footprints", "scene/edited.csv", "--out", out, *flags]
+            assert main(argv) == 0, argv
         corrected = sorted(Path(f"{name}_w1").glob("corrected_*.csv"))
         header = corrected[0].read_text().splitlines()[0]
         joined = [header] + [line for p in corrected for line in p.read_text().splitlines()[1:]]

@@ -11,7 +11,7 @@ import pytest
 import terralign.optimize
 from terralign import MetricKind, RunConfig, TerrainSpec, correct_dataset, gen_terrain
 from terralign.config import Bounds, GaConfig, LbfgsbConfig, OptimizerConfig
-from terralign.footprints import ShotGroup, attach_reference
+from terralign.footprints import ShotGroup
 from terralign.optimize import (
     GroupPool,
     Objective,
@@ -27,7 +27,7 @@ from terralign.optimize import (
 from terralign.raster import aggregate_buffer_points
 from terralign.synthetic import TrackSpec, gen_track, plant_offset
 
-from conftest import flat_grid, make_group, ramp_grid
+from conftest import attach_group, flat_grid, make_group, ramp_grid
 
 
 class Recorder:
@@ -280,6 +280,23 @@ def test_pso_recovers_the_minimum_when_its_first_particle_scores_nan():
         assert math.hypot(sol.dx - 7.0, sol.dy + 4.0) < 1e-3, seed
 
 
+def test_pso_particle_whose_first_score_is_nan_still_finds_its_best():
+    """A NaN start is no particle's own best: the first particle drawn, scored
+    NaN, ends at the minimum with the rest of the swarm."""
+    calls = []
+
+    def bowl(dx, dy):
+        calls.append((dx, dy))
+        return math.nan if len(calls) == 1 else (dx - 7.0) ** 2 + (dy + 4.0) ** 2
+
+    cfg = OptimizerConfig()
+    cfg.pso.swarm, cfg.pso.iterations = 20, 60
+    optimize_pso(bowl, cfg=cfg, rng=np.random.default_rng(0))
+    # a plain callable is scored point by point, in particle order
+    final = calls[-cfg.pso.swarm:]
+    assert max(math.hypot(dx - 7.0, dy + 4.0) for dx, dy in final) < 1e-2
+
+
 def test_all_solvers_respect_bounds_exactly(rng):
     bounds = Bounds(7.0, 13.0)
     cfg = OptimizerConfig()
@@ -529,7 +546,7 @@ def test_correct_dataset_ref_after_is_aggregate_at_shifted_positions(workers):
         make_group([40.0, 55.0, 70.0, 85.0], [60.0] * 4, [50.0, 60.0, 75.0, 90.0], key="0000000001"),
         # the last footprint is off the DEM at every candidate offset
         make_group([30.0, 45.0, 60.0, -500.0], [90.0] * 4, [40.0, 50.0, 60.0, 0.0], key="0000000002"),
-        attach_reference(make_group([70.0, 80.0], [30.0] * 2, [70.0, 80.0], key="0000000003"), dem),
+        attach_group(make_group([70.0, 80.0], [30.0] * 2, [70.0, 80.0], key="0000000003"), dem),
     ]
     result = correct_dataset(groups, dem, method="grid", metric="euclidean", workers=workers)
     assert result.groups is groups

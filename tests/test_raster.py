@@ -131,6 +131,22 @@ def test_aggregate_buffer_median_matches_enumeration(rng):
             assert got == pytest.approx(np.median(vals), rel=1e-12)
 
 
+@pytest.mark.parametrize("nodata", [False, True])
+def test_median_of_two_negative_zero_middles_is_positive_zero(nodata):
+    """np.nanmedian gives +0.0 for a buffer whose middle pair is -0.0, -0.0
+    (and for a lone -0.0 cell); the kernel's median must too."""
+    values = np.full((4, 4), 5.0)
+    values[1:3, 1:3] = [[-1.0, -0.0], [-0.0, 2.0]]
+    values[0, 0] = -0.0
+    if nodata:
+        values[3, 3] = np.nan
+    grid = make_grid(values)
+    # four cells about (2, 2), and the lone -0.0 cell centred at (0.5, 3.5)
+    got = aggregate_buffer_points(grid, np.array([2.0, 0.5]), np.array([2.0, 3.5]), 0.8, AggregationKind.MEDIAN)
+    assert grid.has_nodata == nodata
+    assert got.tobytes() == np.array([0.0, 0.0]).tobytes()
+
+
 def test_tiny_radius_reduces_to_sample_point(rng):
     """With the radius below half a cell diagonal, a buffer centered near a
     cell center holds exactly that cell."""
