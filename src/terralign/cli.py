@@ -212,6 +212,12 @@ def _fmt_floats(values: Iterable[float]) -> list[str]:
     return [repr(float(v)) if math.isfinite(v) else "" for v in values]
 
 
+def _fmt_repeated(values: np.ndarray) -> list[str]:
+    """`_fmt_floats` of a float64 column with few distinct values, each bit pattern formatted once."""
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(_fmt_floats(bits.view(np.float64).tolist()), dtype=object)[index].tolist()
+
+
 def _load_rasters(dem_path: str, geoid_path: str | None):
     """The DEM and the optional geoid, which must share the DEM's CRS."""
     dem = load_raster(dem_path, "dem")
@@ -256,6 +262,8 @@ class _CorrectedCsvWriter:
 
     def __init__(self, groups) -> None:
         cells = groups[0].table.cells
+        self.x = np.concatenate([g.x for g in groups])
+        self.y = np.concatenate([g.y for g in groups])
         lines: list[str] = []
         # csv.writer hands each encoded line, terminator included, to `write`
         writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
@@ -269,20 +277,19 @@ class _CorrectedCsvWriter:
 
     def write(self, path: Path, result) -> None:
         """The numbers are repr-formatted and never need CSV quoting."""
-        refs_after = _fmt_floats(result.ref_after.tolist())
+        columns = (
+            self.prefixes,
+            _fmt_repeated(result.dx),  # one offset per group
+            _fmt_repeated(result.dy),
+            _fmt_floats((self.x + result.dx).tolist()),
+            _fmt_floats((self.y + result.dy).tolist()),
+            self.refs_before,
+            _fmt_floats(result.ref_after.tolist()),
+        )
         tail = f",{result.method},{result.metric}\n"
         with path.open("w", newline="", encoding="utf-8") as fh:
             fh.write(self.header)
-            start = 0
-            for group, sol in zip(result.groups, result.solutions):
-                dx, dy = _fmt_floats((sol.dx, sol.dy))
-                xs = _fmt_floats((group.x + sol.dx).tolist())
-                ys = _fmt_floats((group.y + sol.dy).tolist())
-                fh.writelines(
-                    f"{self.prefixes[i]},{dx},{dy},{x},{y},{self.refs_before[i]},{refs_after[i]}{tail}"
-                    for i, x, y in zip(range(start, start + len(xs)), xs, ys)
-                )
-                start += len(xs)
+            fh.writelines(",".join(cells) + tail for cells in zip(*columns))
 
 
 def _write_reports(out_dir: Path, rows) -> None:
@@ -298,7 +305,7 @@ def _run(args: argparse.Namespace, timed: bool) -> int:
 
     results, walls = [], []
     # one pool serves every combination: workers are forked once per run
-    with GroupPool(groups, dem, cfg, cfg.workers, cfg.methods) as pool:
+    with GroupPool(groups, dem, cfg) as pool:
         for method in cfg.methods:
             for metric in cfg.metrics:
                 logger.info("correcting with method=%s metric=%s", method, metric)

@@ -138,9 +138,9 @@ def report_rows(
 def compare_methods(results: Sequence, groups: Sequence[ShotGroup]) -> list[ReportRow]:
     """Build one report row per result plus the leading "original" row.
 
-    `groups` are the groups every result corrected; each result's groups
-    must match them in keys and sizes, footprint for footprint. The rows
-    are scored by `report_rows`.
+    `groups` are the groups every result corrected; each result is a
+    `Combination` with `groups` that match them in keys and sizes,
+    footprint for footprint. The rows are scored by `report_rows`.
     """
     base_keys = [g.key for g in groups]
     base_sizes = [len(g) for g in groups]
@@ -155,18 +155,10 @@ def compare_methods(results: Sequence, groups: Sequence[ShotGroup]) -> list[Repo
         if [len(g) for g in result.groups] != base_sizes:
             raise ValueError(f"result {result.method!r} has group sizes unlike the input groups")
 
-    combinations = [
-        Combination(
-            result.method, result.metric, result.ref_after,
-            dx=np.repeat([s.dx for s in result.solutions], base_sizes),
-            dy=np.repeat([s.dy for s in result.solutions], base_sizes),
-        )
-        for result in results
-    ]
     keys = [g.key for g in groups for _ in range(len(g))]
     elev = np.concatenate([g.gedi_dem for g in groups]) if groups else np.empty(0)
     ref_before = np.concatenate([g.ref_elev for g in groups]) if groups else np.empty(0)
-    return report_rows(keys, elev, ref_before, combinations)
+    return report_rows(keys, elev, ref_before, results)
 
 
 def _cell(value, blank: str = "") -> str:

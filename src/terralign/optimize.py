@@ -13,13 +13,13 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .config import DEFAULT_GRID_STEP_M, DEFAULT_RADIUS_M, METHOD_NAMES, Bounds, OptimizerConfig, RunConfig
+from .evaluate import Combination
 from .footprints import MIN_GROUP_SIZE, ShotGroup
 from .metrics import MetricKind, distance_many
 from .raster import AggregationKind, RasterGrid, aggregate_buffer_points
@@ -383,19 +383,17 @@ def derive_group_seed(seed: int, group_key: str) -> int:
 
 
 @dataclass
-class CorrectionResult:
+class CorrectionResult(Combination):
     """One method x metric over `groups`, the caller's sequence.
 
-    `solutions` holds one entry per group. `ref_after` holds one reference
-    elevation per footprint, in group order, at the corrected position; it
-    is NaN where the shifted buffer has no DEM coverage.
+    The `Combination` fields are per footprint, in group order: `dx` and
+    `dy` repeat each group's offset over its footprints, and `ref_after` is
+    NaN where the shifted buffer has no DEM coverage. `solutions` holds one
+    entry per group.
     """
 
-    method: str
-    metric: str
     solutions: list[DisplacementSolution]
     groups: Sequence[ShotGroup]
-    ref_after: np.ndarray
 
     @property
     def n_skipped(self) -> int:
@@ -459,35 +457,28 @@ class GroupPool:
     """Solves `groups` on `dem` under `cfg` for any method x metric.
 
     Opened once, it serves every combination of a run. With
-    `min(workers, len(groups))` below 2 it solves in this process, one group
-    after another. Otherwise that many worker processes are forked (POSIX
-    `fork` start method only) at the first `solve`: each inherits the
+    `min(cfg.workers, len(groups))` below 2 it solves in this process, one
+    group after another. Otherwise that many worker processes are forked
+    (POSIX `fork` start method only) at the first `solve`: each inherits the
     groups, the DEM and the config, receives `(method, metric, group index)`
     tasks and sends back `(solution, ref_after)`. When "lbfgsb" is in
-    `methods`, `scipy.optimize` is imported once, before the fork. Closing
-    the pool, or leaving its `with` block, shuts the workers down, so none
-    outlives it.
+    `cfg.methods`, `scipy.optimize` is imported once, before the fork.
+    Closing the pool, or leaving its `with` block, shuts the workers down,
+    so none outlives it.
     """
 
-    def __init__(
-        self,
-        groups: Sequence[ShotGroup],
-        dem: RasterGrid,
-        cfg: RunConfig | None = None,
-        workers: int = 1,
-        methods: Sequence[str] = (),
-    ) -> None:
+    def __init__(self, groups: Sequence[ShotGroup], dem: RasterGrid, cfg: RunConfig) -> None:
         self.groups = groups
         self.dem = dem
         self.cfg = cfg
         self._executor = None
-        processes = min(workers, len(groups))
+        processes = min(cfg.workers, len(groups))
         if processes >= 2:
             # deferred: a serial run does not pay ~15 ms of multiprocessing imports
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            if "lbfgsb" in methods:
+            if "lbfgsb" in cfg.methods:
                 # imported once before the fork, not once in every worker
                 import scipy.optimize  # noqa: F401
             # fork: workers inherit the DEM and the groups instead of unpickling them
@@ -498,12 +489,27 @@ class GroupPool:
                 initargs=(groups, dem, cfg),
             )
 
-    def solve(self, method: str, metric: MetricKind | str) -> list[tuple[DisplacementSolution, np.ndarray]]:
-        """`(solution, ref_after)` of every group, in group order."""
-        if self._executor is None:
-            return [correct_group(g, self.dem, method, metric, self.cfg) for g in self.groups]
+    def solve(self, method: str, metric: MetricKind | str) -> CorrectionResult:
+        """Every group corrected with `correct_group`, in group order."""
         n = len(self.groups)
-        return list(self._executor.map(_solve_task, [method] * n, [metric] * n, range(n)))
+        if self._executor is None:
+            outcomes = [correct_group(g, self.dem, method, metric, self.cfg) for g in self.groups]
+        else:
+            outcomes = list(self._executor.map(_solve_task, [method] * n, [metric] * n, range(n)))
+        solutions = [sol for sol, _ in outcomes]
+        sizes = [len(g) for g in self.groups]
+        result = CorrectionResult(
+            method=method,
+            metric=str(MetricKind(metric).value),
+            ref_after=np.concatenate([refs for _, refs in outcomes]) if outcomes else np.empty(0),
+            dx=np.repeat([sol.dx for sol in solutions], sizes),
+            dy=np.repeat([sol.dy for sol in solutions], sizes),
+            solutions=solutions,
+            groups=self.groups,
+        )
+        if result.n_skipped:
+            logger.info("skipped %d of %d groups below the minimum size", result.n_skipped, n)
+        return result
 
     def close(self) -> None:
         if self._executor is not None:
@@ -529,28 +535,20 @@ def correct_dataset(
 
     `pool` must have been opened on these `groups`, `dem` and `cfg`; a
     caller that runs several combinations opens one and passes it to every
-    call. Without it, the call opens a pool of `workers` for this one
-    combination and closes it before returning, so no worker outlives the
-    call. An exception raised in a worker reaches the caller with its type
-    and message; a worker that dies raises
+    call. Without it, the call opens a pool on `cfg` with `workers` and
+    `method` in place of `cfg.workers` and `cfg.methods`, so `RunConfig`'s
+    rules check both before any group is solved, and closes it before
+    returning: no worker outlives the call. An exception raised in a worker
+    reaches the caller with its type and message; a worker that dies raises
     `concurrent.futures.process.BrokenProcessPool`.
 
     `cfg.workers` is not read here: the caller passes `workers`, which an
     open `pool` overrides. Output is byte-identical at any worker count for a
     fixed `cfg.seed`.
     """
-    if pool is not None and (pool.groups is not groups or pool.dem is not dem or pool.cfg is not cfg):
-        raise ValueError("pool was opened on other groups, DEM or config")
-    with GroupPool(groups, dem, cfg, workers, (method,)) if pool is None else nullcontext(pool) as pool:
-        outcomes = pool.solve(method, metric)
-
-    result = CorrectionResult(
-        method=method,
-        metric=str(MetricKind(metric).value),
-        solutions=[sol for sol, _ in outcomes],
-        groups=groups,
-        ref_after=np.concatenate([refs for _, refs in outcomes]) if outcomes else np.empty(0),
-    )
-    if result.n_skipped:
-        logger.info("skipped %d of %d groups below the minimum size", result.n_skipped, len(groups))
-    return result
+    if pool is not None:
+        if pool.groups is not groups or pool.dem is not dem or pool.cfg is not cfg:
+            raise ValueError("pool was opened on other groups, DEM or config")
+        return pool.solve(method, metric)
+    with GroupPool(groups, dem, replace(cfg or RunConfig(), workers=workers, methods=[method])) as pool:
+        return pool.solve(method, metric)

@@ -59,6 +59,23 @@ def test_cli_import_defers_scipy_optimize():
     assert out.stdout.strip() == "False"
 
 
+def test_serial_correct_defers_multiprocessing_and_scipy_optimize(tmp_path):
+    scene = tmp_path / "scene"
+    assert run(["simulate", "--out", scene, "--rows", 96, "--cols", 96, "--cell-size", 4,
+                "--n-groups", 2, "--n-footprints", 8, "--spacing", 20]) == 0
+    src = str(Path(terralign.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["correct", "--dem", str(scene / "terrain.asc"), "--footprints", str(scene / "footprints.csv"),
+            "--out", str(tmp_path / "o"), "--methods", "grid,ga", "--workers", "1",
+            "--ga-pop", "4", "--ga-generations", "2"]
+    code = (
+        f"import sys, terralign.cli; rc = terralign.cli.main({argv!r}); "
+        "print(rc, 'multiprocessing' in sys.modules, 'scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 False False", out.stderr
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "correct" in capsys.readouterr().out
@@ -146,6 +163,65 @@ def test_dem_the_grid_rejects_is_format_error_naming_the_file(tmp_path, capsys, 
     assert run(["correct", "--dem", dem, "--footprints", fps, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: dem file {dem}: ") and err.count("\n") == 1, err
+
+
+_ASC = "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 32\n100 100\n100 100\n"
+
+
+@pytest.mark.parametrize(
+    "case, rc, named, message",
+    [
+        ("missing-config", 1, "missing.toml", "config file not found"),
+        ("no-out", 1, "--out", "an output directory is required"),
+        ("missing-footprints", 2, "nope.csv", "footprint CSV not found"),
+        ("all-na-footprints", 2, "na.csv", "no parseable footprints (3 NA rows, 0 bad rows)"),
+        ("evaluate-missing", 2, "nope.csv", "corrected CSV not found"),
+        ("evaluate-plain-csv", 2, "fps.csv", "missing columns"),
+        ("evaluate-header-only", 2, "header.csv", "no data rows"),
+        ("asc-cellsize-x", 2, "dem.asc", "bad header line"),
+        ("asc-no-cellsize", 2, "dem.asc", "'cellsize'"),
+        ("asc-ncols-0", 2, "dem.asc", "non-positive grid dimensions"),
+        ("asc-no-yll", 2, "dem.asc", "yllcorner/yllcenter"),
+        ("tiff-4-bytes", 2, "dem.tif", "too short to be a TIFF"),
+    ],
+)
+def test_error_exit_names_the_file_or_flag(tmp_path, capsys, case, rc, named, message):
+    dem, fps, _ = write_flat_scene(tmp_path)
+    out = tmp_path / "o"
+    inputs = ["--footprints", fps]
+    if case == "missing-config":
+        inputs += ["--config", tmp_path / "missing.toml"]
+    elif case == "missing-footprints":
+        inputs = ["--footprints", tmp_path / "nope.csv"]
+    elif case == "all-na-footprints":
+        header = fps.read_text().splitlines()[0]
+        na_rows = [f"000000000100{i:03d},BEAM0101,NA,30.0,100.0,0,1,0.98,10.0" for i in range(3)]
+        (tmp_path / "na.csv").write_text("\n".join([header, *na_rows]) + "\n")
+        inputs = ["--footprints", tmp_path / "na.csv"]
+    elif case.startswith("evaluate"):
+        assert run(["correct", "--dem", dem, "--footprints", fps, "--out", tmp_path / "run"]) == 0
+        header = (tmp_path / "run" / "corrected_grid_euclidean.csv").read_text().splitlines()[0]
+        (tmp_path / "header.csv").write_text(header + "\n")
+        corrected = {"evaluate-missing": "nope.csv", "evaluate-plain-csv": "fps.csv"}.get(case, "header.csv")
+        inputs = ["--corrected", tmp_path / corrected]
+    elif case.startswith("asc"):
+        dem = tmp_path / "dem.asc"
+        dem.write_text({
+            "asc-cellsize-x": _ASC.replace("cellsize 32", "cellsize x"),
+            "asc-no-cellsize": _ASC.replace("cellsize 32\n", ""),
+            "asc-ncols-0": _ASC.replace("ncols 2", "ncols 0"),
+            "asc-no-yll": _ASC.replace("yllcorner 0\n", ""),
+        }[case])
+    elif case == "tiff-4-bytes":
+        dem.write_bytes(b"II*\0")
+    command = "evaluate" if case.startswith("evaluate") else "correct"
+    capsys.readouterr()
+    assert run([command, "--dem", dem, *inputs] + ([] if case == "no-out" else ["--out", out])) == rc
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and named in errors[0] and message in errors[0], err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_dead_worker_is_data_error(tmp_path, capsys, monkeypatch):
@@ -242,9 +318,11 @@ def test_corrected_csv_writer_matches_csv_writer_reference(tmp_path):
     assert [g.key for g in groups] == ['00000"0002', "00000,0001", "0000000003"]
     solutions = [SimpleNamespace(dx=-2.5, dy=0.1), SimpleNamespace(dx=0.0, dy=-0.0),
                  SimpleNamespace(dx=1e-17, dy=3.0)]
+    sizes = [len(g) for g in groups]
     result = SimpleNamespace(
         method="ga", metric="area", groups=groups, solutions=solutions,
         ref_after=np.array([math.nan, 101.25, -math.inf, 7.0, math.inf]),
+        dx=np.repeat([s.dx for s in solutions], sizes), dy=np.repeat([s.dy for s in solutions], sizes),
     )
     _CorrectedCsvWriter(groups).write(tmp_path / "out.csv", result)
     written = (tmp_path / "out.csv").read_bytes()

@@ -10,7 +10,7 @@ import pytest
 
 import terralign.optimize
 from terralign import MetricKind, RunConfig, TerrainSpec, correct_dataset, gen_terrain
-from terralign.config import Bounds, GaConfig, LbfgsbConfig, OptimizerConfig
+from terralign.config import Bounds, ConfigError, GaConfig, LbfgsbConfig, OptimizerConfig
 from terralign.footprints import ShotGroup
 from terralign.optimize import (
     GroupPool,
@@ -530,6 +530,24 @@ def test_correct_dataset_empty_input():
     assert result.solutions == [] and result.n_skipped == 0
 
 
+@pytest.mark.parametrize(
+    "n_groups, kwargs, message",
+    [
+        (1, {"workers": 0}, "^workers: must be >= 1$"),
+        (0, {"method": "annealing"}, "^methods: unknown name 'annealing'"),
+        (1, {"method": "annealing"}, "^methods: unknown name 'annealing'"),
+    ],
+)
+def test_one_shot_correct_dataset_checks_by_run_config_rules(monkeypatch, n_groups, kwargs, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a group was solved")
+
+    monkeypatch.setattr(terralign.optimize, "correct_group", unreachable)
+    groups = [make_group([30.0, 34.0, 38.0], [30.0] * 3, [100.0] * 3)][:n_groups]
+    with pytest.raises(ConfigError, match=message):
+        correct_dataset(groups, flat_grid(64), **kwargs)
+
+
 def test_correct_dataset_skip_accounting():
     dem = flat_grid(128)
     good = make_group([40.0, 50.0, 60.0], [60.0] * 3, [100.0] * 3, key="0000000001")
@@ -557,6 +575,9 @@ def test_correct_dataset_ref_after_is_aggregate_at_shifted_positions(workers):
     ])
     np.testing.assert_array_equal(result.ref_after, expected)
     assert np.flatnonzero(np.isnan(result.ref_after)).tolist() == [7]
+    # the Combination columns repeat each group's offset over its footprints
+    np.testing.assert_array_equal(result.dx, np.repeat([s.dx for s in result.solutions], [4, 4, 2]))
+    np.testing.assert_array_equal(result.dy, np.repeat([s.dy for s in result.solutions], [4, 4, 2]))
 
 
 def test_correct_dataset_worker_count_invariant():
@@ -622,9 +643,9 @@ def test_correct_dataset_dead_worker_raises_broken_pool(monkeypatch):
 def test_correct_dataset_in_an_open_pool_matches_one_shot_calls():
     dem = ramp_grid(128)
     groups = four_groups()
-    cfg = RunConfig(seed=3)
+    cfg = RunConfig(seed=3, workers=2, methods=["grid", "ga"])
     combos = [(m, k) for m in ("grid", "ga") for k in ("euclidean", "area")]
-    with GroupPool(groups, dem, cfg, workers=2, methods=("grid", "ga")) as pool:
+    with GroupPool(groups, dem, cfg) as pool:
         pooled = [correct_dataset(groups, dem, m, k, cfg, workers=2, pool=pool) for m, k in combos]
         with pytest.raises(ValueError, match="pool was opened on other groups"):
             correct_dataset(groups[:2], dem, "grid", cfg=cfg, pool=pool)
@@ -636,6 +657,7 @@ def test_correct_dataset_in_an_open_pool_matches_one_shot_calls():
             (s.dx, s.dy, s.objective_value, s.evaluations) for s in alone.solutions
         ]
         assert result.ref_after.tobytes() == alone.ref_after.tobytes()
+        assert (result.dx.tobytes(), result.dy.tobytes()) == (alone.dx.tobytes(), alone.dy.tobytes())
 
 
 def test_derive_group_seed_stable_and_distinct():
