@@ -218,8 +218,8 @@ def _fmt_repeated(values: np.ndarray) -> list[str]:
     return np.array(_fmt_floats(bits.view(np.float64).tolist()), dtype=object)[index].tolist()
 
 
-def _load_rasters(dem_path: str, geoid_path: str | None):
-    """The DEM and the optional geoid, which must share the DEM's CRS."""
+def _load_rasters(dem_path: str, geoid_path: str):
+    """The DEM and, unless `geoid_path` is "", the geoid, which must share the DEM's CRS."""
     dem = load_raster(dem_path, "dem")
     geoid = None
     if geoid_path:
@@ -269,7 +269,7 @@ class _CorrectedCsvWriter:
         writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
         writer.writerow([*cells.header, *CORRECTED_EXTRA_COLUMNS])
         writer.writerows(
-            cells.rows[row] + [group.key] for group in groups for row in group.table.row.tolist()
+            (*cells.rows[row], group.key) for group in groups for row in group.table.row.tolist()
         )
         self.header = lines[0]
         self.prefixes = [line[:-1] for line in lines[1:]]

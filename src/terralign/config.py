@@ -15,10 +15,9 @@ the standard library's `tomllib`.
 from __future__ import annotations
 
 import math
-import types
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from typing import Any, Iterator, Mapping, Union, get_args, get_origin, get_type_hints
+from typing import Any, Iterator, Mapping, get_args, get_origin, get_type_hints
 
 from .metrics import MetricKind
 from .raster import AggregationKind
@@ -85,7 +84,6 @@ class QualityRules:
 class LbfgsbConfig:
     max_iter: int = 100
     tol: float = 1e-6
-    fd_step: float | None = None  # None: max(DEM cell size, 1.0 m)
     starts: int = 1  # 1 = origin only, 5 = origin + half-window corners
     history: int = 10
 
@@ -95,8 +93,6 @@ class LbfgsbConfig:
             raise ValueError("max_iter must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.fd_step is not None and self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
         if self.starts not in (1, 5):
             raise ValueError("starts must be 1 or 5")
         if self.history < 1:
@@ -161,7 +157,7 @@ class RunConfig:
     """The whole run configuration; field order is the key order of `dump_config`."""
 
     dem_path: str = ""
-    geoid_path: str | None = None
+    geoid_path: str = ""  # "": no geoid
     footprints_path: str = ""
     output_dir: str = ""
     methods: list[str] = field(default_factory=lambda: ["grid"])
@@ -212,19 +208,8 @@ def _keys(cls: type, prefix: str) -> Iterator[tuple[str, str, Any]]:
         yield prefix + f.name, f.name, hints[f.name]
 
 
-def _strip_optional(tp: Any) -> Any:
-    """X for an `X | None` annotation, else the annotation itself."""
-    if get_origin(tp) in (Union, types.UnionType):
-        (tp,) = [arg for arg in get_args(tp) if arg is not type(None)]
-    return tp
-
-
 def _check(tp: Any, value: Any, key: str) -> Any:
     """Return `value` as the annotated type `tp`, or raise ConfigError naming `key`."""
-    base = _strip_optional(tp)
-    if value is None and base is not tp:
-        return None
-    tp = base
     origin = get_origin(tp)
     if origin is list:
         (item,) = get_args(tp)
@@ -296,8 +281,7 @@ def config_from_dict(data: dict, overrides: Mapping[str, Any] | None = None) -> 
 def config_keys(cfg: Any = None, prefix: str = "") -> Iterator[tuple[str, Any, Any]]:
     """(dotted key, type, value) of every settable leaf, in field order.
 
-    The type of an `X | None` field is X. Values come from `cfg`, a
-    RunConfig() by default.
+    Values come from `cfg`, a RunConfig() by default.
     """
     cfg = RunConfig() if cfg is None else cfg
     for key, name, tp in _keys(type(cfg), prefix):
@@ -305,7 +289,7 @@ def config_keys(cfg: Any = None, prefix: str = "") -> Iterator[tuple[str, Any, A
         if is_dataclass(tp):
             yield from config_keys(value, key + ".")
         else:
-            yield key, _strip_optional(tp), value
+            yield key, tp, value
 
 
 # TOML basic strings allow no control character but tab, and no bare \ or "
@@ -333,13 +317,13 @@ def dump_config(cfg: RunConfig) -> str:
     """Serialize the effective configuration; parse_toml round-trips it.
 
     Keys are written in field order under their [section], top-level keys
-    first; a section starts where its first key falls. None values are left
-    out.
+    first; a section starts where its first key falls. An empty string (a
+    path not given) is left out.
     """
     sections: dict[str, list[str]] = {}
     for key, _, value in config_keys(cfg):
         section, _, name = key.rpartition(".")
         lines = sections.setdefault(section, [f"[{section}]"] if section else [])
-        if value is not None:
+        if value != "":
             lines.append(f"{name} = {_fmt(value)}")
     return "\n\n".join("\n".join(lines) for lines in sections.values()) + "\n"

@@ -54,7 +54,7 @@ class InputCells(NamedTuple):
     """The header and the kept input rows, each cut or padded with "" to the header's length."""
 
     header: tuple[str, ...]
-    rows: list[list[str]]
+    rows: list[tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -220,7 +220,8 @@ def parse_footprints(lines: Iterable[str], source: str = "<stream>") -> tuple[Fo
     if repeated:
         raise FootprintError(f"{source}: repeated column names: {', '.join(map(repr, repeated))}")
     width = len(header)
-    cells = [r if len(r) == width else r[:width] + [""] * (width - len(r)) for r in rows if r]
+    # tuples of str: a collection untracks them, so the cyclic GC stops rescanning the rows
+    cells = [tuple(r if len(r) == width else r[:width] + [""] * (width - len(r))) for r in rows if r]
     n = len(cells)
     columns = list(zip(*cells)) if n else [()] * width
     column = {name: columns[header.index(name)] for name in REQUIRED_COLUMNS}

@@ -216,8 +216,8 @@ def optimize_lbfgsb(
     two-sided difference gradient. The returned point is the best in-bounds
     probe across all starts (the best iterate even without convergence).
     The objective is piecewise constant at raster-cell granularity, so the
-    default differencing step spans at least one cell to recover a usable
-    secant slope.
+    differencing step h is max(`f.cell_size`, 1 m), 1 m for an objective
+    without `cell_size`: a step inside one cell would read a zero gradient.
 
     The line search often stalls on that surface, probing points a
     micrometre apart. So an `Objective` reports each scored point's slack,
@@ -231,7 +231,7 @@ def optimize_lbfgsb(
     cfg = cfg or OptimizerConfig()
     lb = cfg.lbfgsb
     tracker = _Tracker(f, bounds, memo=True)
-    h = lb.fd_step if lb.fd_step is not None else max(getattr(f, "cell_size", 1.0), 1.0)
+    h = max(getattr(f, "cell_size", 1.0), 1.0)
     starts = five_point_starts(bounds)[: lb.starts]
 
     def value_and_gradient(v: np.ndarray) -> tuple[float, np.ndarray]:

@@ -87,7 +87,7 @@ def test_run_flags_keep_their_option_strings():
     expected = [
         "--agg", "--config", "--dem", "--footprints", "--ga-blend-alpha", "--ga-crossover-rate",
         "--ga-elitism", "--ga-generations", "--ga-mutation-rate", "--ga-mutation-sigma", "--ga-pop",
-        "--ga-tournament-size", "--geoid", "--grid-step", "--help", "--lbfgsb-fd-step",
+        "--ga-tournament-size", "--geoid", "--grid-step", "--help",
         "--lbfgsb-history", "--lbfgsb-max-iter", "--lbfgsb-starts", "--lbfgsb-tol", "--max-dem-diff",
         "--max-dx", "--max-dy", "--max-elev", "--methods", "--metrics", "--min-elev",
         "--min-sensitivity", "--out", "--outlier-k", "--outlier-window", "--pso-cognitive",
@@ -296,8 +296,8 @@ def reference_corrected_csv(result) -> str:
     refs_after = iter(result.ref_after.tolist())
     for group, sol in zip(result.groups, result.solutions):
         for row, x, y, ref in zip(group.row, group.x, group.y, group.ref_elev):
-            writer.writerow(cells.rows[row] + [
-                group.key, fmt(sol.dx), fmt(sol.dy), fmt(x + sol.dx), fmt(y + sol.dy),
+            writer.writerow([
+                *cells.rows[row], group.key, fmt(sol.dx), fmt(sol.dy), fmt(x + sol.dx), fmt(y + sol.dy),
                 fmt(ref), fmt(next(refs_after)), result.method, result.metric,
             ])
     return buf.getvalue()

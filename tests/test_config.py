@@ -3,7 +3,7 @@
 import argparse
 import math
 from dataclasses import fields
-from typing import get_args, get_type_hints
+from typing import get_type_hints
 
 import pytest
 
@@ -114,16 +114,21 @@ def test_dump_config_round_trip():
 
 
 def test_dump_config_omits_unset_optionals():
+    assert RunConfig().geoid_path == ""  # no geoid
     text = dump_config(RunConfig())
-    assert "geoid_path" not in text
-    assert "fd_step" not in text
-    cfg = RunConfig()
-    cfg.geoid_path = "g.tif"
-    cfg.optimizer.lbfgsb.fd_step = 2.0
-    text2 = dump_config(cfg)
-    assert 'geoid_path = "g.tif"' in text2
-    assert "fd_step = 2.0" in text2
-    assert config_from_dict(parse_toml(text2)) == cfg
+    for key in ("dem_path", "geoid_path", "footprints_path", "output_dir"):
+        assert key not in text
+    assert config_from_dict(parse_toml(text)) == RunConfig()
+    cfg = RunConfig(geoid_path="g.tif")
+    text = dump_config(cfg)
+    assert 'geoid_path = "g.tif"' in text.splitlines()
+    assert config_from_dict(parse_toml(text)) == cfg
+
+
+def test_fd_step_flag_is_gone(capsys):
+    assert main(["correct", "--lbfgsb-fd-step", "1"]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "--lbfgsb-fd-step" in errors[0], errors
 
 
 def test_config_requires_method_and_metric():
@@ -145,6 +150,7 @@ def test_config_requires_method_and_metric():
             "[optimizer.lbfgsb]\nmultistart = [1.0, 2.0]\n", "optimizer.lbfgsb.multistart", id="multistart"
         ),
         pytest.param('agg = "mode"\n', "agg", id="agg-mode"),
+        pytest.param("[optimizer.lbfgsb]\nfd_step = 2.0\n", "optimizer.lbfgsb.fd_step", id="fd-step"),
         pytest.param("radius = 1" + "0" * 400 + "\n", "radius", id="int-beyond-float"),
     ],
 )
@@ -196,9 +202,6 @@ def test_config_ints_become_floats_and_flags_override():
 
 def test_dump_config_defaults_golden():
     assert dump_config(RunConfig()) == """\
-dem_path = ""
-footprints_path = ""
-output_dir = ""
 methods = ["grid"]
 metrics = ["euclidean"]
 radius = 12.5
@@ -309,7 +312,7 @@ def test_dump_config_escapes_what_toml_strings_forbid(path):
 
 def _float_fields(cls):
     hints = get_type_hints(cls)
-    return [(cls, f.name) for f in fields(cls) if float in (hints[f.name], *get_args(hints[f.name]))]
+    return [(cls, f.name) for f in fields(cls) if hints[f.name] is float]
 
 
 FLOAT_SETTINGS = [

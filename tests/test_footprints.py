@@ -1,6 +1,7 @@
 """Footprint parsing, quality filters, outlier rejection, grouping, attachment."""
 
 import csv
+import gc
 import io
 import math
 import tracemalloc
@@ -85,6 +86,16 @@ def test_parse_preserves_raw_columns():
     cells = dict(zip(fps.cells.header, fps.cells.rows[fps.row[0]]))
     assert cells["extra"] == "foo"
     assert cells["x"] == "5.0"
+
+
+def test_parse_keeps_rows_the_cyclic_gc_untracks():
+    """The kept rows hold only strings, so a collection stops tracking them
+    and later collections do not rescan a large table's rows."""
+    text = CSV_HEADER[:-1] + ",note\n" + row()[:-1] + ",a\n" + row("00000000010002")  # the last row is padded
+    fps, _ = parse_footprints(io.StringIO(text))
+    gc.collect()
+    assert [r[-1] for r in fps.cells.rows] == ["a", ""]
+    assert not any(gc.is_tracked(r) for r in fps.cells.rows)
 
 
 def test_parse_skips_blank_lines_without_counting_them():
@@ -543,7 +554,7 @@ def test_columnar_parse_matches_the_per_row_parser_bit_for_bit():
         header, kept, shots, columns, stats = reference_parse(text)
         table, got_stats = parse_footprints(io.StringIO(text))
         assert got_stats == stats, text
-        assert table.cells.header == tuple(header) and table.cells.rows == kept, text
+        assert table.cells.header == tuple(header) and table.cells.rows == [tuple(r) for r in kept], text
         assert table.shot_number.tolist() == shots and table.row.tolist() == list(range(len(kept)))
         for name, want in zip(fields, columns):
             assert getattr(table, name).tobytes() == want.tobytes(), (name, text)

@@ -141,18 +141,12 @@ def test_lbfgsb_minimum_at_start():
 
 
 def test_lbfgsb_interior_quadratic():
-    sol = optimize_lbfgsb(
-        lambda dx, dy: (dx - 7.3) ** 2 + (dy + 2.6) ** 2,
-        cfg=OptimizerConfig(lbfgsb=LbfgsbConfig(fd_step=1e-4)),
-    )
+    sol = optimize_lbfgsb(lambda dx, dy: (dx - 7.3) ** 2 + (dy + 2.6) ** 2)
     assert math.hypot(sol.dx - 7.3, sol.dy + 2.6) <= 1e-3
 
 
 def test_lbfgsb_clamps_exterior_minimum():
-    sol = optimize_lbfgsb(
-        lambda dx, dy: (dx - 40.0) ** 2 + dy * dy,
-        cfg=OptimizerConfig(lbfgsb=LbfgsbConfig(fd_step=1e-4)),
-    )
+    sol = optimize_lbfgsb(lambda dx, dy: (dx - 40.0) ** 2 + dy * dy)
     assert sol.dx == 25.0
     assert abs(sol.dy) <= 1e-6
 
@@ -161,10 +155,7 @@ def test_lbfgsb_quadratic_family(rng):
     for _ in range(50):
         a = float(rng.uniform(-20.0, 20.0))
         b = float(rng.uniform(-20.0, 20.0))
-        sol = optimize_lbfgsb(
-            lambda dx, dy: (dx - a) ** 2 + (dy - b) ** 2,
-            cfg=OptimizerConfig(lbfgsb=LbfgsbConfig(fd_step=1e-4)),
-        )
+        sol = optimize_lbfgsb(lambda dx, dy: (dx - a) ** 2 + (dy - b) ** 2)
         assert math.hypot(sol.dx - a, sol.dy - b) <= 1e-3
 
 
@@ -191,10 +182,8 @@ def test_lbfgsb_multistart_escapes_poor_basin():
     def f(dx, dy):
         return min((dx + 20.0) ** 2 + dy**2 + 5.0, (dx - 20.0) ** 2 + dy**2)
 
-    single = optimize_lbfgsb(f, cfg=OptimizerConfig(lbfgsb=LbfgsbConfig(fd_step=1e-3)))
-    multi = optimize_lbfgsb(
-        f, cfg=OptimizerConfig(lbfgsb=LbfgsbConfig(fd_step=1e-3, starts=5))
-    )
+    single = optimize_lbfgsb(f)
+    multi = optimize_lbfgsb(f, cfg=OptimizerConfig(lbfgsb=LbfgsbConfig(starts=5)))
     assert multi.objective_value <= single.objective_value
     assert multi.objective_value <= 1e-3
 
@@ -380,9 +369,10 @@ def test_objective_batch_matches_scalar_bitwise(rng):
         assert batch[i] == f(float(dx), float(dy))
 
 
-def planted_scene(seed=11, planted=(8.0, -3.0), relief=120.0):
+def planted_scene(seed=11, planted=(8.0, -3.0), relief=120.0, cell=2.0):
+    n = round(440.0 / cell)
     terrain = gen_terrain(
-        TerrainSpec(kind="gaussian_hills", n_rows=220, n_cols=220, cell_size=2.0, relief=relief, seed=seed)
+        TerrainSpec(kind="gaussian_hills", n_rows=n, n_cols=n, cell_size=cell, relief=relief, seed=seed)
     )
     spec = TrackSpec(
         n_footprints=12, spacing=25.0, heading=40.0, noise_sd=0.0,
@@ -400,6 +390,25 @@ def test_correct_group_grid_recovers_within_one_step():
     expected = aggregate_buffer_points(terrain, group.x + sol.dx, group.y + sol.dy, 12.5)
     assert ref_after.dtype == np.float64
     np.testing.assert_array_equal(ref_after, expected)
+
+
+def test_lbfgsb_differences_over_the_dem_cell(monkeypatch):
+    """On an Objective over a 4 m DEM, each iterate's four probes sit at +/-4 m."""
+    terrain, group = planted_scene(cell=4.0)
+    f = Objective(group, terrain)
+    assert f.cell_size == 4.0
+    batches = []
+    batch = terralign.optimize._Tracker.batch
+
+    def recording_batch(self, points):
+        batches.append(points)
+        return batch(self, points)
+
+    monkeypatch.setattr(terralign.optimize._Tracker, "batch", recording_batch)
+    sol = optimize_lbfgsb(f, cfg=OptimizerConfig(lbfgsb=LbfgsbConfig(starts=5)))
+    assert len(batches) > 5 and sol.evaluations <= 5 * len(batches)
+    for (x, y), *probes in (b.tolist() for b in batches):
+        assert probes == [[x + 4.0, y], [x - 4.0, y], [x, y + 4.0], [x, y - 4.0]]
 
 
 def test_correct_group_lbfgsb_recovers_within_one_meter():
