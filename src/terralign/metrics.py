@@ -20,6 +20,14 @@ class MetricKind(str, Enum):
     CORRELATION = "correlation"
 
 
+# Each of these is a sum of non-negative per-footprint terms (under a square
+# root for euclidean) or their max, so its value on a subset of a group's
+# footprints is a lower bound of its value on the whole group: the bounded
+# grid scan (`optimize.grid_search`) prunes lattice points with it. Area's
+# signed terms cancel and correlation is not separable, so neither is here.
+SUBSET_BOUNDED = frozenset({MetricKind.EUCLIDEAN, MetricKind.MANHATTAN, MetricKind.HAUSDORFF})
+
+
 class MetricError(ValueError):
     """Raised for invalid metric inputs (length mismatch, non-finite values)."""
 

@@ -21,13 +21,16 @@ import numpy as np
 from .config import DEFAULT_GRID_STEP_M, DEFAULT_RADIUS_M, METHOD_NAMES, Bounds, OptimizerConfig, RunConfig
 from .evaluate import Combination
 from .footprints import MIN_GROUP_SIZE, ShotGroup
-from .metrics import MetricKind, distance_many
+from .metrics import SUBSET_BOUNDED, MetricKind, distance_many
 from .raster import AggregationKind, RasterGrid, aggregate_buffer_points
 
 logger = logging.getLogger(__name__)
 
 # value of a candidate whose buffers leave the DEM, plus one per such footprint
 OOB_PENALTY = 1e9
+
+# the bounded grid scan's subset: every 4th footprint of a group, from the first
+_BOUND_STRIDE = 4
 
 
 class Objective:
@@ -56,6 +59,7 @@ class Objective:
             raise ValueError(f"group {group.key}: empty group has no objective")
         if self.metric == MetricKind.CORRELATION and n < 2:
             raise ValueError(f"group {group.key}: correlation needs >= 2 footprints")
+        self.group = group
         self.xs = group.x
         self.ys = group.y
         self.elev = group.gedi_dem
@@ -125,7 +129,8 @@ class _Tracker:
         # is not positive) and value; a plain callable reports no slack
         self._memo = np.empty((4, 0)) if memo and isinstance(f, Objective) else None
 
-    def _score(self, points: np.ndarray) -> np.ndarray:
+    def score(self, points: np.ndarray) -> np.ndarray:
+        """Values of `points`, counted in `n`; the best is not updated."""
         self.n += points.shape[0]
         if self._batch is not None:
             return np.asarray(self._batch(points), dtype=np.float64)
@@ -152,7 +157,12 @@ class _Tracker:
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
-        values = self._score(points) if self._memo is None else self._recall_or_score(points)
+        values = self.score(points) if self._memo is None else self._recall_or_score(points)
+        self.offer(points, values)
+        return values
+
+    def offer(self, points: np.ndarray, values: np.ndarray) -> None:
+        """Let the first in-bounds minimum of `values` become the best."""
         in_bounds = (np.abs(points[:, 0]) <= self.bounds.max_abs_dx) & (
             np.abs(points[:, 1]) <= self.bounds.max_abs_dy
         )
@@ -163,7 +173,6 @@ class _Tracker:
             if masked[i] < self.best_f:
                 self.best_f = float(masked[i])
                 self.best_x = (float(points[i, 0]), float(points[i, 1]))
-        return values
 
     def solution(self, converged: bool) -> DisplacementSolution:
         return DisplacementSolution(
@@ -182,7 +191,8 @@ def lattice_points(bounds: Bounds, step: float) -> np.ndarray:
 
     def axis(max_abs: float) -> np.ndarray:
         n = int(math.floor(2.0 * max_abs / step + 1e-9)) + 1
-        return -max_abs + step * np.arange(n, dtype=np.float64)
+        # the last value can round a few ulps past max_abs, out of bounds
+        return np.minimum(-max_abs + step * np.arange(n, dtype=np.float64), max_abs)
 
     dxs = axis(bounds.max_abs_dx)
     dys = axis(bounds.max_abs_dy)
@@ -191,11 +201,49 @@ def lattice_points(bounds: Bounds, step: float) -> np.ndarray:
 
 
 def grid_search(f: Callable, bounds: Bounds = Bounds(), step: float = DEFAULT_GRID_STEP_M) -> DisplacementSolution:
-    """Exhaustive scan of the displacement lattice; first minimum wins ties."""
+    """The first minimum, in scan order, of `f` over the displacement lattice.
+
+    A plain callable, or an `Objective` whose metric is not in
+    `SUBSET_BOUNDED`, is scored at every lattice point, and `evaluations`
+    is the lattice size. Otherwise the scan is bounded (branch and bound):
+    1. Every lattice point is scored on every 4th footprint of the group.
+       That value, capped at OOB_PENALTY + 1, is a lower bound of the
+       point's value on the whole group.
+    2. The whole group is scored at the lowest-bound point, the incumbent.
+    3. It is scored, in one batch, at every other point whose bound is
+       within a rounding margin of the incumbent's value.
+    A point left out has a value above the incumbent's, so the first
+    minimum among the points scored is the full scan's answer, ties
+    included. `evaluations` counts the points scored on the whole group;
+    the bound pass of step 1 is not counted.
+    """
     if step > 2.0 * min(bounds.max_abs_dx, bounds.max_abs_dy):
         raise ValueError("step must not exceed the window size")
     tracker = _Tracker(f, bounds)
-    tracker.batch(lattice_points(bounds, step))
+    points = lattice_points(bounds, step)
+    if not (isinstance(f, Objective) and f.metric in SUBSET_BOUNDED):
+        tracker.batch(points)
+        return tracker.solution(converged=True)
+    g = f.group
+    subset = ShotGroup(g.key, g.table.take(slice(None, None, _BOUND_STRIDE)))
+    lower = np.minimum(Objective(subset, f.dem, f.metric, f.radius, f.agg).batch(points), OOB_PENALTY + 1.0)
+    first = int(np.argmin(lower))
+    incumbent = tracker.score(points[first : first + 1])[0]
+    # A footprint's term has the same bits in both objectives, and the exact
+    # subset value is at most the whole group's. Any summation order of n
+    # non-negative terms errs by at most (n - 1)u relative (u = 2**-53), so
+    # the rounded subset value exceeds the rounded group value by a factor
+    # of at most about 1 + 2nu (a square root halves that and adds 2u; a
+    # max is exact). The threshold's product rounds by u more. So a bound
+    # above incumbent * (1 + 8nu), 8nu = 4n * 2**-52, about 4 times that
+    # worst case, means a value above the incumbent's. A NaN bound is kept.
+    survivor = ~(lower > incumbent * (1.0 + 4 * f.n_footprints * 2.0**-52))
+    survivor[first] = False
+    values = np.empty(points.shape[0])
+    values[first] = incumbent
+    values[survivor] = tracker.score(points[survivor])
+    survivor[first] = True
+    tracker.offer(points[survivor], values[survivor])
     return tracker.solution(converged=True)
 
 

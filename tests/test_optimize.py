@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import terralign.optimize
-from terralign import MetricKind, RunConfig, TerrainSpec, correct_dataset, gen_terrain
+from terralign import MetricError, MetricKind, RasterGrid, RunConfig, TerrainSpec, correct_dataset, gen_terrain
 from terralign.config import Bounds, ConfigError, GaConfig, LbfgsbConfig, OptimizerConfig
 from terralign.footprints import ShotGroup
+from terralign.metrics import distance_many
 from terralign.optimize import (
     GroupPool,
     Objective,
@@ -27,7 +28,7 @@ from terralign.optimize import (
 from terralign.raster import aggregate_buffer_points
 from terralign.synthetic import TrackSpec, gen_track, plant_offset
 
-from conftest import attach_group, flat_grid, make_group, ramp_grid
+from conftest import attach_group, flat_grid, make_grid, make_group, ramp_grid
 
 
 class Recorder:
@@ -131,6 +132,17 @@ def test_lattice_points_cover_window():
     assert pts[:, 0].min() == -25.0 and pts[:, 0].max() == 25.0
     assert pts[0].tolist() == [-25.0, -25.0]
     assert pts[1].tolist() == [-20.0, -25.0]
+
+
+def test_lattice_points_end_on_the_bounds():
+    """-12.1 + 22 * 1.1 rounds to 12.100000000000003; the last column and
+    row are clamped to the bound, so they stay in bounds and can win."""
+    bounds = Bounds(12.1, 12.1)
+    pts = lattice_points(bounds, 1.1)
+    assert pts.shape == (23 * 23, 2)
+    assert pts[:, 0].max() == 12.1 and pts[:, 1].max() == 12.1
+    sol = grid_search(lambda dx, dy: -dx - dy, bounds, 1.1)
+    assert (sol.dx, sol.dy) == (12.1, 12.1)
 
 
 def test_lbfgsb_minimum_at_start():
@@ -514,6 +526,97 @@ def test_lbfgsb_slack_memo_keeps_the_result(metric):
             scored += memo.evaluations
             unmemoized += plain.evaluations
     assert scored < unmemoized
+
+
+def holed_terrain():
+    """A 600 m fractal DEM with 2 % scattered NaN cells and a NaN strip."""
+    terrain = gen_terrain(TerrainSpec(kind="fractal", n_rows=150, n_cols=150, cell_size=4.0, relief=80.0, seed=8))
+    values = terrain.values.copy()
+    values[np.random.default_rng(8).random(values.shape) < 0.02] = np.nan
+    values[60:64, 60:100] = np.nan
+    return RasterGrid(terrain.origin_x, terrain.origin_y, terrain.cell_size_x, terrain.cell_size_y, values)
+
+
+def bounded_scan_cases():
+    """(group, DEM) pairs: groups of 3 to 60 footprints on the holed DEM, in
+    its interior and within 30 m of its edges (so lattice rows and columns
+    leave it), and on a flat DEM, where every on-DEM point ties."""
+    holed = holed_terrain()
+    flat = flat_grid(150, cell=4.0)
+    rng = np.random.default_rng(31)
+    for n in (3, 4, 5, 9, 16, 30, 60):
+        for cx, cy in ((300.0, 300.0), (20.0, 300.0), (300.0, 580.0), (25.0, 25.0)):
+            xs = np.clip(cx + rng.normal(0.0, 40.0, n), 1.0, 599.0)
+            ys = np.clip(cy + rng.normal(0.0, 40.0, n), 1.0, 599.0)
+            elev = aggregate_buffer_points(holed, xs, ys, 12.5)
+            elev = np.where(np.isfinite(elev), elev, 50.0) + rng.normal(0.0, 0.5, n)
+            yield make_group(xs - 6.5, ys + 3.5, elev), holed
+            yield make_group(xs, ys, np.full(n, 103.0)), flat
+
+
+@pytest.mark.parametrize("metric", [m.value for m in MetricKind])
+def test_bounded_grid_scan_equals_the_full_scan(metric):
+    """The bounded scan returns the full scan's point and value bits, ties
+    included, and `correct_group` the same `ref_after` bytes. `BatchOnly`
+    hides the Objective, so the reference scores every lattice point."""
+    bounded = metric in ("euclidean", "manhattan", "hausdorff")
+    evaluations = []
+    for group, dem in bounded_scan_cases():
+        f = Objective(group, dem, metric=metric)
+        full = grid_search(BatchOnly(f))
+        sol = grid_search(f)
+        assert (sol.dx, sol.dy, sol.objective_value) == (full.dx, full.dy, full.objective_value)
+        assert full.evaluations == 121 and (sol.evaluations <= 121 if bounded else sol.evaluations == 121)
+        if dem.has_nodata:
+            evaluations.append(sol.evaluations)
+        _, ref_after = correct_group(group, dem, "grid", metric)
+        expected = aggregate_buffer_points(dem, group.x + full.dx, group.y + full.dy, 12.5)
+        assert ref_after.tobytes() == expected.tobytes()
+    if bounded:  # the holed DEM's cases prune; on the flat DEM every point ties
+        assert np.median(evaluations) < 60
+
+
+def test_bounded_grid_scan_keeps_a_point_whose_bound_is_ulps_above_its_value():
+    """Each footprint reads one cell (5 m cells, 1 m radius), so the terms
+    are set cell by cell. Under manhattan, the point (0, 0) and the later
+    point (5, 0) have the same value F on the whole group. At (0, 0) the
+    terms sit on the bound's footprints 0, 4, 8 and 12, whose sum in
+    another order rounds above F; at (5, 0) the one term F sits on footprint
+    0. So (5, 0) has the lowest bound and is the incumbent, and (0, 0),
+    the first minimum, survives only through the rounding margin."""
+    n = 16
+    subset = np.arange(0, n, 4)
+    rng = np.random.default_rng(3)
+    for _ in range(1000):
+        terms = np.zeros(n)
+        terms[subset] = rng.uniform(0.0, 1.0, subset.size)
+        value = distance_many("manhattan", np.zeros(n), -terms[np.newaxis])[0]
+        if distance_many("manhattan", np.zeros(subset.size), -terms[np.newaxis, subset])[0] > value:
+            break
+    else:
+        pytest.fail("no term vector whose subset sum rounds above its full sum")
+    # footprint i sits at the centre of row 5, column 11i + 5 of its own 11 x 11 block
+    values = np.full((11, 11 * n), 1000.0)
+    values[5, 11 * np.arange(n) + 5] = -terms
+    values[5, 11 * np.arange(n) + 6] = -np.where(np.arange(n) == 0, value, 0.0)
+    dem = make_grid(values, cell=5.0)
+    group = make_group((11 * np.arange(n) + 5.5) * 5.0, np.full(n, 27.5), np.zeros(n))
+    f = Objective(group, dem, metric="manhattan", radius=1.0)
+    assert f(0.0, 0.0) == f(5.0, 0.0) == value
+    sol = grid_search(f)
+    assert (sol.dx, sol.dy, sol.objective_value) == (0.0, 0.0, value)
+    assert sol.evaluations == 2
+
+
+@pytest.mark.parametrize("i", [4, 5])
+def test_bounded_grid_scan_raises_the_full_scans_error_on_a_nan_elevation(i):
+    """Footprint 4 is one the bound is taken on, footprint 5 is not."""
+    terrain, group = planted_scene()
+    elev = np.where(np.arange(len(group)) == i, np.nan, group.gedi_dem)
+    f = Objective(ShotGroup(group.key, group.table.take(slice(None), gedi_dem=elev)), terrain)
+    for scan in (f, BatchOnly(f)):
+        with pytest.raises(MetricError, match="finite"):
+            grid_search(scan)
 
 
 def test_correct_group_skips_undersized():
