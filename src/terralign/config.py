@@ -53,6 +53,8 @@ class Bounds:
         _check_finite(self)
         if self.max_abs_dx <= 0 or self.max_abs_dy <= 0:
             raise ValueError("bounds must be positive")
+        if not math.isfinite(2.0 * max(self.max_abs_dx, self.max_abs_dy)):
+            raise ValueError("the window width 2 * max_abs must be finite")
 
 
 @dataclass

@@ -190,7 +190,10 @@ def lattice_points(bounds: Bounds, step: float) -> np.ndarray:
         raise ValueError("step must be positive")
 
     def axis(max_abs: float) -> np.ndarray:
-        n = int(math.floor(2.0 * max_abs / step + 1e-9)) + 1
+        count = 2.0 * max_abs / step + 1e-9  # inf when the step is subnormal
+        if not count < np.iinfo(np.intp).max:  # reported like an array too large to allocate
+            raise MemoryError(f"a {step!r} m grid step puts {count:.3g} points on an axis")
+        n = int(math.floor(count)) + 1
         # the last value can round a few ulps past max_abs, out of bounds
         return np.minimum(-max_abs + step * np.arange(n, dtype=np.float64), max_abs)
 
@@ -436,8 +439,8 @@ class CorrectionResult(Combination):
 
     The `Combination` fields are per footprint, in group order: `dx` and
     `dy` repeat each group's offset over its footprints, and `ref_after` is
-    NaN where the shifted buffer has no DEM coverage. `solutions` holds one
-    entry per group.
+    NaN where the shifted buffer has no DEM coverage (a skipped group keeps
+    its stored `ref_elev`). `solutions` holds one entry per group.
     """
 
     solutions: list[DisplacementSolution]
@@ -454,36 +457,27 @@ def correct_group(
     method: str = "grid",
     metric: MetricKind | str = MetricKind.EUCLIDEAN,
     cfg: RunConfig | None = None,
-) -> tuple[DisplacementSolution, np.ndarray]:
-    """Solve one group's displacement and score its shifted footprints.
+) -> DisplacementSolution:
+    """Solve one group's displacement.
 
     Reads `radius`, `agg`, `bounds`, `optimizer` and `seed` from `cfg`. GA
     and PSO draw from a generator seeded by `derive_group_seed(cfg.seed,
-    group.key)`. Returns the solution and the reference elevation of each
-    footprint at its shifted position, NaN where the shifted buffer has no
-    DEM coverage. Groups below MIN_GROUP_SIZE are skipped with a zero
-    offset and keep their stored `ref_elev` values.
+    group.key)`. Groups below MIN_GROUP_SIZE are skipped with a zero offset.
     """
     if method not in METHOD_NAMES:
         raise ValueError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
     cfg = cfg or RunConfig()
     if len(group) < MIN_GROUP_SIZE:
-        sol = DisplacementSolution(
-            dx=0.0, dy=0.0, objective_value=0.0, evaluations=0,
-            converged=False, skipped=True,
-        )
-        return sol, group.ref_elev
+        return DisplacementSolution(dx=0.0, dy=0.0, objective_value=0.0, evaluations=0, converged=False, skipped=True)
 
     f = Objective(group, dem, metric=metric, radius=cfg.radius, agg=cfg.agg)
     if method == "grid":
-        sol = grid_search(f, cfg.bounds, cfg.optimizer.grid_step)
-    elif method == "lbfgsb":
-        sol = optimize_lbfgsb(f, cfg.bounds, cfg.optimizer)
-    else:
-        rng = np.random.default_rng(derive_group_seed(cfg.seed, group.key))
-        solver = optimize_ga if method == "ga" else optimize_pso
-        sol = solver(f, cfg.bounds, cfg.optimizer, rng=rng)
-    return sol, aggregate_buffer_points(dem, f.xs + sol.dx, f.ys + sol.dy, cfg.radius, cfg.agg)
+        return grid_search(f, cfg.bounds, cfg.optimizer.grid_step)
+    if method == "lbfgsb":
+        return optimize_lbfgsb(f, cfg.bounds, cfg.optimizer)
+    rng = np.random.default_rng(derive_group_seed(cfg.seed, group.key))
+    solver = optimize_ga if method == "ga" else optimize_pso
+    return solver(f, cfg.bounds, cfg.optimizer, rng=rng)
 
 
 # What a forked worker solves from: the groups, the DEM and the config,
@@ -496,7 +490,7 @@ def _init_worker(groups: Sequence[ShotGroup], dem: RasterGrid, cfg: RunConfig | 
     _worker_state = (groups, dem, cfg)
 
 
-def _solve_task(method: str, metric: MetricKind | str, i: int) -> tuple[DisplacementSolution, np.ndarray]:
+def _solve_task(method: str, metric: MetricKind | str, i: int) -> DisplacementSolution:
     groups, dem, cfg = _worker_state
     return correct_group(groups[i], dem, method, metric, cfg)
 
@@ -509,7 +503,7 @@ class GroupPool:
     group after another. Otherwise that many worker processes are forked
     (POSIX `fork` start method only) at the first `solve`: each inherits the
     groups, the DEM and the config, receives `(method, metric, group index)`
-    tasks and sends back `(solution, ref_after)`. When "lbfgsb" is in
+    tasks and sends back only a `DisplacementSolution`. When "lbfgsb" is in
     `cfg.methods`, `scipy.optimize` is imported once, before the fork.
     Closing the pool, or leaving its `with` block, shuts the workers down,
     so none outlives it.
@@ -538,22 +532,26 @@ class GroupPool:
             )
 
     def solve(self, method: str, metric: MetricKind | str) -> CorrectionResult:
-        """Every group corrected with `correct_group`, in group order."""
+        """Every group solved with `correct_group`, in group order, then `ref_after` in one kernel call."""
         n = len(self.groups)
         if self._executor is None:
-            outcomes = [correct_group(g, self.dem, method, metric, self.cfg) for g in self.groups]
+            solutions = [correct_group(g, self.dem, method, metric, self.cfg) for g in self.groups]
         else:
-            outcomes = list(self._executor.map(_solve_task, [method] * n, [metric] * n, range(n)))
-        solutions = [sol for sol, _ in outcomes]
+            solutions = list(self._executor.map(_solve_task, [method] * n, [metric] * n, range(n)))
         sizes = [len(g) for g in self.groups]
+        dx = np.repeat([sol.dx for sol in solutions], sizes)
+        dy = np.repeat([sol.dy for sol in solutions], sizes)
+        solved = np.repeat([not sol.skipped for sol in solutions], sizes).astype(bool)
+        x, y, ref_after = (
+            np.concatenate([getattr(g, c) for g in self.groups] or [np.empty(0)]) for c in ("x", "y", "ref_elev")
+        )
+        # a skipped group keeps its stored reference
+        ref_after[solved] = aggregate_buffer_points(
+            self.dem, x[solved] + dx[solved], y[solved] + dy[solved], self.cfg.radius, self.cfg.agg
+        )
         result = CorrectionResult(
-            method=method,
-            metric=str(MetricKind(metric).value),
-            ref_after=np.concatenate([refs for _, refs in outcomes]) if outcomes else np.empty(0),
-            dx=np.repeat([sol.dx for sol in solutions], sizes),
-            dy=np.repeat([sol.dy for sol in solutions], sizes),
-            solutions=solutions,
-            groups=self.groups,
+            method=method, metric=str(MetricKind(metric).value), ref_after=ref_after, dx=dx, dy=dy,
+            solutions=solutions, groups=self.groups,
         )
         if result.n_skipped:
             logger.info("skipped %d of %d groups below the minimum size", result.n_skipped, n)

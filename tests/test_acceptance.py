@@ -127,7 +127,7 @@ def corpus():
             for method, cfg in (
                 ("grid", None), ("lbfgsb", cfg5), ("ga", None), ("pso", None),
             ):
-                sol, _ = correct_group(observed, terrain, method=method, metric=metric, cfg=cfg)
+                sol = correct_group(observed, terrain, method=method, metric=metric, cfg=cfg)
                 scene.solutions[(method, metric)] = sol
         scenes.append(scene)
     return {"scenes": scenes, "elapsed_s": time.perf_counter() - t0}

@@ -401,10 +401,11 @@ ADDRESS_SPACE_CAP = 1536 * 2**20
         ["--radius", "1e6"],
         ["--methods", "ga", "--ga-pop", "1000000000"],
         ["--max-dx", "1e9", "--max-dy", "1e9"],
+        ["--grid-step", "1e-320"],  # a subnormal step: the lattice's point count overflows to inf
     ],
 )
 def test_setting_that_needs_too_much_memory_is_data_error(tmp_path, flags):
-    """Each of these settings asks numpy for an array of terabytes or more.
+    """Each of these settings asks for an array of terabytes or more.
 
     `correct` runs in a child process that caps its own address space, so the
     allocation fails there instead of drawing on the machine's memory.
@@ -423,6 +424,23 @@ def test_setting_that_needs_too_much_memory_is_data_error(tmp_path, flags):
     errors = [line for line in out.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith("error: out of memory: "), out.stderr
     assert "Traceback" not in out.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("method", ["grid", "ga", "pso"])
+def test_window_whose_width_overflows_is_usage_error(tmp_path, capsys, method):
+    """2 * 1e308 is inf: the lattice and the uniform draws of GA and PSO
+    would span an infinite window."""
+    dem, fps, _ = write_flat_scene(tmp_path)
+    rc = run([
+        "correct", "--dem", dem, "--footprints", fps, "--out", tmp_path / "o",
+        "--methods", method, "--max-dx", "1e308", "--max-dy", "1e308",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: bounds: the window width 2 * max_abs must be finite"], err
+    assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

@@ -28,7 +28,7 @@ from terralign.optimize import (
 from terralign.raster import aggregate_buffer_points
 from terralign.synthetic import TrackSpec, gen_track, plant_offset
 
-from conftest import attach_group, flat_grid, make_grid, make_group, ramp_grid
+from conftest import flat_grid, make_grid, make_group, ramp_grid
 
 
 class Recorder:
@@ -143,6 +143,20 @@ def test_lattice_points_end_on_the_bounds():
     assert pts[:, 0].max() == 12.1 and pts[:, 1].max() == 12.1
     sol = grid_search(lambda dx, dy: -dx - dy, bounds, 1.1)
     assert (sol.dx, sol.dy) == (12.1, 12.1)
+
+
+def test_lattice_whose_point_count_overflows_is_out_of_memory():
+    """50 / 1e-320 is inf: reported like a lattice too large to allocate."""
+    for step in (1e-320, 1e-300):
+        with pytest.raises(MemoryError, match="points on an axis"):
+            lattice_points(Bounds(), step)
+
+
+def test_bounds_reject_a_window_whose_width_overflows():
+    Bounds(8e307, 8e307)
+    for bounds in ((1e308, 1.0), (1.0, 1e308)):
+        with pytest.raises(ValueError, match="window width"):
+            Bounds(*bounds)
 
 
 def test_lbfgsb_minimum_at_start():
@@ -396,12 +410,14 @@ def planted_scene(seed=11, planted=(8.0, -3.0), relief=120.0, cell=2.0):
 
 def test_correct_group_grid_recovers_within_one_step():
     terrain, group = planted_scene()
-    sol, ref_after = correct_group(group, terrain, method="grid", metric="euclidean")
+    sol = correct_group(group, terrain, method="grid", metric="euclidean")
     assert abs(sol.dx - (-8.0)) <= 5.0
     assert abs(sol.dy - 3.0) <= 5.0
+    result = correct_dataset([group], terrain, method="grid", metric="euclidean")
+    assert result.solutions == [sol]
     expected = aggregate_buffer_points(terrain, group.x + sol.dx, group.y + sol.dy, 12.5)
-    assert ref_after.dtype == np.float64
-    np.testing.assert_array_equal(ref_after, expected)
+    assert result.ref_after.dtype == np.float64
+    np.testing.assert_array_equal(result.ref_after, expected)
 
 
 def test_lbfgsb_differences_over_the_dem_cell(monkeypatch):
@@ -425,7 +441,7 @@ def test_lbfgsb_differences_over_the_dem_cell(monkeypatch):
 
 def test_correct_group_lbfgsb_recovers_within_one_meter():
     terrain, group = planted_scene()
-    sol, _ = correct_group(group, terrain, method="lbfgsb", metric="euclidean")
+    sol = correct_group(group, terrain, method="lbfgsb", metric="euclidean")
     assert math.hypot(sol.dx - (-8.0), sol.dy - 3.0) <= 1.0
 
 
@@ -557,7 +573,7 @@ def bounded_scan_cases():
 @pytest.mark.parametrize("metric", [m.value for m in MetricKind])
 def test_bounded_grid_scan_equals_the_full_scan(metric):
     """The bounded scan returns the full scan's point and value bits, ties
-    included, and `correct_group` the same `ref_after` bytes. `BatchOnly`
+    included, and `correct_dataset` the same `ref_after` bytes. `BatchOnly`
     hides the Objective, so the reference scores every lattice point."""
     bounded = metric in ("euclidean", "manhattan", "hausdorff")
     evaluations = []
@@ -569,7 +585,7 @@ def test_bounded_grid_scan_equals_the_full_scan(metric):
         assert full.evaluations == 121 and (sol.evaluations <= 121 if bounded else sol.evaluations == 121)
         if dem.has_nodata:
             evaluations.append(sol.evaluations)
-        _, ref_after = correct_group(group, dem, "grid", metric)
+        ref_after = correct_dataset([group], dem, "grid", metric).ref_after
         expected = aggregate_buffer_points(dem, group.x + full.dx, group.y + full.dy, 12.5)
         assert ref_after.tobytes() == expected.tobytes()
     if bounded:  # the holed DEM's cases prune; on the flat DEM every point ties
@@ -619,21 +635,12 @@ def test_bounded_grid_scan_raises_the_full_scans_error_on_a_nan_elevation(i):
             grid_search(scan)
 
 
-def test_correct_group_skips_undersized():
-    dem = flat_grid(64)
-    group = make_group([30.0, 34.0], [30.0, 30.0], [100.0, 100.0])
-    group = ShotGroup(group.key, group.table.take(slice(None), ref_elev=np.array([99.5, math.nan])))
-    sol, ref_after = correct_group(group, dem, method="grid")
-    assert sol.skipped and sol.dx == 0.0 and sol.dy == 0.0
-    np.testing.assert_array_equal(ref_after, [99.5, math.nan])
-
-
 def test_correct_group_flat_dem_keeps_mae():
     dem = flat_grid(128)
     group = make_group([50.0, 60.0, 70.0, 80.0], [60.0] * 4, [100.2, 99.9, 100.1, 99.8])
     for method in ("grid", "lbfgsb", "ga", "pso"):
-        _, ref_after = correct_group(group, dem, method=method, metric="euclidean")
-        assert ref_after.tolist() == [100.0] * 4
+        result = correct_dataset([group], dem, method=method, metric="euclidean")
+        assert result.ref_after.tolist() == [100.0] * 4
 
 
 def test_correct_dataset_empty_input():
@@ -676,20 +683,29 @@ def test_correct_dataset_ref_after_is_aggregate_at_shifted_positions(workers):
         make_group([40.0, 55.0, 70.0, 85.0], [60.0] * 4, [50.0, 60.0, 75.0, 90.0], key="0000000001"),
         # the last footprint is off the DEM at every candidate offset
         make_group([30.0, 45.0, 60.0, -500.0], [90.0] * 4, [40.0, 50.0, 60.0, 0.0], key="0000000002"),
-        attach_group(make_group([70.0, 80.0], [30.0] * 2, [70.0, 80.0], key="0000000003"), dem),
+        # below the minimum size: skipped, with stored references that are not the DEM's
+        make_group([70.0, 80.0], [30.0] * 2, [70.0, 80.0], key="0000000003"),
+        make_group([20.0, 30.0, 40.0], [100.0] * 3, [20.0, 30.0, 40.0], key="0000000004"),
     ]
+    skipped = groups[2]
+    groups[2] = ShotGroup(skipped.key, skipped.table.take(slice(None), ref_elev=np.array([71.25, math.nan])))
     result = correct_dataset(groups, dem, method="grid", metric="euclidean", workers=workers)
     assert result.groups is groups
-    assert [s.skipped for s in result.solutions] == [False, False, True]
+    assert [s.skipped for s in result.solutions] == [False, False, True, False]
+    assert result.n_skipped == 1
+    skip = result.solutions[2]
+    assert (skip.dx, skip.dy, skip.objective_value, skip.evaluations, skip.converged) == (0.0, 0.0, 0.0, 0, False)
     expected = np.concatenate([
-        aggregate_buffer_points(dem, g.x + s.dx, g.y + s.dy, 12.5)
+        [71.25, math.nan] if s.skipped else aggregate_buffer_points(dem, g.x + s.dx, g.y + s.dy, 12.5)
         for g, s in zip(groups, result.solutions)
     ])
-    np.testing.assert_array_equal(result.ref_after, expected)
-    assert np.flatnonzero(np.isnan(result.ref_after)).tolist() == [7]
+    dem_refs = aggregate_buffer_points(dem, skipped.x, skipped.y, 12.5)
+    assert np.isfinite(dem_refs).all() and dem_refs[0] != 71.25  # the stored values are not the DEM's
+    assert result.ref_after.tobytes() == expected.tobytes()
+    assert np.flatnonzero(np.isnan(result.ref_after)).tolist() == [7, 9]
     # the Combination columns repeat each group's offset over its footprints
-    np.testing.assert_array_equal(result.dx, np.repeat([s.dx for s in result.solutions], [4, 4, 2]))
-    np.testing.assert_array_equal(result.dy, np.repeat([s.dy for s in result.solutions], [4, 4, 2]))
+    np.testing.assert_array_equal(result.dx, np.repeat([s.dx for s in result.solutions], [4, 4, 2, 3]))
+    np.testing.assert_array_equal(result.dy, np.repeat([s.dy for s in result.solutions], [4, 4, 2, 3]))
 
 
 def test_correct_dataset_worker_count_invariant():

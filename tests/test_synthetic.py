@@ -167,7 +167,7 @@ def test_recovery_error_shrinks_with_relief(rng):
                 noise_sd=1.5, planted_dx=7.0, planted_dy=-9.0, seed=seed,
             )
             observed = plant_offset(gen_track(terrain, spec), spec)
-            sol, _ = correct_group(observed, terrain, method="grid", metric="euclidean")
+            sol = correct_group(observed, terrain, method="grid", metric="euclidean")
             errors.append(math.hypot(sol.dx + 7.0, sol.dy - 9.0))
         mean_err.append(float(np.mean(errors)))
     ranks_relief = np.argsort(np.argsort(reliefs))
