@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage/config error, 2 data error or out of memory.
 Diagnostics go to stderr; machine-readable output only ever lands in files
-under --out, made after the last solve. Only `bench` reads the clock, for the
+under --out, made after the report is scored. Only `bench` reads the clock, for the
 wall_time_s column, so `correct` reruns with the same seed are byte-identical.
 """
 
@@ -228,13 +228,18 @@ def _load_rasters(dem_path: str, geoid_path: str):
     return dem, geoid
 
 
+def _read_footprints(path: Path, kind: str):
+    """`parse_footprints` of the CSV at `path`, read past any UTF-8 BOM; `kind` names it if missing."""
+    if not path.exists():
+        raise DataError(f"{kind} not found: {path}")
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        return parse_footprints(fh, source=str(path))
+
+
 def _load_pipeline(cfg: RunConfig):
     dem, geoid = _load_rasters(cfg.dem_path, cfg.geoid_path)
     fps_path = Path(cfg.footprints_path)
-    if not fps_path.exists():
-        raise DataError(f"footprint CSV not found: {fps_path}")
-    with fps_path.open(newline="", encoding="utf-8-sig") as fh:
-        table, parse_stats = parse_footprints(fh, source=str(fps_path))
+    table, parse_stats = _read_footprints(fps_path, "footprint CSV")
     taken = [c for c in CORRECTED_EXTRA_COLUMNS if c in table.cells.header]
     if taken:
         raise DataError(f"{fps_path}: input columns that correct writes itself: {', '.join(taken)}")
@@ -247,52 +252,49 @@ def _load_pipeline(cfg: RunConfig):
     groups, stats = prepare_groups(table, dem, geoid=geoid, rules=cfg.quality, radius=cfg.radius, agg=cfg.agg)
     if stats.n_after_attach == 0:
         raise DataError(f"no footprints left after preprocessing; {stats.empty_stage()} removed the last row")
-    return dem, groups, stats
+    return dem, groups
 
 
-class _CorrectedCsvWriter:
-    """Writes one corrected CSV per method x metric over the same groups.
+def _write_corrected(out_dir: Path, results) -> None:
+    """One corrected CSV per result, each over the first result's groups.
 
     A row is a footprint's input cells, then CORRECTED_EXTRA_COLUMNS. The
     cells, `group_key` and `ref_elev_before` are the same in every file, so
-    they are CSV-encoded once, here; `write` formats only the columns that
-    depend on the result. Every group comes from `parse_footprints`, so its
+    they are CSV-encoded once; only the columns that depend on the result
+    are formatted per file, and those numbers are repr-formatted and never
+    need CSV quoting. Every group comes from `parse_footprints`, so its
     `row` column indexes the input cells every group shares.
     """
-
-    def __init__(self, groups) -> None:
-        cells = groups[0].table.cells
-        self.x = np.concatenate([g.x for g in groups])
-        self.y = np.concatenate([g.y for g in groups])
-        lines: list[str] = []
-        # csv.writer hands each encoded line, terminator included, to `write`
-        writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
-        writer.writerow([*cells.header, *CORRECTED_EXTRA_COLUMNS])
-        writer.writerows(
-            (*cells.rows[row], group.key) for group in groups for row in group.table.row.tolist()
-        )
-        self.header = lines[0]
-        self.prefixes = [line[:-1] for line in lines[1:]]
-        self.refs_before = _fmt_floats(np.concatenate([g.ref_elev for g in groups]).tolist())
-
-    def write(self, path: Path, result) -> None:
-        """The numbers are repr-formatted and never need CSV quoting."""
+    groups = results[0].groups
+    cells = groups[0].table.cells
+    lines: list[str] = []
+    # csv.writer hands each encoded line, terminator included, to `write`
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer.writerow([*cells.header, *CORRECTED_EXTRA_COLUMNS])
+    writer.writerows((*cells.rows[row], group.key) for group in groups for row in group.table.row.tolist())
+    prefixes = [line[:-1] for line in lines[1:]]
+    x, y, ref_before = (np.concatenate([getattr(g, c) for g in groups]) for c in ("x", "y", "ref_elev"))
+    refs_before = _fmt_floats(ref_before.tolist())
+    for result in results:
         columns = (
-            self.prefixes,
+            prefixes,
             _fmt_repeated(result.dx),  # one offset per group
             _fmt_repeated(result.dy),
-            _fmt_floats((self.x + result.dx).tolist()),
-            _fmt_floats((self.y + result.dy).tolist()),
-            self.refs_before,
+            _fmt_floats((x + result.dx).tolist()),
+            _fmt_floats((y + result.dy).tolist()),
+            refs_before,
             _fmt_floats(result.ref_after.tolist()),
         )
         tail = f",{result.method},{result.metric}\n"
+        path = out_dir / f"corrected_{result.method}_{result.metric}.csv"
         with path.open("w", newline="", encoding="utf-8") as fh:
-            fh.write(self.header)
-            fh.writelines(",".join(cells) + tail for cells in zip(*columns))
+            fh.write(lines[0])
+            fh.writelines(",".join(row) + tail for row in zip(*columns))
+        logger.info("wrote %s", path)
 
 
 def _write_reports(out_dir: Path, rows) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.csv").write_text(rows_to_csv(rows))
     (out_dir / "report.json").write_text(rows_to_json(rows))
     (out_dir / "report.txt").write_text(rows_to_text(rows))
@@ -301,7 +303,7 @@ def _write_reports(out_dir: Path, rows) -> None:
 def _run(args: argparse.Namespace, timed: bool) -> int:
     """`correct` (timed=False) and `bench` (timed=True): the same pipeline and outputs."""
     cfg = _build_config(args)
-    dem, groups, _ = _load_pipeline(cfg)
+    dem, groups = _load_pipeline(cfg)
 
     results, walls = [], []
     # one pool serves every combination: workers are forked once per run
@@ -315,19 +317,13 @@ def _run(args: argparse.Namespace, timed: bool) -> int:
                 ))
                 if timed:
                     walls.append(time.perf_counter() - start)
-    # made after the last solve, so a run that fails leaves no --out behind
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    writer = _CorrectedCsvWriter(groups)
-    for result in results:
-        name = f"corrected_{result.method}_{result.metric}.csv"
-        writer.write(out_dir / name, result)
-        logger.info("wrote %s", out_dir / name)
-
-    rows = compare_methods(results, groups)
+    rows = compare_methods(results)
     for row, wall in zip(rows[1:], walls):  # rows[0] is the "original" row
         row.wall_time_s = wall
+    # --out is made only now, after the report is scored, so a run that fails leaves none
+    out_dir = Path(cfg.output_dir)
     _write_reports(out_dir, rows)
+    _write_corrected(out_dir, results)
     (out_dir / "effective_config.toml").write_text(dump_config(cfg), encoding="utf-8")
     if timed:
         sys.stderr.write(rows_to_text(rows))
@@ -410,12 +406,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _flags_config(args, {})
     corrected_path = Path(args.corrected)
-    if not corrected_path.exists():
-        raise DataError(f"corrected CSV not found: {corrected_path}")
+    table, stats = _read_footprints(corrected_path, "corrected CSV")
     dem, geoid = _load_rasters(cfg.dem_path, cfg.geoid_path)
-
-    with corrected_path.open(newline="", encoding="utf-8-sig") as fh:
-        table, stats = parse_footprints(fh, source=str(corrected_path))
     header, cells = table.cells
     missing = [c for c in CORRECTED_EXTRA_COLUMNS if c not in header]
     if missing:
@@ -470,7 +462,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
 
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_reports(out_dir, rows)
     logger.info("evaluation reports written to %s", out_dir)
     return EXIT_OK

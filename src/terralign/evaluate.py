@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .footprints import MIN_GROUP_SIZE, ShotGroup
+from .footprints import MIN_GROUP_SIZE
 
 ORIGINAL_LABEL = "original"
 
@@ -135,16 +135,20 @@ def report_rows(
     return rows
 
 
-def compare_methods(results: Sequence, groups: Sequence[ShotGroup]) -> list[ReportRow]:
+def compare_methods(results: Sequence) -> list[ReportRow]:
     """Build one report row per result plus the leading "original" row.
 
-    `groups` are the groups every result corrected; each result is a
-    `Combination` with `groups` that match them in keys and sizes,
+    Each result is a `Combination` with the `groups` it corrected. The first
+    result's groups give the keys, elevations and references before
+    correction; every other result's must match them in keys and sizes,
     footprint for footprint. The rows are scored by `report_rows`.
     """
+    if not results:
+        raise ValueError("compare_methods needs at least one result")
+    groups = results[0].groups
     base_keys = [g.key for g in groups]
     base_sizes = [len(g) for g in groups]
-    for result in results:
+    for result in results[1:]:
         keys = [g.key for g in result.groups]
         if keys != base_keys:
             differing = sorted(set(keys).symmetric_difference(base_keys))

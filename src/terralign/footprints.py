@@ -325,7 +325,8 @@ def flag_rolling_outliers(
         np.cumsum(x[a:b], out=cum[a + p + 1 : b + p + 1])
         np.cumsum(xsq[a:b], out=cum_sq[a + p + 1 : b + p + 1])
 
-    half = window // 2
+    # a window wider than 2n + 1 covers every piece whole, as 2n + 1 does
+    half = min(window // 2, n)
     piece = np.repeat(np.arange(starts.size), ends - starts)
     idx = np.arange(n)
     lo = np.maximum(idx - half, starts[piece])
@@ -334,11 +335,11 @@ def flag_rolling_outliers(
     wsum = cum[hi + piece] - cum[lo + piece]
     wsq = cum_sq[hi + piece] - cum_sq[lo + piece]
     mean = wsum / count
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a k near the float limit flags nothing
         var = (wsq - wsum * wsum / count) / (count - 1.0)
-    var = np.where(np.isfinite(var), np.maximum(var, 0.0), 0.0)
-    sd = np.sqrt(var)
-    mask = np.abs(x - mean) > k * sd
+        var = np.where(np.isfinite(var), np.maximum(var, 0.0), 0.0)
+        sd = np.sqrt(var)
+        mask = np.abs(x - mean) > k * sd
     mask &= count >= 3
     mask &= sd > 0.0
     return mask

@@ -451,6 +451,8 @@ class CorrectionResult(Combination):
         return sum(1 for sol in self.solutions if sol.skipped)
 
 
+# near the float limit, GA blends, PSO velocities and kernel distances overflow to inf: off the DEM
+@np.errstate(over="ignore", invalid="ignore")
 def correct_group(
     group: ShotGroup,
     dem: RasterGrid,
@@ -531,6 +533,7 @@ class GroupPool:
                 initargs=(groups, dem, cfg),
             )
 
+    @np.errstate(over="ignore", invalid="ignore")  # an offset near the float limit, as in correct_group
     def solve(self, method: str, metric: MetricKind | str) -> CorrectionResult:
         """Every group solved with `correct_group`, in group order, then `ref_after` in one kernel call."""
         n = len(self.groups)

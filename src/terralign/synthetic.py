@@ -257,4 +257,4 @@ def run_recovery_experiment(
         for method in cfg.methods
         for metric in cfg.metrics
     ]
-    return results, compare_methods(results, [observed])
+    return results, compare_methods(results)

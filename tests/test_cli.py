@@ -19,7 +19,7 @@ import pytest
 
 import terralign
 import terralign.optimize
-from terralign.cli import CORRECTED_EXTRA_COLUMNS, _CorrectedCsvWriter, build_parser, main
+from terralign.cli import CORRECTED_EXTRA_COLUMNS, _write_corrected, build_parser, main
 from terralign.evaluate import REPORT_COLUMNS
 from terralign.footprints import group_by_shot, parse_footprints, split_groups
 from terralign.geotiff import write_geotiff
@@ -324,8 +324,8 @@ def test_corrected_csv_writer_matches_csv_writer_reference(tmp_path):
         ref_after=np.array([math.nan, 101.25, -math.inf, 7.0, math.inf]),
         dx=np.repeat([s.dx for s in solutions], sizes), dy=np.repeat([s.dy for s in solutions], sizes),
     )
-    _CorrectedCsvWriter(groups).write(tmp_path / "out.csv", result)
-    written = (tmp_path / "out.csv").read_bytes()
+    _write_corrected(tmp_path, [result])
+    written = (tmp_path / "corrected_ga_area.csv").read_bytes()
     assert written == reference_corrected_csv(result).encode()
     assert b'"00000,0001"' in written and b'"quote "" here"' in written and b'"line\nbreak"' in written
 
@@ -465,6 +465,59 @@ def test_correct_that_fails_while_solving_leaves_no_out(tmp_path, capsys, monkey
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith("error: group ") and errors[0].endswith(" is bad")
     assert not (tmp_path / "o").exists()
+
+
+NO_SURVIVORS = ["error: no footprints survive in every compared result"]
+
+
+@pytest.mark.parametrize(
+    "flags, rc, errors",
+    [
+        (["--methods", "ga", "--max-dx", "1e9", "--max-dy", "1e9"], 2, NO_SURVIVORS),
+        (["--methods", "pso", "--max-dx", "8e307", "--max-dy", "8e307"], 2, NO_SURVIVORS),
+        (["--methods", "ga,pso", "--max-dx", "8e307", "--max-dy", "8e307", "--workers", "2"], 2, NO_SURVIVORS),
+        (["--outlier-k", "1e308"], 0, []),
+    ],
+)
+def test_settings_near_the_float_limit(tmp_path, flags, rc, errors):
+    """A window so wide that every solution leaves the DEM leaves no
+    footprint to score: one error line, and no --out, since it is made after
+    the report is scored. GA's blend widths, PSO's velocities, the kernel's
+    squared distances and the outlier rule's k * sd overflow to inf on the
+    way, which the code handles: no RuntimeWarning reaches stderr, from
+    this process or a forked worker."""
+    scene = tmp_path / "scene"
+    assert run(["simulate", "--out", scene, "--rows", 96, "--cols", 96, "--cell-size", 4,
+                "--n-groups", 2, "--n-footprints", 8, "--spacing", 20, "--dx", 4, "--dy", -2]) == 0
+    src = str(Path(terralign.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["correct", "--dem", str(scene / "terrain.asc"), "--footprints", str(scene / "footprints.csv"),
+            "--out", str(tmp_path / "o"), *flags]
+    out = subprocess.run([sys.executable, "-W", "default::RuntimeWarning", "-m", "terralign.cli", *argv],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == rc, out.stderr
+    assert [line for line in out.stderr.splitlines() if line.startswith("error:")] == errors, out.stderr
+    assert "Traceback" not in out.stderr and "RuntimeWarning" not in out.stderr, out.stderr
+    assert (tmp_path / "o").exists() == (rc == 0)
+
+
+def test_outlier_window_wider_than_an_index_covers_whole_groups(tmp_path):
+    """A window of 10**20 + 1 rows, whose half does not fit an int64 index,
+    runs as the window of 2n + 1 rows over the n footprints does."""
+    scene = tmp_path / "scene"
+    assert run(["simulate", "--out", scene, "--rows", 96, "--cols", 96, "--cell-size", 4,
+                "--n-groups", 2, "--n-footprints", 8, "--spacing", 20, "--dx", 4, "--dy", -2]) == 0
+    n = len((scene / "footprints.csv").read_text().splitlines()) - 1
+    outputs = []
+    for window in (2 * n + 1, 10**20 + 1):
+        out = tmp_path / f"w{window}"
+        assert run(["correct", "--dem", scene / "terrain.asc", "--footprints", scene / "footprints.csv",
+                    "--out", out, "--outlier-window", window, "--outlier-k", 1.5]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "effective_config.toml"})
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == 4
+    # the rule drops footprints here, so the two windows agree on a flagged set
+    assert outputs[0]["corrected_grid_euclidean.csv"].count(b"\n") < n + 1
 
 
 def test_grid_step_wider_than_the_window_is_usage_error(tmp_path, capsys):

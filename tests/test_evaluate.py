@@ -107,7 +107,7 @@ def test_compare_methods_row_accounting():
         correct_dataset(groups, dem, method="grid", metric=m)
         for m in ("euclidean", "manhattan")
     ]
-    rows = compare_methods(results, groups)
+    rows = compare_methods(results)
     assert len(rows) == 1 + 2
     assert rows[0].method == "original"
     assert [(r.method, r.metric) for r in rows[1:]] == [
@@ -118,7 +118,7 @@ def test_compare_methods_row_accounting():
 def test_compare_methods_identity_result_matches_original_mae():
     dem, groups = groups_on_flat()
     result = correct_dataset(groups, dem, method="grid", metric="euclidean")
-    rows = compare_methods([result], groups)
+    rows = compare_methods([result])
     # flat field: any offset leaves the reference unchanged, so MAE is unchanged
     assert rows[1].mae_m == pytest.approx(rows[0].mae_m, rel=1e-12)
 
@@ -132,16 +132,24 @@ def test_compare_methods_corrected_beats_original_on_planted_scene():
     observed = plant_offset(gen_track(terrain, spec), spec)
     group = attach_group(observed, terrain, max_dem_diff=math.inf)
     result = correct_dataset([group], terrain, method="grid", metric="euclidean")
-    rows = compare_methods([result], [group])
+    rows = compare_methods([result])
     assert rows[1].mae_m < rows[0].mae_m
 
 
 def test_compare_methods_mismatched_groups_error():
     dem, groups = groups_on_flat()
-    result = correct_dataset(groups[:2], dem, method="grid", metric="euclidean")
+    results = [
+        correct_dataset(groups, dem, method="grid", metric="euclidean"),
+        correct_dataset(groups[:2], dem, method="grid", metric="manhattan"),
+    ]
     with pytest.raises(ValueError) as err:
-        compare_methods([result], groups)
+        compare_methods(results)
     assert "0000000003" in str(err.value)
+
+
+def test_compare_methods_needs_a_result():
+    with pytest.raises(ValueError, match="at least one result"):
+        compare_methods([])
 
 
 def test_compare_methods_counts_duplicate_shot_numbers_by_position():
@@ -150,7 +158,7 @@ def test_compare_methods_counts_duplicate_shot_numbers_by_position():
     shots[5] = shots[4]
     group = ShotGroup(group.key, group.table.take(slice(None), shot_number=shots))
     result = correct_dataset([group], dem, method="grid", metric="euclidean")
-    rows = compare_methods([result], [group])
+    rows = compare_methods([result])
     # elevations 100.0 .. 100.5 over a flat 100 m DEM: MAE 0.25 over all 6 pairs
     assert [r.n_footprints for r in rows] == [6, 6]
     assert [r.mae_m for r in rows] == pytest.approx([0.25, 0.25], rel=1e-12)
@@ -159,16 +167,19 @@ def test_compare_methods_counts_duplicate_shot_numbers_by_position():
 def test_compare_methods_rejects_resized_groups():
     dem, groups = groups_on_flat()
     shrunk = [groups[0], ShotGroup(groups[1].key, groups[1].table.take(slice(None, -1))), groups[2]]
-    result = correct_dataset(shrunk, dem, method="grid", metric="euclidean")
+    results = [
+        correct_dataset(groups, dem, method="grid", metric="euclidean"),
+        correct_dataset(shrunk, dem, method="grid", metric="manhattan"),
+    ]
     with pytest.raises(ValueError, match="group sizes"):
-        compare_methods([result], groups)
+        compare_methods(results)
 
 
 def test_compare_methods_byte_stable():
     dem, groups = groups_on_flat()
     results = [correct_dataset(groups, dem, method="grid", metric="area")]
-    rows_a = compare_methods(results, groups)
-    rows_b = compare_methods(results, groups)
+    rows_a = compare_methods(results)
+    rows_b = compare_methods(results)
     assert rows_to_csv(rows_a) == rows_to_csv(rows_b)
     assert rows_to_text(rows_a) == rows_to_text(rows_b)
 
@@ -176,7 +187,7 @@ def test_compare_methods_byte_stable():
 def test_serializers_shape_and_timing_blank():
     dem, groups = groups_on_flat()
     results = [correct_dataset(groups, dem, method="grid", metric="euclidean")]
-    rows = compare_methods(results, groups)
+    rows = compare_methods(results)
 
     csv_text = rows_to_csv(rows)
     header = csv_text.splitlines()[0].split(",")
@@ -210,7 +221,7 @@ def test_compare_methods_skipped_groups_do_not_enter_offsets():
         make_group([120.0, 130.0], [120.0] * 2, [100.0] * 2, key="0000000002"), dem
     )
     result = correct_dataset([big, small], dem, method="grid", metric="euclidean")
-    rows = compare_methods([result], [big, small])
+    rows = compare_methods([result])
     assert result.n_skipped == 1
     assert rows[1].n_groups == 1  # only the optimized group counts
     assert rows[1].n_footprints == 6  # but every surviving footprint is scored

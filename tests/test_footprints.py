@@ -206,6 +206,16 @@ def test_rolling_outliers_rejects_bad_window():
             flag_rolling_outliers(np.zeros(5), starts=starts)
 
 
+def test_rolling_outliers_window_wider_than_any_index():
+    # 10**20 // 2 does not fit an int64 index; any window of 2n + 1 or more covers every piece
+    series = np.array([10.0, 10.5, 9.5, 10.0, 60.0, 10.0, 10.2, 3.0, 3.1, 2.9, 3.0, -40.0, 3.0])
+    starts = [0, 7]
+    wide = flag_rolling_outliers(series, window=10**20 + 1, k=1.5, starts=starts)
+    whole = flag_rolling_outliers(series, window=2 * series.size + 1, k=1.5, starts=starts)
+    np.testing.assert_array_equal(wide, whole)
+    assert list(np.flatnonzero(whole)) == [4, 11]
+
+
 def naive_rolling_mask(series, window, k):
     half = window // 2
     n = len(series)
